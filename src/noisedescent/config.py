@@ -1,6 +1,6 @@
 """Config-file ingestion: a small INI-style grammar, schema-validated.
 
-Grammar (documented in README and configs/default.ini):
+Grammar:
 
 - ``[section]`` headers group keys; ``key = value`` lines assign them.
 - ``#`` starts a comment (full-line or trailing); blank lines ignored.
@@ -137,7 +137,6 @@ _SCHEMA = {
         "initial_penalty": _parse_float,
         "penalty_factor": _parse_float,
         "penalty_max": _parse_float,
-        "lbfgs_memory": _parse_int,
         "max_line_search": _parse_int,
         "verbose": _parse_bool,
     },

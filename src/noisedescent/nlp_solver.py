@@ -30,6 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lu_factor, lu_solve
 
+from .errors import DomainError
+
 _COMPLEMENTARITY_CAP = 10.0  # slack distances are capped here in the residual
 _MULTIPLIER_CAP = 1e12
 _HV_EPS = 1e-7  # relative step for Hessian-vector differencing
@@ -66,9 +68,11 @@ class NlpProblem:
     eq_sparsity: Optional[np.ndarray] = None
     ineq_sparsity: Optional[np.ndarray] = None
     # optional exact Hessian of sigma_f*f + eq_mult.c_eq + ineq_mult.c_ineq
-    # (physical variables and unscaled rows); unlocks Newton inner steps
+    # (physical variables and unscaled rows); unlocks Newton inner steps.
+    # Called as (w, sigma_f, eq_mult, ineq_mult, convexify=False); with
+    # convexify=True it returns the positive-semidefinite fallback model
+    # (nonlinear blocks with their spectra floored at zero).
     lagrangian_hessian: Optional[Callable] = None
-    reentrant: bool = True
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -107,7 +111,6 @@ class SolverOptions:
     penalty_max: float = 1e10
     armijo_sigma: float = 1e-4     # sufficient-decrease parameter
     max_line_search: int = 40
-    seed: int = 0                  # used only by callers that add perturbed restarts
     record_merit: bool = True
     verbose: bool = False
 
@@ -293,15 +296,6 @@ class _Merit:
         active[ineq] = np.abs(d[ineq] + self.lam[ineq] / self.rho) > 1e-14
         return active
 
-    def _hessian_callback(self, w, sigma_f, eq_mult, ineq_mult, convexify):
-        """Call the problem Hessian, tolerating callbacks without the
-        convexify keyword (it only matters for the fallback model)."""
-        try:
-            return self.p.lagrangian_hessian(w, sigma_f, eq_mult, ineq_mult,
-                                             convexify=convexify)
-        except TypeError:
-            return self.p.lagrangian_hessian(w, sigma_f, eq_mult, ineq_mult)
-
     def newton_models(self, y: np.ndarray, d: np.ndarray,
                       J: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """(exact, modified) dense merit Hessians in scaled variables.
@@ -323,9 +317,9 @@ class _Merit:
             ineq_mult = lam_t[self.p.n_eq:] / self.p.ineq_scale
         else:
             eq_mult, ineq_mult = zero_eq, zero_in
-        exact = self._hessian_callback(
+        exact = self.p.lagrangian_hessian(
             w, 1.0 / self.p.f_scale, eq_mult, ineq_mult, convexify=False) * ss
-        modified = self._hessian_callback(
+        modified = self.p.lagrangian_hessian(
             w, 1.0 / self.p.f_scale, zero_eq,
             np.maximum(ineq_mult, 0.0), convexify=True) * ss
         if self.rows.m:
@@ -351,14 +345,28 @@ def _projected_gradient(y, g, lo, hi):
     return y - np.clip(y - g, lo, hi)
 
 
-def _try_cholesky(H: np.ndarray, g_free: np.ndarray,
-                  tau: float = 0.0) -> np.ndarray | None:
-    try:
-        factor = cho_factor(H + tau * np.eye(g_free.size) if tau else H,
-                            lower=True, check_finite=False)
-        return cho_solve(factor, -g_free, check_finite=False)
-    except LinAlgError:
-        return None
+def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions):
+    """Projected Armijo backtracking from y along direction.
+
+    Returns (alpha, trial point) of the accepted step, or None.  A trial
+    point outside the model's domain counts as a rejected step.
+    """
+    alpha = 1.0
+    for _ in range(opts.max_line_search):
+        y_trial = np.clip(y + alpha * direction, lo, hi)
+        step = y_trial - y
+        decrease = float(g @ step)
+        try:
+            f_trial = merit.value(y_trial)
+        except DomainError:
+            f_trial = np.inf
+        if (f_trial <= f + opts.armijo_sigma * min(decrease, 0.0)
+                and f_trial < f + 1e-16 * abs(f) + 1e-300):
+            return alpha, y_trial
+        if not np.any(step):
+            return None
+        alpha *= 0.5
+    return None
 
 
 def _to_boundary(x, d, radius):
@@ -484,23 +492,11 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if float(direction @ g) >= 0.0:
             direction = -pg  # safeguard
 
-        alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_line_search):
-            y_trial = np.clip(y + alpha * direction, lo, hi)
-            step = y_trial - y
-            decrease = float(g @ step)
-            f_trial = merit.value(y_trial)
-            if (f_trial <= f + opts.armijo_sigma * min(decrease, 0.0)
-                    and f_trial < f + 1e-16 * abs(f) + 1e-300):
-                accepted = True
-                break
-            if not np.any(step):
-                break
-            alpha *= 0.5
-        if not accepted:
+        accepted = _line_search(merit, y, f, g, direction, lo, hi, opts)
+        if accepted is None:
             status = "linesearch"
             break
+        alpha, y_trial = accepted
         model_age += 1
         if alpha < 0.25:
             refresh = True  # model mistrusted: rebuild at the new point
@@ -556,23 +552,11 @@ def _inner_cg(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if float(direction @ g) >= 0.0:
             direction = -pg  # safeguard: fall back to projected steepest descent
 
-        alpha = 1.0
-        accepted = False
-        for _ in range(opts.max_line_search):
-            y_trial = np.clip(y + alpha * direction, lo, hi)
-            step = y_trial - y
-            decrease = float(g @ step)
-            f_trial = merit.value(y_trial)
-            if (f_trial <= f + opts.armijo_sigma * min(decrease, 0.0)
-                    and f_trial < f + 1e-16 * abs(f) + 1e-300):
-                accepted = True
-                break
-            if not np.any(step):
-                break
-            alpha *= 0.5
-        if not accepted:
+        accepted = _line_search(merit, y, f, g, direction, lo, hi, opts)
+        if accepted is None:
             status = "linesearch"
             break
+        alpha, y_trial = accepted
         if alpha == 1.0 and hit_boundary:
             radius = min(radius * 2.0, 1e3)
         elif alpha < 0.5:

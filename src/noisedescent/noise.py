@@ -161,10 +161,10 @@ class Trajectory:
 
 
 def _check_log_arg(term: str, value) -> None:
-    arr = np.atleast_1d(np.asarray(value))
-    bad = np.real(arr) <= 0.0
+    bad = np.real(np.atleast_1d(np.asarray(value))) <= 0.0
     if np.any(bad):
-        idx = int(np.argmax(bad))
+        # the node axis is the last one; leading axes stack perturbations
+        idx = int(np.argwhere(bad)[0][-1])
         raise NoiseTermError(term, f"nonpositive log argument at node {idx}")
 
 

@@ -120,7 +120,7 @@ class Scenario:
 
 
 def default_scenario(**overrides) -> Scenario:
-    """The shipped reference scenario (matches configs/default.ini)."""
+    """The reference scenario, with any field overridden by keyword."""
     return dataclasses.replace(Scenario(), **overrides) if overrides else Scenario()
 
 

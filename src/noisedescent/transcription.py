@@ -7,18 +7,29 @@ and the variant objective.  The decision vector packs all node states,
 all interval controls and, for the minimax variant, one epigraph
 variable.
 
-Objective gradients and constraint Jacobians are evaluated by
-complex-step differentiation, vectorized over grid nodes: one
-perturbation per local variable suffices because each defect row couples
-only (z_k, u_k, z_{k+1}) and each level sample depends only on its own
-node.  The results are exact to machine precision and are validated
-against central finite differences in the test suite.
+All derivatives come from one engine.  Every nonlinear piece is local:
+a defect row couples only (z_k, u_k, z_{k+1}) and is linear in z_{k+1};
+a level sample depends only on its own node state; a fuel-flow sample
+only on (V_k, h_k, delta_x).  So one complex-step perturbation per local
+variable, applied at every node or interval at once, gives all gradient
+and Jacobian entries (`_cs_derivative`); the d perturbations are stacked
+on a leading axis and the kernel runs once.  Hessian blocks are the
+symmetrised central differences of those exact gradients
+(`_cs_hessian_blocks`), with the 2d shifted points stacked the same way.
+The gradients are exact to machine precision; the test suite checks
+both against central finite differences of the callbacks.
+
+The variant decides only which terms enter the problem: a table in
+`_Transcription.__init__` names the objective term (Leq at the first
+observer, the consumption, or the epigraph variable theta) and the extra
+inequality rows with their upper bounds (the fuel cap, or
+Leq_i - theta <= 0 per observer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -255,6 +266,144 @@ def _node_controls(U: np.ndarray) -> np.ndarray:
     return np.vstack([U, U[-1]])
 
 
+def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
+    """Complex-step derivatives of a row-local function for every local variable.
+
+    `fn` maps an (..., M, d) array, one row of local variables per node or
+    interval, to (..., M) values or (..., M, r) vectors, where output row k
+    depends on input row k only.  The d perturbations are stacked on a new
+    leading axis, so `fn` runs once on all of them.  Returns d(fn)/dX with
+    the variable index last: (..., M, d) or (..., M, r, d).  With `mult` of
+    shape (M, r) the r outputs are first contracted against it, giving
+    d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
+    imaginary parts before the division by the step.
+    """
+    d = X.shape[-1]
+    Xc = np.repeat(X.astype(complex)[None], d, axis=0)
+    j = np.arange(d)
+    Xc[j, ..., j] += 1j * _CS
+    F = fn(Xc).imag
+    if mult is not None:
+        F = np.sum(mult * F, axis=-1)
+    return np.moveaxis(F, 0, -1) / _CS
+
+
+def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
+                       mult: np.ndarray | None = None) -> np.ndarray:
+    """Per-row Hessian blocks (M, d, d) of a row-local scalar function.
+
+    Symmetrised central differences, with steps _FD*scale, of the
+    `_cs_derivative` of `fn` (contracted against `mult` when given).  All
+    2d shifted copies of X are stacked and differentiated in one call.
+    """
+    d = X.shape[-1]
+    eps = _FD * scale
+    Xs = np.repeat(X[None], 2 * d, axis=0)
+    j = np.arange(d)
+    Xs[j, :, j] += eps[:, None]
+    Xs[d + j, :, j] -= eps[:, None]
+    G = _cs_derivative(fn, Xs, mult)
+    blocks = np.moveaxis((G[:d] - G[d:]) / (2.0 * eps)[:, None, None], 0, -1)
+    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+
+
+def _add_blocks(H: np.ndarray, idx: np.ndarray, blocks: np.ndarray) -> None:
+    """H[idx[k], idx[k]] += blocks[k] for k in order; blocks may share indices."""
+    np.add.at(H, (idx[:, :, None], idx[:, None, :]), blocks)
+
+
+class _Term(NamedTuple):
+    """One term of the objective or of an extra inequality row: a smooth
+    functional of the states and controls plus theta_coef * theta."""
+
+    value: Callable        # (Z, U) -> float
+    gradient: Callable     # (grad, Z, U) -> None: writes into a zeroed gradient
+    add_hessian: Callable  # (H, Z, U, weight, convexify) -> None: adds weight * Hessian
+    columns: np.ndarray    # decision-vector indices the functional depends on
+    theta_coef: float = 0.0
+
+
+# The term builders read what they need from the transcription up front:
+# closures that held the transcription itself would make it a reference
+# cycle, which outlives its problem until a garbage-collector pass.
+
+def _leq_term(tr: "_Transcription", obs) -> _Term:
+    """Equivalent continuous level at one observer."""
+    params, atm, weights, duration = tr.params, tr.atm, tr.weights, tr.grid.duration
+    idx = tr.node_idx
+    cols = idx.ravel()
+
+    def levels(X):
+        return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3],
+                                   X[..., 4], X[..., 5], obs, params, atm)
+
+    def leq_and_node_weights(Z):
+        energy = 10.0 ** (0.1 * levels(Z))
+        total = weights @ energy
+        return float(10.0 * np.log10(total / duration)), weights * energy / total
+
+    def gradient(grad, Z, U):
+        _, p = leq_and_node_weights(Z)
+        grad[idx] = p[:, None] * _cs_derivative(levels, Z)
+
+    def add_hessian(H, Z, U, weight, convexify):
+        """With p_k the normalized energy quadrature weights and
+        beta = ln(10)/10, the Hessian is
+        blockdiag(p_k*(B_k + beta*g_k g_k^T)) - beta*G G^T, where B_k and
+        g_k are the per-node level Hessian/gradient and G the assembled
+        gradient vector.  With convexify the node blocks get their
+        eigenvalues floored at zero and the negative rank-one term is
+        dropped, yielding the positive-semidefinite model used by the
+        solver's modified-Newton fallback."""
+        if weight == 0.0:
+            return
+        _, p = leq_and_node_weights(Z)
+        beta = np.log(10.0) / 10.0
+        dlev = _cs_derivative(levels, Z)
+        blocks = _cs_hessian_blocks(levels, Z, STATE_SCALE)
+        if not convexify:
+            G = (p[:, None] * dlev).ravel()
+            H[np.ix_(cols, cols)] -= (weight * beta) * np.outer(G, G)
+        blocks = p[:, None, None] * (blocks + beta * (dlev[:, :, None] * dlev[:, None, :]))
+        if convexify:
+            scale_mat = np.outer(STATE_SCALE, STATE_SCALE)
+            blocks = np.stack([_floor_eigenvalues(b, scale_mat) for b in blocks])
+        _add_blocks(H, idx, weight * blocks)
+
+    return _Term(lambda Z, U: leq_and_node_weights(Z)[0], gradient, add_hessian, idx)
+
+
+def _consumption_term(tr: "_Transcription") -> _Term:
+    """Total fuel consumption, trapezoidal over the nodes."""
+    model, atm, weights, idx = tr.model, tr.atm, tr.weights, tr.flow_idx
+    scale = np.array([STATE_SCALE[IV], STATE_SCALE[IH], CONTROL_SCALE[IDELTA_X]])
+
+    def flows(X):
+        return fuel_flow_arrays(X[..., 0], X[..., 1], X[..., 2], model, atm)
+
+    def local(Z, U):
+        return np.column_stack([Z[:, IV], Z[:, IH], _node_controls(U)[:, IDELTA_X]])
+
+    def gradient(grad, Z, U):
+        np.add.at(grad, idx, _cs_derivative(flows, local(Z, U)) * weights[:, None])
+
+    def add_hessian(H, Z, U, weight, convexify):
+        if weight == 0.0:
+            return
+        blocks = _cs_hessian_blocks(flows, local(Z, U), scale)
+        if convexify:
+            scale_mat = np.outer(scale, scale)
+            blocks = np.stack([_floor_eigenvalues(b, scale_mat) for b in blocks])
+        _add_blocks(H, idx, (weight * weights)[:, None, None] * blocks)
+
+    return _Term(lambda Z, U: float(weights @ flows(local(Z, U))), gradient, add_hessian, idx)
+
+
+# the epigraph variable theta alone
+_EPIGRAPH = _Term(lambda Z, U: 0.0, lambda grad, Z, U: None, lambda *args: None,
+                  np.zeros(0, dtype=int), theta_coef=1.0)
+
+
 class _Transcription:
     """Shared state behind the NlpProblem callbacks of one scenario."""
 
@@ -264,29 +413,69 @@ class _Transcription:
         self.grid = grid
         self.scheme = scheme
         self.fuel_cap = fuel_cap
-        self.layout = VectorLayout(grid.n_intervals, has_epigraph=(scn.variant == "minimax"))
         self.model = scn.aircraft
         self.atm = scn.atmosphere
         self.params = scn.engine
         self.weights = _trapezoid_weights(grid)
         n = grid.n_intervals
+        plain = VectorLayout(n)
+        # local variables of each node, of each interval, and of the fuel-flow integrand
+        self.node_idx = np.arange(plain.n_state_vars).reshape(n + 1, 6)
+        ctrl_idx = plain.n_state_vars + np.arange(plain.n_control_vars).reshape(n, 3)
+        self.interval_idx = np.hstack([self.node_idx[:-1], ctrl_idx])
+        self.flow_idx = np.column_stack([self.node_idx[:, IV], self.node_idx[:, IH],
+                                         _node_controls(ctrl_idx)[:, IDELTA_X]])
+
+        obs = scn.observers
+        fuel_scale = 0.1 * self.model.C_SR * self.model.T0 * grid.duration
+        # variant -> (objective term, objective scale, extra inequality rows
+        # as (term, upper bound)); built on demand because "fuel" may have
+        # no observer
+        table = {
+            "noise": lambda: (_leq_term(self, obs[0]), 1.0, []),
+            "fuel": lambda: (_consumption_term(self), fuel_scale, []),
+            "noise_fuel_capped": lambda: (_leq_term(self, obs[0]), 1.0,
+                                          [(_consumption_term(self), fuel_cap)]),
+            "minimax": lambda: (_EPIGRAPH, 1.0,
+                                [(_leq_term(self, o)._replace(theta_coef=-1.0), 0.0)
+                                 for o in obs]),
+        }
+        self.objective_term, self._f_scale, self.extra_rows = table[scn.variant]()
+        caps = [upper for term, upper in self.extra_rows if not term.theta_coef]
+        if None in caps:
+            raise ScenarioError(f"{scn.variant} variant needs a fuel_cap value")
+        if fuel_cap is not None and not caps:
+            raise ScenarioError(f"fuel_cap is meaningless for variant {scn.variant!r}")
+        terms = [self.objective_term] + [term for term, _ in self.extra_rows]
+        self.layout = VectorLayout(n, has_epigraph=any(t.theta_coef for t in terms))
+
         self.n_eq = 6 * n + 7
         self.n_path = 6 * (n + 1)
-        self.n_extra = (1 if scn.variant == "noise_fuel_capped" else 0) \
-            + (len(scn.observers) if scn.variant == "minimax" else 0)
+        self.n_extra = len(self.extra_rows)
         self.n_ineq = self.n_path + self.n_extra
         self._path_jac = self._build_path_jacobian()
 
+    def _value(self, term: _Term, Z, U, theta) -> float:
+        value = term.value(Z, U)
+        return value + term.theta_coef * theta if term.theta_coef else value
+
+    def _gradient(self, term: _Term, Z, U) -> np.ndarray:
+        grad = np.zeros(self.layout.n_vars)
+        term.gradient(grad, Z, U)
+        if term.theta_coef:
+            grad[self.layout.epigraph_index] = term.theta_coef
+        return grad
+
     # ----- equalities -------------------------------------------------
 
-    def _step_map(self, Z, U):
-        """Phi(z_k, u_k) for every interval, shape (N, 6)."""
-        return rk_step_arrays(Z[:-1], U, self.grid.h_step, self.model, self.atm,
-                              self.scheme)
+    def _step(self, X):
+        """Phi(z_k, u_k) of every interval from its local variables (..., N, 9)."""
+        return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model,
+                              self.atm, self.scheme)
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
-        defects = Z[1:] - self._step_map(Z, U)
+        defects = Z[1:] - self._step(np.hstack([Z[:-1], U]))
         scn = self.scn
         boundary = np.array([
             Z[0, IX] - scn.x0, Z[0, IY] - scn.y0, Z[0, IH] - scn.h0,
@@ -295,35 +484,20 @@ class _Transcription:
         ])
         return np.concatenate([defects.ravel(), boundary])
 
+    def _boundary_columns(self):
+        n = self.grid.n_intervals
+        return [self.node_idx[node, comp] for node, comp in
+                [(0, IX), (0, IY), (0, IH), (0, IV), (n, IX), (n, IY), (n, IH)]]
+
     def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
-        n, lay = self.grid.n_intervals, self.layout
-        A = np.empty((n, 6, 6))
-        B = np.empty((n, 6, 3))
-        Zc = Z.astype(complex)
-        Uc = U.astype(complex)
-        for j in range(6):
-            Zp = Zc.copy()
-            Zp[:-1, j] += 1j * _CS
-            A[:, :, j] = self._step_map(Zp, Uc).imag / _CS
-        for j in range(3):
-            Up = Uc.copy()
-            Up[:, j] += 1j * _CS
-            B[:, :, j] = self._step_map(Zc, Up).imag / _CS
-
-        J = np.zeros((self.n_eq, lay.n_vars))
-        eye = np.eye(6)
-        for k in range(n):
-            r = 6 * k
-            zc = lay.state_index(k, 0)
-            uc = lay.control_index(k, 0)
-            J[r:r + 6, zc:zc + 6] = -A[k]
-            J[r:r + 6, zc + 6:zc + 12] = eye
-            J[r:r + 6, uc:uc + 3] = -B[k]
-        base = 6 * n
-        for i, (node, comp) in enumerate(
-                [(0, IX), (0, IY), (0, IH), (0, IV), (n, IX), (n, IY), (n, IH)]):
-            J[base + i, lay.state_index(node, comp)] = 1.0
+        n = self.grid.n_intervals
+        D = _cs_derivative(self._step, np.hstack([Z[:-1], U]))
+        J = np.zeros((self.n_eq, self.layout.n_vars))
+        rows = np.arange(6 * n).reshape(n, 6)
+        J[rows[:, :, None], self.interval_idx[:, None, :]] = -D
+        J[rows, self.node_idx[1:]] = 1.0
+        J[6 * n + np.arange(7), self._boundary_columns()] = 1.0
         return J
 
     def eq_scale(self) -> np.ndarray:
@@ -332,18 +506,12 @@ class _Transcription:
         return np.concatenate([defect, boundary])
 
     def eq_sparsity(self) -> np.ndarray:
-        n, lay = self.grid.n_intervals, self.layout
-        mask = np.zeros((self.n_eq, lay.n_vars), dtype=bool)
-        for k in range(n):
-            r = 6 * k
-            zc = lay.state_index(k, 0)
-            uc = lay.control_index(k, 0)
-            mask[r:r + 6, zc:zc + 12] = True
-            mask[r:r + 6, uc:uc + 3] = True
-        base = 6 * n
-        for i, (node, comp) in enumerate(
-                [(0, IX), (0, IY), (0, IH), (0, IV), (n, IX), (n, IY), (n, IH)]):
-            mask[base + i, lay.state_index(node, comp)] = True
+        n = self.grid.n_intervals
+        mask = np.zeros((self.n_eq, self.layout.n_vars), dtype=bool)
+        rows = np.arange(6 * n).reshape(n, 6)
+        mask[rows[:, :, None], self.interval_idx[:, None, :]] = True
+        mask[rows[:, :, None], self.node_idx[1:, None, :]] = True
+        mask[6 * n + np.arange(7), self._boundary_columns()] = True
         return mask
 
     # ----- inequalities -----------------------------------------------
@@ -368,65 +536,24 @@ class _Transcription:
                                 Un[:, IALPHA], Un[:, IDELTA_X], Un[:, IMU]])
         return rows.ravel()
 
-    def _consumption(self, Z, U):
-        delta = np.concatenate([U[:, IDELTA_X], U[-1:, IDELTA_X]])
-        flows = fuel_flow_arrays(Z[:, IV], Z[:, IH], delta, self.model, self.atm)
-        return self.weights @ flows
-
-    def _consumption_gradient(self, Z, U) -> np.ndarray:
-        lay = self.layout
-        n = self.grid.n_intervals
-        grad = np.zeros(lay.n_vars)
-        Vc = Z[:, IV].astype(complex)
-        Hc = Z[:, IH].astype(complex)
-        delta = np.concatenate([U[:, IDELTA_X], U[-1:, IDELTA_X]]).astype(complex)
-
-        def flows(V, h, dx):
-            return fuel_flow_arrays(V, h, dx, self.model, self.atm)
-
-        dV = flows(Vc + 1j * _CS, Hc, delta).imag / _CS * self.weights
-        dH = flows(Vc, Hc + 1j * _CS, delta).imag / _CS * self.weights
-        dD = flows(Vc, Hc, delta + 1j * _CS).imag / _CS * self.weights
-        for k in range(n + 1):
-            grad[lay.state_index(k, IV)] += dV[k]
-            grad[lay.state_index(k, IH)] += dH[k]
-            grad[lay.control_index(min(k, n - 1), IDELTA_X)] += dD[k]
-        return grad
-
     def inequalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, theta = self.layout.unpack(w)
-        vals = [self._path_values(Z, U)]
-        if self.scn.variant == "noise_fuel_capped":
-            vals.append(np.array([self._consumption(Z, U)]))
-        elif self.scn.variant == "minimax":
-            vals.append(np.array([self._leq(Z, obs) - theta
-                                  for obs in self.scn.observers]))
-        return np.concatenate(vals)
+        extra = [self._value(term, Z, U, theta) for term, _ in self.extra_rows]
+        return np.concatenate([self._path_values(Z, U), np.array(extra, dtype=float)])
 
     def inequalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
         J = np.zeros((self.n_ineq, self.layout.n_vars))
         J[:self.n_path] = self._path_jac
-        r = self.n_path
-        if self.scn.variant == "noise_fuel_capped":
-            J[r] = self._consumption_gradient(Z, U)
-        elif self.scn.variant == "minimax":
-            for i, obs in enumerate(self.scn.observers):
-                _, grad = self._leq_and_gradient(Z, obs)
-                grad[self.layout.epigraph_index] = -1.0
-                J[r + i] = grad
+        for i, (term, _) in enumerate(self.extra_rows):
+            J[self.n_path + i] = self._gradient(term, Z, U)
         return J
 
     def ineq_bounds(self):
         lo = np.concatenate([np.tile(self.scn.bounds.lower, self.grid.n_intervals + 1),
                              np.full(self.n_extra, -np.inf)])
-        hi_extra = []
-        if self.scn.variant == "noise_fuel_capped":
-            hi_extra.append(self.fuel_cap)
-        elif self.scn.variant == "minimax":
-            hi_extra.extend([0.0] * len(self.scn.observers))
         hi = np.concatenate([np.tile(self.scn.bounds.upper, self.grid.n_intervals + 1),
-                             np.array(hi_extra, dtype=float)])
+                             np.array([upper for _, upper in self.extra_rows], dtype=float)])
         return lo, hi
 
     def ineq_scale(self) -> np.ndarray:
@@ -436,224 +563,25 @@ class _Transcription:
                                np.ones(self.n_extra)])
 
     def ineq_sparsity(self) -> np.ndarray:
-        lay = self.layout
-        mask = np.zeros((self.n_ineq, lay.n_vars), dtype=bool)
+        mask = np.zeros((self.n_ineq, self.layout.n_vars), dtype=bool)
         mask[:self.n_path] = self._path_jac != 0.0
-        r = self.n_path
-        n = self.grid.n_intervals
-        if self.scn.variant == "noise_fuel_capped":
-            for k in range(n + 1):
-                mask[r, lay.state_index(k, IV)] = True
-                mask[r, lay.state_index(k, IH)] = True
-            for k in range(n):
-                mask[r, lay.control_index(k, IDELTA_X)] = True
-        elif self.scn.variant == "minimax":
-            for i in range(len(self.scn.observers)):
-                for k in range(n + 1):
-                    mask[r + i, lay.state_index(k, 0):lay.state_index(k, 0) + 6] = True
-                mask[r + i, lay.epigraph_index] = True
+        for i, (term, _) in enumerate(self.extra_rows):
+            mask[self.n_path + i, term.columns] = True
+            if term.theta_coef:
+                mask[self.n_path + i, self.layout.epigraph_index] = True
         return mask
 
     # ----- objective ---------------------------------------------------
 
-    def _levels(self, Z, obs) -> np.ndarray:
-        return noise.levels_arrays(Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3], Z[:, 4], Z[:, 5],
-                                   obs, self.params, self.atm)
-
-    def _leq(self, Z, obs) -> float:
-        energy = 10.0 ** (0.1 * self._levels(Z, obs))
-        total = self.weights @ energy
-        return float(10.0 * np.log10(total / self.grid.duration))
-
-    def _leq_and_gradient(self, Z, obs):
-        levels = np.real(self._levels(Z, obs))
-        energy = 10.0 ** (0.1 * levels)
-        total = self.weights @ energy
-        value = float(10.0 * np.log10(total / self.grid.duration))
-        node_weight = self.weights * energy / total
-
-        dlev = np.empty((Z.shape[0], 6))
-        Zc = Z.astype(complex)
-        for j in range(6):
-            Zp = Zc.copy()
-            Zp[:, j] += 1j * _CS
-            dlev[:, j] = self._levels(Zp, obs).imag / _CS
-
-        grad = np.zeros(self.layout.n_vars)
-        contrib = node_weight[:, None] * dlev
-        grad[:self.layout.n_state_vars] = contrib.ravel()
-        return value, grad
-
     def objective(self, w: np.ndarray) -> float:
         Z, U, theta = self.layout.unpack(w)
-        variant = self.scn.variant
-        if variant in ("noise", "noise_fuel_capped"):
-            return self._leq(Z, self.scn.observers[0])
-        if variant == "fuel":
-            return float(self._consumption(Z, U))
-        if variant == "minimax":
-            return theta
-        raise ScenarioError(f"unknown variant {variant!r}")
+        return self._value(self.objective_term, Z, U, theta)
 
     def objective_gradient(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
-        variant = self.scn.variant
-        if variant in ("noise", "noise_fuel_capped"):
-            _, grad = self._leq_and_gradient(Z, self.scn.observers[0])
-            return grad
-        if variant == "fuel":
-            return self._consumption_gradient(Z, U)
-        if variant == "minimax":
-            grad = np.zeros(self.layout.n_vars)
-            grad[self.layout.epigraph_index] = 1.0
-            return grad
-        raise ScenarioError(f"unknown variant {variant!r}")
+        return self._gradient(self.objective_term, Z, U)
 
     # ----- second derivatives -------------------------------------------
-
-    def _level_node_gradients(self, Z, obs) -> np.ndarray:
-        """d(L_P at node k)/d(z_k), shape (K, 6), via complex step."""
-        dlev = np.empty((Z.shape[0], 6))
-        Zc = Z.astype(complex)
-        for j in range(6):
-            Zp = Zc.copy()
-            Zp[:, j] += 1j * _CS
-            dlev[:, j] = self._levels(Zp, obs).imag / _CS
-        return dlev
-
-    def _add_leq_hessian(self, H: np.ndarray, Z, obs, weight: float,
-                         convexify: bool = False) -> None:
-        """Accumulate weight * Hessian of the equivalent level into H.
-
-        With p_k the normalized energy quadrature weights and
-        beta = ln(10)/10, the Hessian is
-        blockdiag(p_k*(B_k + beta*g_k g_k^T)) - beta*G G^T, where B_k and
-        g_k are the per-node level Hessian/gradient and G the assembled
-        gradient vector.  With convexify the node blocks get their
-        eigenvalues floored at zero and the negative rank-one term is
-        dropped, yielding the positive-semidefinite model used by the
-        solver's modified-Newton fallback.
-        """
-        if weight == 0.0:
-            return
-        K = Z.shape[0]
-        levels = np.real(self._levels(Z, obs))
-        energy = 10.0 ** (0.1 * levels)
-        total = self.weights @ energy
-        p = self.weights * energy / total
-        beta = np.log(10.0) / 10.0
-
-        dlev = self._level_node_gradients(Z, obs)
-        blocks = np.empty((K, 6, 6))
-        for j in range(6):
-            eps = _FD * STATE_SCALE[j]
-            Zp = Z.copy()
-            Zp[:, j] += eps
-            Zm = Z.copy()
-            Zm[:, j] -= eps
-            blocks[:, :, j] = (self._level_node_gradients(Zp, obs)
-                               - self._level_node_gradients(Zm, obs)) / (2.0 * eps)
-        blocks = 0.5 * (blocks + np.transpose(blocks, (0, 2, 1)))
-
-        if not convexify:
-            G = np.zeros(self.layout.n_vars)
-            G[:self.layout.n_state_vars] = (p[:, None] * dlev).ravel()
-            H -= (weight * beta) * np.outer(G, G)
-        scale_mat = np.outer(STATE_SCALE, STATE_SCALE)
-        for k in range(K):
-            i = self.layout.state_index(k, 0)
-            gk = dlev[k]
-            block = p[k] * (blocks[k] + beta * np.outer(gk, gk))
-            if convexify:
-                block = _floor_eigenvalues(block, scale_mat)
-            H[i:i + 6, i:i + 6] += weight * block
-
-    def _add_consumption_hessian(self, H: np.ndarray, Z, U, weight: float,
-                                 convexify: bool = False) -> None:
-        """Accumulate weight * Hessian of the total consumption into H."""
-        if weight == 0.0:
-            return
-        lay, n = self.layout, self.grid.n_intervals
-        V = Z[:, IV]
-        h = Z[:, IH]
-        delta = np.concatenate([U[:, IDELTA_X], U[-1:, IDELTA_X]])
-        scales = (STATE_SCALE[IV], STATE_SCALE[IH], CONTROL_SCALE[IDELTA_X])
-
-        def flow_grads(V_, h_, d_):
-            out = np.empty((V_.shape[0], 3))
-            args = [V_.astype(complex), h_.astype(complex), d_.astype(complex)]
-            for j in range(3):
-                pert = [a.copy() for a in args]
-                pert[j] += 1j * _CS
-                out[:, j] = fuel_flow_arrays(pert[0], pert[1], pert[2],
-                                             self.model, self.atm).imag / _CS
-            return out
-
-        blocks = np.empty((V.shape[0], 3, 3))
-        for j, base in enumerate((V, h, delta)):
-            eps = _FD * scales[j]
-            args_p = [V.copy(), h.copy(), delta.copy()]
-            args_m = [V.copy(), h.copy(), delta.copy()]
-            args_p[j] = base + eps
-            args_m[j] = base - eps
-            blocks[:, :, j] = (flow_grads(*args_p) - flow_grads(*args_m)) / (2.0 * eps)
-        blocks = 0.5 * (blocks + np.transpose(blocks, (0, 2, 1)))
-
-        if convexify:
-            scale_mat = np.outer(scales, scales)
-            blocks = np.stack([_floor_eigenvalues(b, scale_mat) for b in blocks])
-        for k in range(n + 1):
-            idx = np.array([lay.state_index(k, IV), lay.state_index(k, IH),
-                            lay.control_index(min(k, n - 1), IDELTA_X)])
-            H[np.ix_(idx, idx)] += (weight * self.weights[k]) * blocks[k]
-
-    def _defect_psi_gradients(self, Z, U, mu) -> np.ndarray:
-        """d(mu_k . Phi_k)/d(z_k, u_k), shape (N, 9), via complex step."""
-        g9 = np.empty((self.grid.n_intervals, 9))
-        Zc = Z.astype(complex)
-        Uc = U.astype(complex)
-        for j in range(6):
-            Zp = Zc.copy()
-            Zp[:-1, j] += 1j * _CS
-            g9[:, j] = np.sum(mu * self._step_map(Zp, Uc).imag, axis=1) / _CS
-        for j in range(3):
-            Up = Uc.copy()
-            Up[:, j] += 1j * _CS
-            g9[:, 6 + j] = np.sum(mu * self._step_map(Zc, Up).imag, axis=1) / _CS
-        return g9
-
-    def _add_defect_hessian(self, H: np.ndarray, Z, U, mu) -> None:
-        """Accumulate the curvature of mu . (z_next - Phi) into H.
-
-        Only Phi is nonlinear, so the contribution is minus the Hessian
-        of the weighted step map, one 9x9 block per interval over
-        (z_k, u_k).
-        """
-        if not np.any(mu):
-            return
-        lay, n = self.layout, self.grid.n_intervals
-        loc_scale = np.concatenate([STATE_SCALE, CONTROL_SCALE])
-        blocks = np.empty((n, 9, 9))
-        for j in range(9):
-            eps = _FD * loc_scale[j]
-            Zp, Zm = Z.copy(), Z.copy()
-            Up, Um = U.copy(), U.copy()
-            if j < 6:
-                Zp[:-1, j] += eps
-                Zm[:-1, j] -= eps
-            else:
-                Up[:, j - 6] += eps
-                Um[:, j - 6] -= eps
-            blocks[:, :, j] = (self._defect_psi_gradients(Zp, Up, mu)
-                               - self._defect_psi_gradients(Zm, Um, mu)) / (2.0 * eps)
-        blocks = 0.5 * (blocks + np.transpose(blocks, (0, 2, 1)))
-
-        for k in range(n):
-            idx = np.concatenate([
-                np.arange(lay.state_index(k, 0), lay.state_index(k, 0) + 6),
-                np.arange(lay.control_index(k, 0), lay.control_index(k, 0) + 3),
-            ])
-            H[np.ix_(idx, idx)] -= blocks[k]
 
     def lagrangian_hessian(self, w: np.ndarray, sigma_f: float,
                            eq_mult: np.ndarray, ineq_mult: np.ndarray,
@@ -661,27 +589,25 @@ class _Transcription:
         """Hessian of sigma_f*objective + eq_mult.c_eq + ineq_mult.c_ineq.
 
         Boundary and path rows are linear and contribute nothing; the
-        epigraph variable is linear everywhere.  With convexify the
-        nonlinear blocks get their spectra floored at zero (the solver's
-        modified-Newton model).
+        epigraph variable is linear everywhere.  A defect row
+        z_{k+1} - Phi(z_k, u_k) contributes minus the Hessian of the
+        weighted step map, one 9x9 block per interval.  With convexify the
+        objective and extra-row blocks get their spectra floored at zero
+        (the solver's modified-Newton model).
         """
         Z, U, _ = self.layout.unpack(w)
         n = self.grid.n_intervals
         H = np.zeros((self.layout.n_vars, self.layout.n_vars))
-        variant = self.scn.variant
-        if variant in ("noise", "noise_fuel_capped"):
-            self._add_leq_hessian(H, Z, self.scn.observers[0], sigma_f, convexify)
-        elif variant == "fuel":
-            self._add_consumption_hessian(H, Z, U, sigma_f, convexify)
+        # blocks overlap, so this order (objective, defects, extra rows)
+        # fixes the rounding of the sums
+        self.objective_term.add_hessian(H, Z, U, sigma_f, convexify)
         mu = np.asarray(eq_mult[:6 * n]).reshape(n, 6)
-        self._add_defect_hessian(H, Z, U, mu)
-        if variant == "noise_fuel_capped":
-            self._add_consumption_hessian(H, Z, U, float(ineq_mult[self.n_path]),
-                                          convexify)
-        elif variant == "minimax":
-            for i, obs in enumerate(self.scn.observers):
-                self._add_leq_hessian(H, Z, obs, float(ineq_mult[self.n_path + i]),
-                                      convexify)
+        if np.any(mu):
+            loc_scale = np.concatenate([STATE_SCALE, CONTROL_SCALE])
+            blocks = _cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), loc_scale, mu)
+            _add_blocks(H, self.interval_idx, -blocks)
+        for i, (term, _) in enumerate(self.extra_rows):
+            term.add_hessian(H, Z, U, float(ineq_mult[self.n_path + i]), convexify)
         return 0.5 * (H + H.T)
 
     # ----- variable bounds ---------------------------------------------
@@ -711,9 +637,7 @@ class _Transcription:
         return lo, hi
 
     def f_scale(self) -> float:
-        if self.scn.variant == "fuel":
-            return 0.1 * self.model.C_SR * self.model.T0 * self.grid.duration
-        return 1.0
+        return self._f_scale
 
 
 def assemble(scn: "Scenario", grid: Grid | None = None,
@@ -728,11 +652,6 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
     scn.validate()
     grid = grid or Grid(0.0, scn.tf, scn.n_intervals)
     scheme = scheme or RkScheme.heun()
-    if scn.variant == "noise_fuel_capped":
-        if fuel_cap is None:
-            raise ScenarioError("noise_fuel_capped variant needs a fuel_cap value")
-    elif fuel_cap is not None:
-        raise ScenarioError(f"fuel_cap is meaningless for variant {scn.variant!r}")
     tr = _Transcription(scn, grid, scheme, fuel_cap)
     lo, hi = tr.variable_bounds()
     ineq_lo, ineq_hi = tr.ineq_bounds()
@@ -757,7 +676,6 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
         eq_sparsity=tr.eq_sparsity(),
         ineq_sparsity=tr.ineq_sparsity(),
         lagrangian_hessian=tr.lagrangian_hessian,
-        reentrant=True,
     )
     problem.meta = {"layout": tr.layout, "grid": grid, "scheme": scheme,
                     "transcription": tr}

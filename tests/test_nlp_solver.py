@@ -4,6 +4,7 @@ determinism, merit monotonicity and feasibility restoration."""
 import numpy as np
 import pytest
 
+from noisedescent.errors import DomainError
 from noisedescent.nlp_solver import (
     NlpProblem,
     SolverOptions,
@@ -203,6 +204,31 @@ class TestSolverBehavior:
         _, rep = solve(prob, np.array([0.0]))
         assert rep.status == "error"
         assert "node 3" in rep.message
+
+    def test_trial_point_outside_domain_is_a_rejected_step(self):
+        # min exp(w) - 2w from w = -3: the first Newton step (capped at 30)
+        # lands far past w = 5, where the model raises; backtracking must
+        # carry on to the optimum at ln 2
+        def check(w):
+            if w[0] > 5.0:
+                raise DomainError("w beyond the model domain")
+
+        def f(w):
+            check(w)
+            return float(np.exp(w[0]) - 2.0 * w[0])
+
+        def g(w):
+            check(w)
+            return np.array([np.exp(w[0]) - 2.0])
+
+        def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+            return np.array([[sigma_f * np.exp(w[0])]])
+
+        prob = NlpProblem(n_vars=1, objective=f, objective_gradient=g,
+                          lagrangian_hessian=hess)
+        w, rep = solve(prob, np.array([-3.0]))
+        assert rep.status == "optimal"
+        assert w[0] == pytest.approx(np.log(2.0), abs=1e-6)
 
     def test_constraint_violation_helper(self):
         prob = circle_problem()

@@ -29,6 +29,7 @@ from noisedescent.noise import (
     leq_from_levels,
     level_breakdown,
     levels_along,
+    levels_arrays,
     slant_range_arrays,
     sound_pressure_level,
     source_observer_distance,
@@ -256,6 +257,19 @@ class TestLevel:
         with pytest.raises(NoiseTermError) as err:
             sound_pressure_level(s, Observer(1e6, 0.0), fast)
         assert err.value.term == "motion"
+
+    def test_batched_domain_error_names_the_node(self):
+        # rows stack perturbations, columns are nodes: the error names the
+        # node column, not the position in the flattened array
+        fast = EngineNoiseParams(v1=2000.0, v2=250.0)
+        V = np.full((3, 5), 130.0)
+        V[2, 3] = 500.0
+        zeros = np.zeros((3, 5))
+        with pytest.raises(NoiseTermError) as err:
+            levels_arrays(V, zeros, zeros, zeros, zeros, zeros + 10.0,
+                          Observer(1e6, 0.0), fast)
+        assert err.value.term == "motion"
+        assert str(err.value).endswith("at node 3")
 
     def test_temp_coefficient_switch(self):
         p10 = EngineNoiseParams(temp_term_coeff=10.0)
