@@ -4,11 +4,13 @@ Handles min f(w) subject to equality constraints, two-sided inequality
 constraints lo <= c(w) <= hi, and variable bounds.  The algorithm is a
 shifted-penalty augmented Lagrangian outer loop; each outer iteration
 minimizes the bound-constrained subproblem with a two-metric projected
-Newton method: a damped Cholesky solve on the free variables when the
-problem supplies an exact Lagrangian Hessian, otherwise truncated CG
-with Hessian-vector products differenced from the analytic-quality
-gradient.  Linear algebra is dense, which is comfortable at the
-problem sizes this package targets.
+Newton method, a Cholesky solve on the free variables of the exact
+merit Hessian or, where that is indefinite, of its damped convexified
+model.  Near feasibility an active-set Newton polish on the KKT system
+certifies the optimum.  `solve` therefore requires the problem's exact
+Lagrangian Hessian; `kkt_residuals` needs only first derivatives.
+Linear algebra is dense, which is comfortable at the problem sizes this
+package targets.
 
 Two-sided rows are treated uniformly through the shifted projection
 t = clip(c + lam/rho, lo, hi), which reduces to the classical multiplier
@@ -34,7 +36,7 @@ from .errors import DomainError
 
 _COMPLEMENTARITY_CAP = 10.0  # slack distances are capped here in the residual
 _MULTIPLIER_CAP = 1e12
-_HV_EPS = 1e-7  # relative step for Hessian-vector differencing
+_ARMIJO_SIGMA = 1e-4  # sufficient-decrease parameter of the line search
 
 
 @dataclass
@@ -67,11 +69,13 @@ class NlpProblem:
     f_scale: float = 1.0
     eq_sparsity: Optional[np.ndarray] = None
     ineq_sparsity: Optional[np.ndarray] = None
-    # optional exact Hessian of sigma_f*f + eq_mult.c_eq + ineq_mult.c_ineq
-    # (physical variables and unscaled rows); unlocks Newton inner steps.
-    # Called as (w, sigma_f, eq_mult, ineq_mult, convexify=False); with
-    # convexify=True it returns the positive-semidefinite fallback model
-    # (nonlinear blocks with their spectra floored at zero).
+    # exact dense Hessian of sigma_f*f + eq_mult.c_eq + ineq_mult.c_ineq
+    # (physical variables and unscaled rows), required by `solve`.
+    # Called as (w, sigma_f, eq_mult, ineq_mult, convexify=False).  With
+    # convexify=True it must return a symmetric positive-semidefinite
+    # model of the same Hessian: `solve` passes zero equality multipliers
+    # and nonnegative inequality multipliers there and uses the result
+    # where the exact merit Hessian is indefinite.
     lagrangian_hessian: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
@@ -103,15 +107,12 @@ class SolverOptions:
     max_outer: int = 60
     inner_maxiter: int = 50       # Newton steps per subproblem
     max_inner_total: int = 6000    # Newton steps across all subproblems
-    cg_maxiter: int = 0            # 0 -> min(500, free variables)
     feasibility_tol: float = 1e-6
     optimality_tol: float = 1e-6
     initial_penalty: float = 10.0
     penalty_factor: float = 10.0
     penalty_max: float = 1e10
-    armijo_sigma: float = 1e-4     # sufficient-decrease parameter
     max_line_search: int = 40
-    record_merit: bool = True
     verbose: bool = False
 
     def __post_init__(self):
@@ -269,11 +270,7 @@ class _Merit:
         d = self._shift(self.rows.values(w))
         return float(f + self.lam @ d + 0.5 * self.rho * (d @ d))
 
-    def value_grad(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        phi, grad, _, _ = self.value_grad_full(y)
-        return phi, grad
-
-    def value_grad_full(self, y: np.ndarray):
+    def value_grad(self, y: np.ndarray):
         """(phi, gradient, shifted residual d, scaled-row Jacobian or None)."""
         w = y * self.s
         f = self.p.objective(w) / self.p.f_scale
@@ -331,15 +328,6 @@ class _Merit:
                 modified = modified + gn
         return exact, modified
 
-    def hessvec(self, y: np.ndarray, g_y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """H v by one-sided differencing of the gradient."""
-        vnorm = float(np.max(np.abs(v), initial=0.0))
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-        eps = _HV_EPS * (1.0 + float(np.max(np.abs(y)))) / vnorm
-        _, g_eps = self.value_grad(y + eps * v)
-        return (g_eps - g_y) / eps
-
 
 def _projected_gradient(y, g, lo, hi):
     return y - np.clip(y - g, lo, hi)
@@ -360,7 +348,7 @@ def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions)
             f_trial = merit.value(y_trial)
         except DomainError:
             f_trial = np.inf
-        if (f_trial <= f + opts.armijo_sigma * min(decrease, 0.0)
+        if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
                 and f_trial < f + 1e-16 * abs(f) + 1e-300):
             return alpha, y_trial
         if not np.any(step):
@@ -369,46 +357,8 @@ def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions)
     return None
 
 
-def _to_boundary(x, d, radius):
-    """Positive tau with |x + tau*d| = radius."""
-    dd = float(d @ d)
-    xd = float(x @ d)
-    xx = float(x @ x)
-    disc = max(xd * xd + dd * (radius * radius - xx), 0.0)
-    return (-xd + np.sqrt(disc)) / max(dd, 1e-300)
-
-
-def _steihaug(hessvec, g_free, radius, cg_tol, maxiter):
-    """Trust-region CG: minimizes the local quadratic within the radius,
-    riding negative-curvature directions to the boundary."""
-    x = np.zeros_like(g_free)
-    r = -g_free.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    if rr == 0.0:
-        return x
-    tol2 = (cg_tol ** 2) * rr
-    for _ in range(maxiter):
-        hd = hessvec(d)
-        dhd = float(d @ hd)
-        if dhd <= 1e-14 * float(d @ d):
-            return x + _to_boundary(x, d, radius) * d
-        alpha = rr / dhd
-        x_next = x + alpha * d
-        if float(x_next @ x_next) >= radius * radius:
-            return x + _to_boundary(x, d, radius) * d
-        x = x_next
-        r = r - alpha * hd
-        rr_new = float(r @ r)
-        if rr_new <= tol2:
-            break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return x
-
-
 def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
-                  merit_log: list | None):
+                  merit_log: list):
     """Two-metric projected Newton on cached dense Hessian models.
 
     Free variables take the exact Newton step when the exact model is
@@ -419,9 +369,8 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     factorization dominate the step cost.
     """
     y = np.clip(y0, lo, hi)
-    f, g, d, J = merit.value_grad_full(y)
-    if merit_log is not None:
-        merit_log.append(f)
+    f, g, d, J = merit.value_grad(y)
+    merit_log.append(f)
     n_iter = 0
     status = "maxiter"
     models = None
@@ -501,78 +450,9 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if alpha < 0.25:
             refresh = True  # model mistrusted: rebuild at the new point
         y = y_trial
-        f, g, d, J = merit.value_grad_full(y)
-        if merit_log is not None:
-            merit_log.append(f)
-    return y, f, g, n_iter, status
-
-
-def _inner_cg(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
-              merit_log: list | None):
-    """Two-metric projected Newton-CG for problems without an exact
-    Hessian callback: Steihaug trust-region CG on differenced
-    Hessian-vector products, projected Armijo globalization."""
-    y = np.clip(y0, lo, hi)
-    f, g = merit.value_grad(y)
-    if merit_log is not None:
+        f, g, d, J = merit.value_grad(y)
         merit_log.append(f)
-    n_iter = 0
-    status = "maxiter"
-    radius = 1.0
-    for n_iter in range(1, opts.inner_maxiter + 1):
-        pg = _projected_gradient(y, g, lo, hi)
-        pg_norm = float(np.max(np.abs(pg), initial=0.0))
-        if pg_norm <= gtol:
-            status = "converged"
-            n_iter -= 1
-            break
-
-        band = min(1e-3, pg_norm)
-        active = (((y <= lo + band) & (g > 0.0)) |
-                  ((y >= hi - band) & (g < 0.0)))
-        free = ~active
-
-        direction = np.zeros_like(y)
-        hit_boundary = False
-        if np.any(free):
-            free_idx = np.flatnonzero(free)
-
-            def hv_free(vf, _idx=free_idx):
-                v = np.zeros_like(y)
-                v[_idx] = vf
-                return merit.hessvec(y, g, v)[_idx]
-
-            cg_tol = min(0.1, np.sqrt(max(pg_norm, 1e-16)))
-            maxcg = opts.cg_maxiter or min(500, free_idx.size)
-            p = _steihaug(hv_free, g[free_idx], radius, cg_tol, maxcg)
-            hit_boundary = float(p @ p) >= 0.98 * radius * radius
-            direction[free_idx] = p
-        direction[active] = -g[active]
-
-        if float(direction @ g) >= 0.0:
-            direction = -pg  # safeguard: fall back to projected steepest descent
-
-        accepted = _line_search(merit, y, f, g, direction, lo, hi, opts)
-        if accepted is None:
-            status = "linesearch"
-            break
-        alpha, y_trial = accepted
-        if alpha == 1.0 and hit_boundary:
-            radius = min(radius * 2.0, 1e3)
-        elif alpha < 0.5:
-            radius = max(0.25 * radius, 1e-8)
-        y = y_trial
-        f, g = merit.value_grad(y)
-        if merit_log is not None:
-            merit_log.append(f)
     return y, f, g, n_iter, status
-
-
-def _inner_minimize(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
-                    merit_log: list | None):
-    if merit.p.lagrangian_hessian is not None:
-        return _inner_newton(merit, y0, lo, hi, gtol, opts, merit_log)
-    return _inner_cg(merit, y0, lo, hi, gtol, opts, merit_log)
 
 
 class _Polisher:
@@ -585,6 +465,8 @@ class _Polisher:
     projection).  The remaining rows (defects, boundary conditions,
     consumption caps, epigraph rows) enter the square KKT system, which
     converges quadratically from the ballpark the outer loop provides.
+    Its steps backtrack on the KKT residual norm; as in the line search,
+    a trial point outside the model's domain is a rejected step.
     """
 
     def __init__(self, problem: NlpProblem, rows: _Rows, y_lo, y_hi,
@@ -725,7 +607,11 @@ class _Polisher:
                 lam_t = lam.copy()
                 if na:
                     lam_t[act_idx] = lam[act_idx] + alpha * dlam
-                r_t, c_t, Jy_t, gl_t = residual(y_t, lam_t)
+                try:
+                    r_t, c_t, Jy_t, gl_t = residual(y_t, lam_t)
+                except DomainError:  # outside the model domain: rejected
+                    alpha *= 0.5
+                    continue
                 r_t_norm = float(np.linalg.norm(r_t))
                 if r_t_norm <= (1.0 - 1e-4 * alpha) * r_norm:
                     improved = True
@@ -765,10 +651,13 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     carries the diagnostic and status "error"; on stagnating
     infeasibility at the penalty cap the status is "infeasible"; on
     exhausted budgets the best point found is returned with status
-    "iteration-limit".
+    "iteration-limit".  Raises ValueError when the problem has no
+    `lagrangian_hessian`.
     """
     opts = opts or SolverOptions()
     p = problem
+    if p.lagrangian_hessian is None:
+        raise ValueError("solve requires NlpProblem.lagrangian_hessian")
     t_start = time.perf_counter()
     rows = _Rows(p)
     s = p.x_scale
@@ -812,38 +701,31 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     f_val = np.nan
     outer = 0
     last_polish_feas = None
-
-    # a warm-started solve is usually already inside the Newton basin:
-    # try to certify immediately before any penalty iterations
-    if (p.lagrangian_hessian is not None
-            and (warm_eq_multipliers is not None or warm_ineq_multipliers is not None)):
-        polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y, lam.copy())
-        if polished is not None:
-            y, lam, feas, opt = polished
-            f_val = float(p.objective(y * s))
-            log.append(IterationRecord(0, f_val, feas, opt, rho, 0, 0.0))
-            if opts.verbose:
-                print(log[-1].format() + " [warm polish]")
-            report = SolveReport(
-                status="optimal", objective=f_val, feasibility_error=float(feas),
-                optimality_error=float(opt), iterations=0, outer_iterations=0,
-                wall_time=time.perf_counter() - t_start,
-                eq_multipliers=lam[:p.n_eq].copy(),
-                ineq_multipliers=lam[p.n_eq:].copy(),
-                iteration_log=log, merit_histories=merit_histories)
-            return y * s, report
+    max_outer = opts.max_outer
 
     try:
-        for outer in range(1, opts.max_outer + 1):
+        if warm_eq_multipliers is not None or warm_ineq_multipliers is not None:
+            # a warm-started solve is usually already inside the Newton
+            # basin: try to certify before any penalty iterations
+            polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y, lam.copy())
+            if polished is not None:
+                y, lam, feas, opt = polished
+                f_val = float(p.objective(y * s))
+                log.append(IterationRecord(0, f_val, feas, opt, rho, 0, 0.0))
+                if opts.verbose:
+                    print(log[-1].format() + " [warm polish]")
+                status = "optimal"
+                max_outer = 0
+
+        for outer in range(1, max_outer + 1):
             merit = _Merit(p, rows, lam, rho)
-            merit_log: list[float] = [] if opts.record_merit else None
+            merit_log: list[float] = []
             gtol = max(omega, 0.05 * opts.optimality_tol)
             y_prev = y
-            y, _, _, nit, inner_status = _inner_minimize(
+            y, _, _, nit, inner_status = _inner_newton(
                 merit, y, y_lo, y_hi, gtol, opts, merit_log)
             total_inner += nit
-            if opts.record_merit:
-                merit_histories.append(merit_log)
+            merit_histories.append(merit_log)
 
             feas, opt, lam_trial, f_val = evaluate(y)
             step = float(np.max(np.abs(y - y_prev), initial=0.0))
@@ -870,7 +752,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
                 or last_polish_feas is None
                 or feas < 0.5 * last_polish_feas
                 or outer % 3 == 0)
-            if p.lagrangian_hessian is not None and attempt:
+            if attempt:
                 last_polish_feas = feas
                 polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y, lam_trial)
                 if polished is not None:
@@ -932,8 +814,3 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     )
     return w, report
 
-
-def constraint_violation(problem: NlpProblem, w: np.ndarray) -> float:
-    """Max scaled violation over all rows, ignoring variable bounds."""
-    rows = _Rows(problem)
-    return rows.violation(rows.values(np.asarray(w, dtype=float)))

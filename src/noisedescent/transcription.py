@@ -682,21 +682,6 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
     return problem
 
 
-def objective_and_gradient(problem: NlpProblem, w: np.ndarray):
-    """Objective value and gradient at w (complex-step based)."""
-    return problem.objective(w), problem.objective_gradient(w)
-
-
-def constraint_jacobian(problem: NlpProblem, w: np.ndarray) -> np.ndarray:
-    """Jacobian of all equality rows stacked over all inequality rows."""
-    parts = []
-    if problem.n_eq:
-        parts.append(problem.equalities_jacobian(w))
-    if problem.n_ineq:
-        parts.append(problem.inequalities_jacobian(w))
-    return np.vstack(parts) if parts else np.zeros((0, problem.n_vars))
-
-
 def internode_violation(traj: noise.Trajectory, bounds_lower, bounds_upper,
                         model: AircraftModel, atm: Atmosphere = ISA,
                         refine: int = 10, scheme: RkScheme | None = None) -> float:

@@ -1,5 +1,10 @@
 """Solver unit suite: the three reference problems, KKT bookkeeping,
-determinism, merit monotonicity and feasibility restoration."""
+determinism, merit monotonicity and feasibility restoration.
+
+Every problem handed to `solve` carries its exact Lagrangian Hessian;
+`psd_floor` gives the convexified model the solver asks for when the
+exact one is indefinite.
+"""
 
 import numpy as np
 import pytest
@@ -8,10 +13,25 @@ from noisedescent.errors import DomainError
 from noisedescent.nlp_solver import (
     NlpProblem,
     SolverOptions,
-    constraint_violation,
     kkt_residuals,
     solve,
 )
+
+
+def psd_floor(H):
+    """H with its spectrum floored at zero."""
+    vals, vecs = np.linalg.eigh(H)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.T
+
+
+def constant_hessian(H):
+    """Lagrangian Hessian callback of a quadratic objective under linear rows."""
+    H = np.asarray(H, dtype=float)
+
+    def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+        return sigma_f * H
+
+    return hess
 
 
 def bound_quadratic():
@@ -22,11 +42,17 @@ def bound_quadratic():
         objective_gradient=lambda w: np.array([2.0 * (w[0] - 3.0)]),
         lower=np.array([0.0]),
         upper=np.array([2.0]),
+        lagrangian_hessian=constant_hessian([[2.0]]),
     )
 
 
 def circle_problem():
     """min w1 + w2 on the unit circle: optimum (-sqrt(1/2), -sqrt(1/2))."""
+
+    def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+        H = 2.0 * eq_mult[0] * np.eye(2)
+        return psd_floor(H) if convexify else H
+
     return NlpProblem(
         n_vars=2,
         objective=lambda w: float(w[0] + w[1]),
@@ -34,6 +60,7 @@ def circle_problem():
         n_eq=1,
         equalities=lambda w: np.array([w[0] ** 2 + w[1] ** 2 - 1.0]),
         equalities_jacobian=lambda w: np.array([[2.0 * w[0], 2.0 * w[1]]]),
+        lagrangian_hessian=hess,
     )
 
 
@@ -49,11 +76,19 @@ def rosenbrock_line():
             200.0 * (w[1] - w[0] ** 2),
         ])
 
+    def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+        H = sigma_f * np.array([
+            [2.0 - 400.0 * w[1] + 1200.0 * w[0] ** 2, -400.0 * w[0]],
+            [-400.0 * w[0], 200.0],
+        ])
+        return psd_floor(H) if convexify else H
+
     return NlpProblem(
         n_vars=2, objective=f, objective_gradient=g,
         n_eq=1,
         equalities=lambda w: np.array([w[0] + w[1] - 1.0]),
         equalities_jacobian=lambda w: np.array([[1.0, 1.0]]),
+        lagrangian_hessian=hess,
     )
 
 
@@ -106,6 +141,7 @@ class TestToyProblems:
             inequalities_jacobian=lambda w: np.array([[1.0, 1.0]]),
             ineq_lower=np.array([1.0]),
             ineq_upper=np.array([2.0]),
+            lagrangian_hessian=constant_hessian(2.0 * np.eye(2)),
         )
         w, rep = solve(prob, np.array([0.0, 0.0]))
         assert rep.status == "optimal"
@@ -200,6 +236,7 @@ class TestSolverBehavior:
             n_vars=1,
             objective=bad_obj,
             objective_gradient=lambda w: np.zeros(1),
+            lagrangian_hessian=constant_hessian([[0.0]]),
         )
         _, rep = solve(prob, np.array([0.0]))
         assert rep.status == "error"
@@ -230,9 +267,51 @@ class TestSolverBehavior:
         assert rep.status == "optimal"
         assert w[0] == pytest.approx(np.log(2.0), abs=1e-6)
 
+    def test_polish_trial_point_outside_domain_is_a_rejected_step(self):
+        # w = 0 is the only feasible point of exp(w) = 1.  Seen through the
+        # row scale of 100 the start w = -3 is near-feasible with a tiny
+        # gradient, so the first subproblem stops at once and the Newton
+        # polish runs there.  Its full step of about 19 lands beyond w = 5,
+        # where the model raises; backtracking must carry on to w = 0
+        def check(w):
+            if w[0] > 5.0:
+                raise DomainError("w beyond the model domain")
+
+        def f(w):
+            check(w)
+            return 1e-3 * float(w[0])
+
+        def g(w):
+            check(w)
+            return np.array([1e-3])
+
+        def c(w):
+            check(w)
+            return np.array([np.exp(w[0]) - 1.0])
+
+        def jac(w):
+            check(w)
+            return np.array([[np.exp(w[0])]])
+
+        def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+            H = np.array([[eq_mult[0] * np.exp(w[0])]])
+            return psd_floor(H) if convexify else H
+
+        prob = NlpProblem(n_vars=1, objective=f, objective_gradient=g,
+                          n_eq=1, equalities=c, equalities_jacobian=jac,
+                          eq_scale=np.array([100.0]), lagrangian_hessian=hess)
+        w, rep = solve(prob, np.array([-3.0]))
+        assert rep.status == "optimal"
+        assert w[0] == pytest.approx(0.0, abs=1e-6)
+
     def test_constraint_violation_helper(self):
-        prob = circle_problem()
-        assert constraint_violation(prob, np.array([2.0, 0.0])) == pytest.approx(3.0)
+        assert kkt_residuals(circle_problem(), np.array([2.0, 0.0]))[0] == 3.0
+
+    def test_solve_requires_the_lagrangian_hessian(self):
+        prob = NlpProblem(n_vars=1, objective=lambda w: float(w[0] ** 2),
+                          objective_gradient=lambda w: 2.0 * w)
+        with pytest.raises(ValueError, match="lagrangian_hessian"):
+            solve(prob, np.array([1.0]))
 
     def test_warm_multipliers_accepted(self):
         prob = circle_problem()
@@ -240,6 +319,19 @@ class TestSolverBehavior:
         w2, rep2 = solve(prob, w1, warm_eq_multipliers=rep1.eq_multipliers)
         assert rep2.status == "optimal"
         assert rep2.iterations <= rep1.iterations
+
+    def test_warm_polish_callback_error_is_reported(self):
+        # with warm multipliers the Newton polish runs before any penalty
+        # iteration; a callback failure there must end the solve with
+        # status "error", not escape it
+        def bad_grad(w):
+            raise ValueError("synthetic gradient failure in the polish")
+
+        prob = circle_problem()
+        prob.objective_gradient = bad_grad
+        _, rep = solve(prob, np.array([-0.7, -0.7]), warm_eq_multipliers=np.array([0.7]))
+        assert rep.status == "error"
+        assert "synthetic gradient failure" in rep.message
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

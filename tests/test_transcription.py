@@ -21,10 +21,8 @@ from noisedescent.transcription import (
     RkScheme,
     VectorLayout,
     assemble,
-    constraint_jacobian,
     heun_step,
     internode_violation,
-    objective_and_gradient,
     rk_step,
     simulate,
     trajectory_from_vector,
@@ -238,7 +236,7 @@ class TestDerivatives:
         worst = 0.0
         for _ in range(3):
             w = random_feasible_point(prob, w0, rng)
-            val, grad = objective_and_gradient(prob, w)
+            grad = prob.objective_gradient(w)
             fd = np.zeros_like(w)
             for j in range(w.size):
                 e = 1e-6 * max(1.0, abs(w[j]))
@@ -255,7 +253,7 @@ class TestDerivatives:
         prob = assemble(scn)
         rng = np.random.default_rng(12)
         w = random_feasible_point(prob, initial_guess(scn), rng)
-        J = constraint_jacobian(prob, w)
+        J = np.vstack([prob.equalities_jacobian(w), prob.inequalities_jacobian(w)])
 
         def all_rows(w_):
             return np.concatenate([prob.equalities(w_), prob.inequalities(w_)])
