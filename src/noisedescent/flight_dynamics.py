@@ -155,7 +155,7 @@ class AircraftModel:
 def air_density(h, atm: Atmosphere = ISA):
     """Density at height h: rho_isa * (1 - lapse*h)**exponent, kg/m^3."""
     base = 1.0 - atm.lapse * np.asarray(h)
-    if np.any(np.real(base) <= 0.0):
+    if (np.real(base) <= 0.0).any():
         raise DomainError(
             f"height beyond density-law domain (h must stay below {atm.max_height:.0f} m)")
     return atm.rho_isa * base ** atm.exponent
@@ -168,13 +168,12 @@ def speed_of_sound(h, atm: Atmosphere = ISA):
     rho**(1/exponent) along the law, and c ~ sqrt(temperature), so
     c = c_isa * (rho/rho_isa)**(1/(2*exponent)).
     """
-    ratio = air_density(h, atm) / atm.rho_isa
-    return atm.c_isa * ratio ** (1.0 / (2.0 * atm.exponent))
+    return _sound_speed(air_density(h, atm), atm)
 
 
-def mach_number(h, V, atm: Atmosphere = ISA):
-    """Flight Mach number V/c(h)."""
-    return np.asarray(V) / speed_of_sound(h, atm)
+def _sound_speed(rho, atm: Atmosphere):
+    """Speed of sound from the density the power law gives, m/s."""
+    return atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
 
 
 def thrust(h, V, delta_x, model: AircraftModel, atm: Atmosphere = ISA):
@@ -183,10 +182,15 @@ def thrust(h, V, delta_x, model: AircraftModel, atm: Atmosphere = ISA):
     The Mach factor is a subsonic fit; it grows again past M = 1, so
     supersonic inputs are rejected rather than extrapolated.
     """
-    M = mach_number(h, V, atm)
-    if np.any(np.real(M) >= 1.0):
-        raise DomainError("thrust model is valid for M < 1 only")
     rho = air_density(h, atm)
+    return _thrust(rho, _sound_speed(rho, atm), np.asarray(V), delta_x, model)
+
+
+def _thrust(rho, c, V, delta_x, model: AircraftModel):
+    """Thrust from the density and speed of sound at the flight point, N."""
+    M = V / c
+    if (np.real(M) >= 1.0).any():
+        raise DomainError("thrust model is valid for M < 1 only")
     return model.T0 * np.asarray(delta_x) * (rho / model.rho0) * (1.0 - M + 0.5 * M * M)
 
 
@@ -210,24 +214,21 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     Returns the six derivative arrays (V_dot, gamma_dot, chi_dot,
     x_dot, y_dot, h_dot).  Raises SingularStateError when V or
     cos(gamma) is numerically zero (the chi equation divides by both).
-    The atmosphere and forces are evaluated once, inline: this is the
-    innermost loop of the transcription machinery.
+    The atmosphere and forces are evaluated once per call, sharing the
+    density between thrust and aerodynamics: this is the innermost loop
+    of the transcription machinery.
     """
     V = np.asarray(V)
     gamma = np.asarray(gamma)
     alpha = np.asarray(alpha)
-    if np.any(np.real(V) < _SINGULARITY_EPS):
+    if (np.real(V) < _SINGULARITY_EPS).any():
         raise SingularStateError("airspeed too close to zero for the equations of motion")
     cos_gamma = np.cos(gamma)
-    if np.any(np.abs(np.real(cos_gamma)) < _SINGULARITY_EPS):
+    if (np.abs(np.real(cos_gamma)) < _SINGULARITY_EPS).any():
         raise SingularStateError("cos(gamma) too close to zero for the yaw equation")
 
     rho = air_density(h, atm)
-    c = atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
-    M = V / c
-    if np.any(np.real(M) >= 1.0):
-        raise DomainError("thrust model is valid for M < 1 only")
-    T = model.T0 * np.asarray(delta_x) * (rho / model.rho0) * (1.0 - M + 0.5 * M * M)
+    T = _thrust(rho, _sound_speed(rho, atm), V, delta_x, model)
     qS = 0.5 * rho * model.S * V * V
     L = qS * model.Cz_alpha * alpha
     D = qS * (model.Cx0 + model.k_i * model.Cz_alpha ** 2 * alpha * alpha)

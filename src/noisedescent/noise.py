@@ -161,9 +161,9 @@ class Trajectory:
 
 
 def _check_log_arg(term: str, value) -> None:
-    bad = np.real(np.atleast_1d(np.asarray(value))) <= 0.0
-    if np.any(bad):
+    if (np.asarray(value).real <= 0.0).any():
         # the node axis is the last one; leading axes stack perturbations
+        bad = np.atleast_1d(np.asarray(value).real <= 0.0)
         idx = int(np.argwhere(bad)[0][-1])
         raise NoiseTermError(term, f"nonpositive log argument at node {idx}")
 
@@ -182,17 +182,19 @@ def source_observer_distance(state: State, obs: Observer) -> float:
 
 
 def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                           params: EngineNoiseParams):
+                           params: EngineNoiseParams, r=None):
     """cos(theta) between the emission axis and the line to the observer.
 
     velocity_vector mode uses the instantaneous velocity direction;
     track_axis mode uses a fixed horizontal axis, which removes the
-    gamma/chi dependence of the level.
+    gamma/chi dependence of the level.  `r` is the slant range when the
+    caller already has it.
     """
     dx = obs.x - np.asarray(x)
     dy = obs.y - np.asarray(y)
     dz = -np.asarray(h)
-    r = slant_range_arrays(x, y, h, obs)
+    if r is None:
+        r = slant_range_arrays(x, y, h, obs)
     if params.directivity_mode == "velocity_vector":
         cg = np.cos(np.asarray(gamma))
         ex = cg * np.cos(np.asarray(chi))
@@ -219,7 +221,7 @@ def directivity_angle(state: State, obs: Observer,
 def effective_jet_speed(V, params: EngineNoiseParams):
     """Effective jet speed v1*(1 - V/v1)**(2/3); jet axis alignment neglected."""
     V = np.asarray(V)
-    if np.any(np.real(V) >= params.v1):
+    if (np.real(V) >= params.v1).any():
         raise DomainError(f"airspeed must stay below the inner jet speed {params.v1} m/s")
     return params.v1 * (1.0 - V / params.v1) ** (2.0 / 3.0)
 
@@ -295,7 +297,7 @@ def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
     rho = air_density(h, atm)
     c = atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
     R = slant_range_arrays(x, y, h, obs)
-    cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params)
+    cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R)
     terms = _primitive_terms(V, rho, c, R, cos_theta, h, params, atm)
     total = terms["baseline"]
     for name in TERM_NAMES[1:]:
@@ -334,7 +336,7 @@ def level_breakdown(state: State, obs: Observer, params: EngineNoiseParams,
     c = speed_of_sound(state.h, atm)
     R = slant_range_arrays(state.x, state.y, state.h, obs)
     cos_theta = directivity_cos_arrays(state.V, state.gamma, state.chi,
-                                       state.x, state.y, state.h, obs, params)
+                                       state.x, state.y, state.h, obs, params, R)
     terms = _primitive_terms(state.V, rho, c, R, cos_theta, state.h, params, atm)
     return LevelTerms(**{name: float(np.real(terms[name])) for name in TERM_NAMES})
 

@@ -19,6 +19,17 @@ symmetrised central differences of those exact gradients
 The gradients are exact to machine precision; the test suite checks
 both against central finite differences of the callbacks.
 
+Each second-derivative block is built once per point, and only where it
+can be nonzero.  An objective or extra-row term keeps a one-entry memo
+(`_PointMemo`) keyed by the bytes of its local-variable array: the level
+energy weights or fuel flows, their complex-step gradients and, on first
+use, their Hessian blocks.  So the value, the gradient and both the exact
+and the convexified Lagrangian Hessian at one point share one set of
+kernel evaluations.  The defect blocks are differenced only along the
+seven variables the step map is nonlinear in (`_STEP_NONLINEAR`);
+`rhs_arrays` reads neither x nor y, so their rows and columns are exact
+zeros.
+
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
 observer, the consumption, or the epigraph variable theta) and the extra
@@ -54,6 +65,11 @@ CONTROL_SCALE = np.array([1.0, 1.0, 1.0])
 PATH_SCALE = np.array([1.0, 100.0, 1.0, 1.0, 1.0, 1.0])
 
 _H_CEILING = 15000.0  # generic altitude box for the decision variables, m
+
+# Interval-local variables (z_k, u_k) the step map is nonlinear in:
+# rhs_arrays reads neither x nor y, so Phi is the identity along them.
+_STEP_NONLINEAR = np.array([IV, IGAMMA, ICHI, IH, 6 + IALPHA, 6 + IDELTA_X, 6 + IMU])
+_INTERVAL_SCALE = np.concatenate([STATE_SCALE, CONTROL_SCALE])
 
 
 @dataclass(frozen=True)
@@ -250,15 +266,14 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def _floor_eigenvalues(block: np.ndarray, scale_outer: np.ndarray) -> np.ndarray:
-    """Clamp a symmetric block's eigenvalues at zero, measured in the
-    scaled variable metric the solver optimizes in."""
-    scaled = block * scale_outer
-    vals, vecs = np.linalg.eigh(0.5 * (scaled + scaled.T))
-    if vals[0] >= 0.0:
-        return block
-    floored = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    return floored / scale_outer
+def _floor_eigenvalues(blocks: np.ndarray, scale_outer: np.ndarray) -> np.ndarray:
+    """Clamp the eigenvalues of a (M, d, d) stack of symmetric blocks at
+    zero, measured in the scaled variable metric the solver optimizes in.
+    A block with no negative eigenvalue is returned unchanged."""
+    scaled = blocks * scale_outer
+    vals, vecs = np.linalg.eigh(0.5 * (scaled + np.swapaxes(scaled, 1, 2)))
+    floored = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    return np.where((vals[:, 0] >= 0.0)[:, None, None], blocks, floored / scale_outer)
 
 
 def _node_controls(U: np.ndarray) -> np.ndarray:
@@ -266,22 +281,24 @@ def _node_controls(U: np.ndarray) -> np.ndarray:
     return np.vstack([U, U[-1]])
 
 
-def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None) -> np.ndarray:
+def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
+                   along: np.ndarray | None = None) -> np.ndarray:
     """Complex-step derivatives of a row-local function for every local variable.
 
     `fn` maps an (..., M, d) array, one row of local variables per node or
     interval, to (..., M) values or (..., M, r) vectors, where output row k
-    depends on input row k only.  The d perturbations are stacked on a new
+    depends on input row k only.  The perturbations are stacked on a new
     leading axis, so `fn` runs once on all of them.  Returns d(fn)/dX with
     the variable index last: (..., M, d) or (..., M, r, d).  With `mult` of
     shape (M, r) the r outputs are first contracted against it, giving
     d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
-    imaginary parts before the division by the step.
+    imaginary parts before the division by the step.  `along` restricts
+    the derivative to those local variables, and the variable axis then
+    has len(along) entries in that order.
     """
-    d = X.shape[-1]
-    Xc = np.repeat(X.astype(complex)[None], d, axis=0)
-    j = np.arange(d)
-    Xc[j, ..., j] += 1j * _CS
+    j = np.arange(X.shape[-1]) if along is None else along
+    Xc = np.repeat(X.astype(complex)[None], j.size, axis=0)
+    Xc[np.arange(j.size), ..., j] += 1j * _CS
     F = fn(Xc).imag
     if mult is not None:
         F = np.sum(mult * F, axis=-1)
@@ -289,27 +306,58 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None) -> np.ndar
 
 
 def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
-                       mult: np.ndarray | None = None) -> np.ndarray:
+                       mult: np.ndarray | None = None,
+                       along: np.ndarray | None = None) -> np.ndarray:
     """Per-row Hessian blocks (M, d, d) of a row-local scalar function.
 
     Symmetrised central differences, with steps _FD*scale, of the
     `_cs_derivative` of `fn` (contracted against `mult` when given).  All
-    2d shifted copies of X are stacked and differentiated in one call.
+    shifted copies of X are stacked and differentiated in one call.  With
+    `along`, only those local variables are shifted and differentiated;
+    the rows and columns of the others are exact zeros, which is right
+    when `fn` is linear in them.
     """
     d = X.shape[-1]
-    eps = _FD * scale
-    Xs = np.repeat(X[None], 2 * d, axis=0)
-    j = np.arange(d)
-    Xs[j, :, j] += eps[:, None]
-    Xs[d + j, :, j] -= eps[:, None]
-    G = _cs_derivative(fn, Xs, mult)
-    blocks = np.moveaxis((G[:d] - G[d:]) / (2.0 * eps)[:, None, None], 0, -1)
-    return 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+    j = np.arange(d) if along is None else along
+    s = j.size
+    eps = _FD * scale[j]
+    Xs = np.repeat(X[None], 2 * s, axis=0)
+    k = np.arange(s)
+    Xs[k, :, j] += eps[:, None]
+    Xs[s + k, :, j] -= eps[:, None]
+    G = _cs_derivative(fn, Xs, mult, j)
+    sub = np.moveaxis((G[:s] - G[s:]) / (2.0 * eps)[:, None, None], 0, -1)
+    blocks = np.zeros(X.shape[:-1] + (d, d))
+    blocks[:, j[:, None], j] = 0.5 * (sub + np.swapaxes(sub, 1, 2))
+    return blocks
 
 
 def _add_blocks(H: np.ndarray, idx: np.ndarray, blocks: np.ndarray) -> None:
     """H[idx[k], idx[k]] += blocks[k] for k in order; blocks may share indices."""
     np.add.at(H, (idx[:, :, None], idx[:, None, :]), blocks)
+
+
+class _PointMemo:
+    """What one term derived at its last point.
+
+    `derive` maps an item name to its function of the term's local-variable
+    array; an item is computed on first use and kept until the point
+    changes.  The key is the bytes of that array, so equal values rebuilt
+    from a new decision vector hit and a vector changed in place misses.
+    """
+
+    def __init__(self, **derive: Callable):
+        self._derive = derive
+        self._key = None
+        self._items: dict = {}
+
+    def get(self, X: np.ndarray, name: str):
+        key = X.tobytes()
+        if key != self._key:
+            self._key, self._items = key, {}
+        if name not in self._items:
+            self._items[name] = self._derive[name](X)
+        return self._items[name]
 
 
 class _Term(NamedTuple):
@@ -342,9 +390,13 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
         total = weights @ energy
         return float(10.0 * np.log10(total / duration)), weights * energy / total
 
+    memo = _PointMemo(leq=leq_and_node_weights,
+                      dlev=lambda Z: _cs_derivative(levels, Z),
+                      blocks=lambda Z: _cs_hessian_blocks(levels, Z, STATE_SCALE))
+
     def gradient(grad, Z, U):
-        _, p = leq_and_node_weights(Z)
-        grad[idx] = p[:, None] * _cs_derivative(levels, Z)
+        _, p = memo.get(Z, "leq")
+        grad[idx] = p[:, None] * memo.get(Z, "dlev")
 
     def add_hessian(H, Z, U, weight, convexify):
         """With p_k the normalized energy quadrature weights and
@@ -357,20 +409,19 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
         solver's modified-Newton fallback."""
         if weight == 0.0:
             return
-        _, p = leq_and_node_weights(Z)
+        _, p = memo.get(Z, "leq")
         beta = np.log(10.0) / 10.0
-        dlev = _cs_derivative(levels, Z)
-        blocks = _cs_hessian_blocks(levels, Z, STATE_SCALE)
+        dlev = memo.get(Z, "dlev")
+        blocks = memo.get(Z, "blocks")
         if not convexify:
             G = (p[:, None] * dlev).ravel()
             H[np.ix_(cols, cols)] -= (weight * beta) * np.outer(G, G)
         blocks = p[:, None, None] * (blocks + beta * (dlev[:, :, None] * dlev[:, None, :]))
         if convexify:
-            scale_mat = np.outer(STATE_SCALE, STATE_SCALE)
-            blocks = np.stack([_floor_eigenvalues(b, scale_mat) for b in blocks])
+            blocks = _floor_eigenvalues(blocks, np.outer(STATE_SCALE, STATE_SCALE))
         _add_blocks(H, idx, weight * blocks)
 
-    return _Term(lambda Z, U: leq_and_node_weights(Z)[0], gradient, add_hessian, idx)
+    return _Term(lambda Z, U: memo.get(Z, "leq")[0], gradient, add_hessian, idx)
 
 
 def _consumption_term(tr: "_Transcription") -> _Term:
@@ -384,19 +435,23 @@ def _consumption_term(tr: "_Transcription") -> _Term:
     def local(Z, U):
         return np.column_stack([Z[:, IV], Z[:, IH], _node_controls(U)[:, IDELTA_X]])
 
+    memo = _PointMemo(flows=flows,
+                      dflow=lambda X: _cs_derivative(flows, X),
+                      blocks=lambda X: _cs_hessian_blocks(flows, X, scale))
+
     def gradient(grad, Z, U):
-        np.add.at(grad, idx, _cs_derivative(flows, local(Z, U)) * weights[:, None])
+        np.add.at(grad, idx, memo.get(local(Z, U), "dflow") * weights[:, None])
 
     def add_hessian(H, Z, U, weight, convexify):
         if weight == 0.0:
             return
-        blocks = _cs_hessian_blocks(flows, local(Z, U), scale)
+        blocks = memo.get(local(Z, U), "blocks")
         if convexify:
-            scale_mat = np.outer(scale, scale)
-            blocks = np.stack([_floor_eigenvalues(b, scale_mat) for b in blocks])
+            blocks = _floor_eigenvalues(blocks, np.outer(scale, scale))
         _add_blocks(H, idx, (weight * weights)[:, None, None] * blocks)
 
-    return _Term(lambda Z, U: float(weights @ flows(local(Z, U))), gradient, add_hessian, idx)
+    return _Term(lambda Z, U: float(weights @ memo.get(local(Z, U), "flows")),
+                 gradient, add_hessian, idx)
 
 
 # the epigraph variable theta alone
@@ -603,8 +658,8 @@ class _Transcription:
         self.objective_term.add_hessian(H, Z, U, sigma_f, convexify)
         mu = np.asarray(eq_mult[:6 * n]).reshape(n, 6)
         if np.any(mu):
-            loc_scale = np.concatenate([STATE_SCALE, CONTROL_SCALE])
-            blocks = _cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), loc_scale, mu)
+            blocks = _cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), _INTERVAL_SCALE,
+                                        mu, _STEP_NONLINEAR)
             _add_blocks(H, self.interval_idx, -blocks)
         for i, (term, _) in enumerate(self.extra_rows):
             term.add_hessian(H, Z, U, float(ineq_mult[self.n_path + i]), convexify)

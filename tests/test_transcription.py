@@ -5,7 +5,9 @@ the assembled constraints against plain forward simulation.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from noisedescent.flight_dynamics import AircraftModel, ISA
+from noisedescent.flight_dynamics import IH, IX, IY, ISA, AircraftModel
 from noisedescent.noise import Observer
 from noisedescent.scenarios import VARIANTS, Scenario, default_scenario, initial_guess
 from noisedescent.transcription import (
+    _INTERVAL_SCALE,
+    _STEP_NONLINEAR,
     Grid,
     RkScheme,
     VectorLayout,
@@ -26,6 +30,7 @@ from noisedescent.transcription import (
     rk_step,
     simulate,
     trajectory_from_vector,
+    _cs_hessian_blocks,
 )
 
 MODEL = AircraftModel()
@@ -341,6 +346,81 @@ class TestDerivatives:
         s = prob.x_scale
         evals = np.linalg.eigvalsh(Hc * np.outer(s, s))
         assert evals.min() > -1e-8
+
+    def test_step_map_hessian_is_zero_along_x_and_y(self):
+        # the defect blocks are built along the step map's nonlinear
+        # variables only; over all nine they must come out the same, so an
+        # rhs that starts to read x or y fails here
+        scn, prob = variant_problem("noise")
+        tr = prob.meta["transcription"]
+        rng = np.random.default_rng(7)
+        Z, U, _ = tr.layout.unpack(random_feasible_point(prob, initial_guess(scn), rng))
+        X = np.hstack([Z[:-1], U])
+        mu = rng.normal(size=(scn.n_intervals, 6))
+        full = _cs_hessian_blocks(tr._step, X, _INTERVAL_SCALE, mu)
+        restricted = _cs_hessian_blocks(tr._step, X, _INTERVAL_SCALE, mu, _STEP_NONLINEAR)
+        assert full.tobytes() == restricted.tobytes()
+        assert not full[:, [IX, IY], :].any() and not full[:, :, [IX, IY]].any()
+        assert np.count_nonzero(full[0]) > 40
+
+
+class TestMemo:
+    """Each objective and extra-row term remembers what it derived at its
+    last point; no callback may return what belongs to another point."""
+
+    @staticmethod
+    def outputs(prob, w, eq_mult, ineq_mult, convex_first=False):
+        """Every callback at w as raw bytes, the Hessians built in either order."""
+        hessians = {
+            convex: prob.lagrangian_hessian(
+                w, 1.0, np.zeros(prob.n_eq) if convex else eq_mult,
+                np.maximum(ineq_mult, 0.0) if convex else ineq_mult, convexify=convex)
+            for convex in ((True, False) if convex_first else (False, True))
+        }
+        values = [np.array([prob.objective(w)]), prob.objective_gradient(w),
+                  prob.equalities(w), prob.inequalities(w), prob.equalities_jacobian(w),
+                  prob.inequalities_jacobian(w), hessians[False], hessians[True]]
+        return [v.tobytes() for v in values]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_callbacks_match_a_fresh_problem(self, variant):
+        scn, prob = variant_problem(variant)
+        rng = np.random.default_rng(8)
+        w0 = initial_guess(scn)
+        w1 = random_feasible_point(prob, w0, rng)
+        w2 = random_feasible_point(prob, w0, rng)
+        eqm = rng.normal(size=prob.n_eq) * 0.3
+        inm = np.zeros(prob.n_ineq)
+        n_path = 6 * (scn.n_intervals + 1)
+        inm[n_path:] = rng.uniform(0.2, 0.4, prob.n_ineq - n_path)
+
+        def fresh(w):
+            return self.outputs(variant_problem(variant)[1], w, eqm, inm)
+
+        for w, convex_first in ((w1, False), (w2, True), (w1, True), (w2, False)):
+            assert self.outputs(prob, w, eqm, inm, convex_first) == fresh(w)
+        # a vector changed in place between two calls is a new point
+        w = w1.copy()
+        self.outputs(prob, w, eqm, inm)
+        w[scn.layout().state_index(3, IH)] += 1.0
+        assert self.outputs(prob, w, eqm, inm) == fresh(w)
+        w[:] = w2
+        assert self.outputs(prob, w, eqm, inm, convex_first=True) == fresh(w2)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_filled_memos_make_no_reference_cycle(self, variant):
+        # the memos live in closures that must not hold the transcription,
+        # or a dropped problem would wait for a garbage-collector pass
+        scn, prob = variant_problem(variant)
+        w = initial_guess(scn)
+        self.outputs(prob, w, np.zeros(prob.n_eq), np.ones(prob.n_ineq))
+        ref = weakref.ref(prob.meta["transcription"])
+        gc.disable()
+        try:
+            del prob
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestQuadratureConsistency:
