@@ -4,23 +4,23 @@ Library layout:
 
 - flight_dynamics: atmosphere, forces, equations of motion, fuel flow
 - noise: jet source level, corrections, equivalent level, consumption
-- transcription: grid, Runge-Kutta defects, packed NLP callbacks
+- transcription: grid, Heun defects, packed NLP callbacks
 - nlp_solver: augmented-Lagrangian solver and KKT residuals
 - scenarios: problem variants, initial guess, solve orchestration
 - config / cli: config-file ingestion and run tooling
+
+The model is evaluated on arrays only: states and controls are numpy
+arrays in the component orders of flight_dynamics, and the kernels
+(`flight_dynamics.rhs_arrays`, `noise.levels_arrays`) take whole sets of
+nodes at once.
 """
 
 from .flight_dynamics import (
     AircraftModel,
     Atmosphere,
-    Control,
     ISA,
-    State,
-    StateDerivative,
     air_density,
     drag,
-    dynamics_rhs,
-    fuel_flow,
     lift,
     speed_of_sound,
     thrust,
@@ -30,8 +30,6 @@ from .noise import (
     Observer,
     Trajectory,
     leq,
-    level_breakdown,
-    sound_pressure_level,
     total_consumption,
 )
 from .nlp_solver import NlpProblem, SolveReport, SolverOptions, kkt_residuals, solve
@@ -49,7 +47,6 @@ from .scenarios import (
 )
 from .transcription import (
     Grid,
-    RkScheme,
     VectorLayout,
     assemble,
     heun_step,

@@ -13,7 +13,6 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,8 +21,8 @@ import numpy as np
 from . import noise
 from .config import parse_config
 from .errors import ConfigError, ScenarioError
-from .flight_dynamics import AircraftModel, Atmosphere
-from .noise import EngineNoiseParams, Observer, Trajectory
+from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
+from .noise import Observer, Trajectory
 from .nlp_solver import SolveReport, SolverOptions
 from .scenarios import (
     Scenario,
@@ -34,8 +33,7 @@ from .scenarios import (
 )
 from .transcription import Grid, simulate
 
-TRAJECTORY_HEADER = ("t", "V", "gamma", "chi", "x", "y", "h",
-                     "alpha", "delta_x", "mu")
+TRAJECTORY_HEADER = ("t",) + STATE_NAMES + CONTROL_NAMES
 
 # Table-style observer sweep used by the comparison experiments
 SWEEP_OBSERVERS = tuple(
@@ -67,8 +65,8 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     rows = [list(map(float, line.split(","))) for line in lines[1:]]
     data = np.asarray(rows)
     times = data[:, idx["t"]]
-    states = data[:, [idx[c] for c in ("V", "gamma", "chi", "x", "y", "h")]]
-    controls = data[:-1][:, [idx[c] for c in ("alpha", "delta_x", "mu")]]
+    states = data[:, [idx[c] for c in STATE_NAMES]]
+    controls = data[:-1][:, [idx[c] for c in CONTROL_NAMES]]
     return Trajectory(times=times, states=states, controls=controls)
 
 
@@ -282,8 +280,7 @@ def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
         "source": str(controls_csv),
         "leq_db_by_observer": levels,
         "consumption_kg": noise.total_consumption(traj, scn.aircraft, scn.atmosphere),
-        "final_state": {k: float(v) for k, v in
-                        zip(("V", "gamma", "chi", "x", "y", "h"), traj.states[-1])},
+        "final_state": {k: float(v) for k, v in zip(STATE_NAMES, traj.states[-1])},
     }
     fake = VariantResult(variant="evaluate", trajectory=traj,
                          report=SolveReport(

@@ -4,7 +4,9 @@ Closed-form atmosphere, thrust and aerodynamic force models, the
 six-state equations of motion and the fuel-flow integrand.  Everything
 here is a pure function over immutable inputs.
 
-All evaluation routines accept scalars or numpy arrays and are
+States and controls are plain arrays in the component orders below, and
+every evaluation routine works componentwise on scalars or numpy arrays
+of any shape; there is no per-point wrapper.  The routines are
 complex-step safe: feeding complex inputs propagates derivative
 information through every branch, which the transcription layer uses to
 build machine-precision Jacobians.
@@ -12,7 +14,6 @@ build machine-precision Jacobians.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,71 +29,6 @@ IALPHA, IDELTA_X, IMU = range(3)
 CONTROL_NAMES = ("alpha", "delta_x", "mu")
 
 _SINGULARITY_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class State:
-    """Motion variables at one instant. SI units."""
-
-    V: float      # airspeed, m/s
-    gamma: float  # flight path angle, rad
-    chi: float    # yaw angle, rad
-    x: float      # horizontal distance, m
-    y: float      # lateral distance, m
-    h: float      # height, m
-
-    def __post_init__(self):
-        vals = (self.V, self.gamma, self.chi, self.x, self.y, self.h)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite state: {vals}")
-        if self.V <= 0.0:
-            raise ValueError(f"airspeed must be positive, got {self.V}")
-        if self.h < 0.0:
-            raise ValueError(f"height must be nonnegative, got {self.h}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.V, self.gamma, self.chi, self.x, self.y, self.h])
-
-    @classmethod
-    def from_array(cls, z) -> "State":
-        return cls(*(float(v) for v in z))
-
-
-@dataclass(frozen=True)
-class Control:
-    """Control inputs held on one grid interval."""
-
-    alpha: float    # angle of attack, rad
-    delta_x: float  # throttle setting, dimensionless
-    mu: float       # roll angle, rad
-
-    def __post_init__(self):
-        vals = (self.alpha, self.delta_x, self.mu)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite control: {vals}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha, self.delta_x, self.mu])
-
-    @classmethod
-    def from_array(cls, u) -> "Control":
-        return cls(*(float(v) for v in u))
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of the six motion variables, SI units per second."""
-
-    V_dot: float
-    gamma_dot: float
-    chi_dot: float
-    x_dot: float
-    y_dot: float
-    h_dot: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.V_dot, self.gamma_dot, self.chi_dot,
-                         self.x_dot, self.y_dot, self.h_dot])
 
 
 @dataclass(frozen=True)
@@ -246,20 +182,7 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     return V_dot, gamma_dot, chi_dot, x_dot, y_dot, h_dot
 
 
-def dynamics_rhs(state: State, control: Control,
-                 model: AircraftModel, atm: Atmosphere = ISA) -> StateDerivative:
-    """Right-hand side of the equations of motion at one state."""
-    out = rhs_arrays(state.V, state.gamma, state.chi, state.x, state.y, state.h,
-                     control.alpha, control.delta_x, control.mu, model, atm)
-    return StateDerivative(*(float(v) for v in out))
-
-
 def fuel_flow_arrays(V, h, delta_x, model: AircraftModel, atm: Atmosphere = ISA):
     """Fuel mass flow C_SR * T(h, V, delta_x), kg/s, on arrays."""
     return model.C_SR * thrust(h, V, delta_x, model, atm)
 
-
-def fuel_flow(state: State, control: Control,
-              model: AircraftModel, atm: Atmosphere = ISA) -> float:
-    """Fuel mass flow at one state, kg/s."""
-    return float(fuel_flow_arrays(state.V, state.h, control.delta_x, model, atm))

@@ -24,11 +24,9 @@ from .flight_dynamics import (
     ISA,
     AircraftModel,
     Atmosphere,
-    Control,
-    State,
+    _sound_speed,
     air_density,
     fuel_flow_arrays,
-    speed_of_sound,
 )
 
 # Correction hooks take (R, h) arrays and return a dB contribution.
@@ -148,13 +146,6 @@ class Trajectory:
     def duration(self) -> float:
         return float(self.times[-1] - self.times[0])
 
-    def state(self, k: int) -> State:
-        return State.from_array(self.states[k])
-
-    def control(self, k: int) -> Control:
-        # the last node reuses the final interval's control
-        return Control.from_array(self.controls[min(k, self.n_intervals - 1)])
-
     def node_controls(self) -> np.ndarray:
         """Controls sampled at every node, the last interval's repeated at t_N."""
         return np.vstack([self.controls, self.controls[-1]])
@@ -174,11 +165,6 @@ def slant_range_arrays(x, y, h, obs: Observer):
     dy = np.asarray(y) - obs.y
     r = np.sqrt(dx * dx + dy * dy + np.asarray(h) ** 2)
     return np.where(np.real(r) < _NEAR_FIELD_R, _NEAR_FIELD_R, r)
-
-
-def source_observer_distance(state: State, obs: Observer) -> float:
-    """Euclidean distance from the aircraft to the ground observer, m (>= 1)."""
-    return float(np.real(slant_range_arrays(state.x, state.y, state.h, obs)))
 
 
 def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
@@ -207,17 +193,6 @@ def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
     return (ex * dx + ey * dy + ez * dz) / r
 
 
-def directivity_angle(state: State, obs: Observer,
-                      params: EngineNoiseParams) -> float:
-    """Directivity angle in [0, pi] at one state."""
-    raw = math.hypot(state.x - obs.x, state.y - obs.y, state.h)
-    if raw < 1e-12:
-        raise DomainError("observer coincides with the source; directivity undefined")
-    c = directivity_cos_arrays(state.V, state.gamma, state.chi,
-                               state.x, state.y, state.h, obs, params)
-    return float(np.arccos(np.clip(np.real(c), -1.0, 1.0)))
-
-
 def effective_jet_speed(V, params: EngineNoiseParams):
     """Effective jet speed v1*(1 - V/v1)**(2/3); jet axis alignment neglected."""
     V = np.asarray(V)
@@ -237,18 +212,18 @@ def convection_mach(v1, V, c):
     return 0.62 * (np.asarray(v1) - np.asarray(V)) / np.asarray(c)
 
 
-def doppler_factor(Mc, theta):
-    """Doppler convection factor (1 + Mc*cos(theta))**2 + 0.04*Mc**2."""
-    return _doppler_factor_cos(np.asarray(Mc), np.cos(np.asarray(theta)))
-
-
 def _doppler_factor_cos(Mc, cos_theta):
     return (1.0 + Mc * cos_theta) ** 2 + 0.04 * Mc * Mc
 
 
 def _primitive_terms(V, rho, c, R, cos_theta, h,
                      params: EngineNoiseParams, atm: Atmosphere) -> dict:
-    """All level terms from primitive quantities. Returns a dict of arrays."""
+    """All level terms from primitive quantities.
+
+    The terms that depend on the flight point are arrays; the engine
+    constants (baseline, nozzle geometry, coaxial mixing, nozzle area,
+    temperature ratio) and absent correction hooks are plain floats.
+    """
     p = params
     ve = effective_jet_speed(V, p)
     w = density_exponent_w(ve, c)
@@ -260,92 +235,55 @@ def _primitive_terms(V, rho, c, R, cos_theta, h,
     _check_log_arg("density_ratio", density_ratio)
     velocity_ratio = ve / c
     _check_log_arg("jet_velocity", velocity_ratio)
-    geom = 2.0 * p.s1 / (math.pi * p.d ** 2) + 0.5
-    mixing = (1.0 - p.v2 / p.v1) ** p.me \
-        + 1.2 * (1.0 + p.s2 * p.v2 ** 2 / (p.s1 * p.v1 ** 2)) ** 4 \
-        / (1.0 + p.s2 / p.s1) ** 3
-    _check_log_arg("coaxial_mixing", mixing)
     _check_log_arg("spreading", R)
     _check_log_arg("convection", cd)
     motion_arg = 1.0 - m_flight * cos_theta
     _check_log_arg("motion", motion_arg)
+    # both summands are positive: EngineNoiseParams enforces v1 > v2 >= 0
+    # and positive nozzle areas
+    mixing = (1.0 - p.v2 / p.v1) ** p.me \
+        + 1.2 * (1.0 + p.s2 * p.v2 ** 2 / (p.s1 * p.v1 ** 2)) ** 4 \
+        / (1.0 + p.s2 / p.s1) ** 3
 
-    zeros = np.zeros_like(np.asarray(V, dtype=np.result_type(V, float)))
-    terms = {
-        "baseline": zeros + 141.0,
+    R_arr, h_arr = np.asarray(R), np.asarray(h)
+    return {
+        "baseline": 141.0,
         "density_ratio": 10.0 * w * np.log10(density_ratio),
         "jet_velocity": 75.0 * np.log10(velocity_ratio),
-        "nozzle_geometry": zeros + 3.0 * math.log10(geom),
-        "coaxial_mixing": zeros + 10.0 * math.log10(mixing),
-        "nozzle_area": zeros + 10.0 * math.log10(p.s1),
-        "temperature_ratio": zeros + p.temp_term_coeff * math.log10(p.tau1 / p.tau2),
+        "nozzle_geometry": 3.0 * math.log10(2.0 * p.s1 / (math.pi * p.d ** 2) + 0.5),
+        "coaxial_mixing": 10.0 * math.log10(mixing),
+        "nozzle_area": 10.0 * math.log10(p.s1),
+        "temperature_ratio": p.temp_term_coeff * math.log10(p.tau1 / p.tau2),
         "altitude": 10.0 * np.log10((rho / atm.rho_isa) ** 2 * (c / atm.c_isa) ** 4),
         "spreading": -20.0 * np.log10(R),
         "convection": -15.0 * np.log10(cd),
         "motion": -10.0 * np.log10(motion_arg),
+        "absorption_hook": p.absorption_hook(R_arr, h_arr) if p.absorption_hook else 0.0,
+        "ground_hook": p.ground_hook(R_arr, h_arr) if p.ground_hook else 0.0,
+        "frequency_hook": p.frequency_hook(R_arr, h_arr) if p.frequency_hook else 0.0,
     }
-    R_arr, h_arr = np.asarray(R), np.asarray(h)
-    terms["absorption_hook"] = p.absorption_hook(R_arr, h_arr) if p.absorption_hook else zeros
-    terms["ground_hook"] = p.ground_hook(R_arr, h_arr) if p.ground_hook else zeros
-    terms["frequency_hook"] = p.frequency_hook(R_arr, h_arr) if p.frequency_hook else zeros
-    return terms
 
 
-def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                  params: EngineNoiseParams, atm: Atmosphere = ISA):
-    """Overall sound pressure level at the observer, dB, vectorized over nodes."""
+def _level_terms(V, gamma, chi, x, y, h, obs: Observer,
+                 params: EngineNoiseParams, atm: Atmosphere) -> dict:
+    """All level terms at the observer from the node states."""
     rho = air_density(h, atm)
-    c = atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
     R = slant_range_arrays(x, y, h, obs)
     cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R)
-    terms = _primitive_terms(V, rho, c, R, cos_theta, h, params, atm)
+    return _primitive_terms(V, rho, _sound_speed(rho, atm), R, cos_theta, h, params, atm)
+
+
+def _sum_terms(terms: dict):
     total = terms["baseline"]
     for name in TERM_NAMES[1:]:
         total = total + terms[name]
     return total
 
 
-@dataclass(frozen=True)
-class LevelTerms:
-    """Per-term breakdown of one level evaluation, all in dB."""
-
-    baseline: float
-    density_ratio: float
-    jet_velocity: float
-    nozzle_geometry: float
-    coaxial_mixing: float
-    nozzle_area: float
-    temperature_ratio: float
-    altitude: float
-    spreading: float
-    convection: float
-    motion: float
-    absorption_hook: float
-    ground_hook: float
-    frequency_hook: float
-
-    @property
-    def total(self) -> float:
-        return float(sum(getattr(self, name) for name in TERM_NAMES))
-
-
-def level_breakdown(state: State, obs: Observer, params: EngineNoiseParams,
-                    atm: Atmosphere = ISA, control: Control | None = None) -> LevelTerms:
-    """Term-by-term level at one state (control reserved for jet-axis effects)."""
-    rho = air_density(state.h, atm)
-    c = speed_of_sound(state.h, atm)
-    R = slant_range_arrays(state.x, state.y, state.h, obs)
-    cos_theta = directivity_cos_arrays(state.V, state.gamma, state.chi,
-                                       state.x, state.y, state.h, obs, params, R)
-    terms = _primitive_terms(state.V, rho, c, R, cos_theta, state.h, params, atm)
-    return LevelTerms(**{name: float(np.real(terms[name])) for name in TERM_NAMES})
-
-
-def sound_pressure_level(state: State, obs: Observer, params: EngineNoiseParams,
-                         atm: Atmosphere = ISA, control: Control | None = None) -> float:
-    """Overall instantaneous level L_P at one state, dB."""
-    return float(np.real(levels_arrays(state.V, state.gamma, state.chi,
-                                       state.x, state.y, state.h, obs, params, atm)))
+def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
+                  params: EngineNoiseParams, atm: Atmosphere = ISA):
+    """Overall sound pressure level at the observer, dB, vectorized over nodes."""
+    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm))
 
 
 def levels_along(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
@@ -385,11 +323,19 @@ def total_consumption(traj: Trajectory, model: AircraftModel,
 
 def breakdown_rows(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
                    atm: Atmosphere = ISA):
-    """(header, rows) of the per-node term table, for CSV export."""
+    """(header, rows) of the per-node term table, for CSV export.
+
+    `rows` is an array with one row per node and one column per header
+    entry: the time, every term of TERM_NAMES and their total, which
+    equals `levels_along` exactly.
+    """
     header = ("t",) + TERM_NAMES + ("total",)
-    rows = []
-    for k in range(traj.n_intervals + 1):
-        terms = level_breakdown(traj.state(k), obs, params, atm)
-        row = (traj.times[k],) + tuple(getattr(terms, n) for n in TERM_NAMES) + (terms.total,)
-        rows.append(row)
+    Z = traj.states
+    terms = _level_terms(Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3], Z[:, 4], Z[:, 5],
+                         obs, params, atm)
+    rows = np.empty((traj.n_intervals + 1, len(header)))
+    rows[:, 0] = traj.times
+    for i, name in enumerate(TERM_NAMES, start=1):
+        rows[:, i] = np.real(terms[name])
+    rows[:, -1] = np.real(_sum_terms(terms))
     return header, rows

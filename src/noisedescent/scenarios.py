@@ -14,14 +14,10 @@ import numpy as np
 
 from . import noise, transcription
 from .errors import ScenarioError
-from .flight_dynamics import (
-    IV, IGAMMA, ICHI, IX, IY, IH,
-    AircraftModel, Atmosphere, ISA,
-    air_density, drag, thrust,
-)
+from .flight_dynamics import AircraftModel, Atmosphere, ISA, air_density, drag, thrust
 from .nlp_solver import NlpProblem, SolveReport, SolverOptions, solve
 from .noise import EngineNoiseParams, Observer, Trajectory
-from .transcription import Grid, RkScheme, VectorLayout, assemble
+from .transcription import Grid, VectorLayout, assemble
 
 VARIANTS = ("noise", "fuel", "noise_fuel_capped", "minimax")
 
@@ -221,21 +217,22 @@ _COARSEST_GRID = 12     # starting resolution of the continuation ladder
 _CONTINUATION_TOL = 1e-4  # relaxed tolerances on intermediate grids
 
 
-def _refine_vector(w, coarse: Grid, fine: Grid, coarse_lay: VectorLayout,
-                   fine_lay: VectorLayout) -> np.ndarray:
+def _refine_vector(w, coarse_tr: transcription._Transcription,
+                   fine_tr: transcription._Transcription) -> np.ndarray:
     """Interpolate a coarse solution onto a finer grid.
 
     States are interpolated linearly in time; piecewise-constant controls
     are resampled at interval midpoints; the epigraph value carries over.
     """
-    Zc, Uc, theta = coarse_lay.unpack(w)
+    coarse, fine = coarse_tr.grid, fine_tr.grid
+    Zc, Uc, theta = coarse_tr.layout.unpack(w)
     tc, tf_ = coarse.times(), fine.times()
     Zf = np.column_stack([np.interp(tf_, tc, Zc[:, j]) for j in range(6)])
     mid = tf_[:-1] + 0.5 * fine.h_step
     idx = np.clip(((mid - coarse.t0) / coarse.h_step).astype(int),
                   0, coarse.n_intervals - 1)
     Uf = Uc[idx]
-    return fine_lay.pack(Zf, Uf, theta)
+    return fine_tr.layout.pack(Zf, Uf, theta)
 
 
 def _continuation_grids(n: int) -> list[int]:
@@ -246,15 +243,17 @@ def _continuation_grids(n: int) -> list[int]:
     return ladder
 
 
-def _refine_multipliers(report: SolveReport, coarse: Grid, fine: Grid,
-                        n_extra: int):
+def _refine_multipliers(report: SolveReport, coarse_tr: transcription._Transcription,
+                        fine_tr: transcription._Transcription):
     """Map scaled-row multipliers onto a refined grid.
 
     Defect and path multipliers behave like time densities sampled per
     row, so they interpolate in time and shrink with the step ratio;
-    boundary and extra (cap/epigraph) rows carry over unchanged.
+    boundary and extra (cap/epigraph) rows carry over unchanged.  The row
+    counts come from the two transcriptions.
     """
-    nc, nf = coarse.n_intervals, fine.n_intervals
+    coarse, fine = coarse_tr.grid, fine_tr.grid
+    nc = coarse.n_intervals
     ratio = fine.h_step / coarse.h_step
     lam_eq = report.eq_multipliers
     defect = lam_eq[:6 * nc].reshape(nc, 6)
@@ -265,13 +264,13 @@ def _refine_multipliers(report: SolveReport, coarse: Grid, fine: Grid,
     eq_f = np.concatenate([defect_f.ravel(), lam_eq[6 * nc:]])
 
     lam_in = report.ineq_multipliers
-    path = lam_in[:6 * (nc + 1)].reshape(nc + 1, 6)
-    path_f = np.column_stack(
-        [np.interp(fine.times(), coarse.times(), path[:, j]) for j in range(6)]) * ratio
-    extra = lam_in[6 * (nc + 1):]
-    if n_extra and extra.size != n_extra:
-        extra = np.zeros(n_extra)
-    in_f = np.concatenate([path_f.ravel(), extra])
+    # one row of path multipliers per node
+    path = lam_in[:coarse_tr.n_path].reshape(nc + 1, -1)
+    path_f = np.array([np.interp(fine.times(), coarse.times(), col) for col in path.T]) * ratio
+    extra = lam_in[coarse_tr.n_path:]
+    if fine_tr.n_extra and extra.size != fine_tr.n_extra:
+        extra = np.zeros(fine_tr.n_extra)
+    in_f = np.concatenate([path_f.T.ravel(), extra])
     return eq_f, in_f
 
 
@@ -282,7 +281,6 @@ def _solve_problem(scn: Scenario, problem: NlpProblem,
     tr = problem.meta["transcription"]
     variant_scn = dataclasses.replace(scn, variant=tr.scn.variant)
     grid: Grid = problem.meta["grid"]
-    layout: VectorLayout = problem.meta["layout"]
 
     ladder = _continuation_grids(grid.n_intervals)
     coarse_tols = dict(
@@ -295,22 +293,19 @@ def _solve_problem(scn: Scenario, problem: NlpProblem,
         warm penalty) for the final grid."""
         w_level = seed_vec
         report = None
-        prev_grid = prev_lay = None
+        prev_tr = None
         for n_level in ladder[:-1]:
             scn_level = dataclasses.replace(variant_scn, n_intervals=n_level)
             prob_level = assemble(scn_level, fuel_cap=tr.fuel_cap)
-            grid_level: Grid = prob_level.meta["grid"]
-            lay_level: VectorLayout = prob_level.meta["layout"]
+            level_tr = prob_level.meta["transcription"]
             if w_level is None:
-                w_start = initial_guess(scn_level, grid_level)
+                w_start = initial_guess(scn_level, level_tr.grid)
                 warm = (None, None)
                 rho0 = opts.initial_penalty
             else:
-                w_start = np.clip(
-                    _refine_vector(w_level, prev_grid, grid_level, prev_lay, lay_level),
-                    prob_level.lower, prob_level.upper)
-                warm = _refine_multipliers(report, prev_grid, grid_level,
-                                           prob_level.n_ineq - 6 * (n_level + 1))
+                w_start = np.clip(_refine_vector(w_level, prev_tr, level_tr),
+                                  prob_level.lower, prob_level.upper)
+                warm = _refine_multipliers(report, prev_tr, level_tr)
                 # moderate restart penalty: the refined start carries only
                 # interpolation defects
                 rho0 = float(np.clip(report.iteration_log[-1].penalty,
@@ -320,13 +315,11 @@ def _solve_problem(scn: Scenario, problem: NlpProblem,
             w_level, report = solve(prob_level, w_start, level_opts,
                                     warm_eq_multipliers=warm[0],
                                     warm_ineq_multipliers=warm[1])
-            prev_grid, prev_lay = grid_level, lay_level
+            prev_tr = level_tr
         if w_level is None:
             return initial_guess(variant_scn, grid), (None, None), opts.initial_penalty
-        w = np.clip(_refine_vector(w_level, prev_grid, grid, prev_lay, layout),
-                    problem.lower, problem.upper)
-        warm = _refine_multipliers(report, prev_grid, grid,
-                                   problem.n_ineq - 6 * (grid.n_intervals + 1))
+        w = np.clip(_refine_vector(w_level, prev_tr, tr), problem.lower, problem.upper)
+        warm = _refine_multipliers(report, prev_tr, tr)
         rho0 = float(np.clip(report.iteration_log[-1].penalty,
                              opts.initial_penalty, 1e3))
         return w, warm, rho0

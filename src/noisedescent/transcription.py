@@ -1,11 +1,11 @@
 """Direct transcription of the descent problem into a finite NLP.
 
 Equidistant grid, piecewise-constant controls (u_k held on
-[t_k, t_{k+1})), explicit Runge-Kutta defect constraints (Heun by
-default), seven boundary equations, path-constraint rows at every node,
-and the variant objective.  The decision vector packs all node states,
-all interval controls and, for the minimax variant, one epigraph
-variable.
+[t_k, t_{k+1})), explicit Heun (trapezoidal Runge-Kutta) defect
+constraints, seven boundary equations, path-constraint rows at every
+node, and the variant objective.  The decision vector packs all node
+states, all interval controls and, for the minimax variant, one
+epigraph variable.
 
 All derivatives come from one engine.  Every nonlinear piece is local:
 a defect row couples only (z_k, u_k, z_{k+1}) and is linear in z_{k+1};
@@ -98,63 +98,14 @@ class Grid:
         return self.t0 + self.h_step * np.arange(self.n_intervals + 1)
 
 
-@dataclass(frozen=True)
-class RkScheme:
-    """Explicit Runge-Kutta tableau (strictly lower-triangular a)."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if a.shape != (b.size, b.size):
-            raise ValueError("tableau shapes inconsistent")
-        if not np.allclose(np.triu(a), 0.0):
-            raise ValueError("scheme must be explicit (strictly lower-triangular a)")
-        if not np.isclose(b.sum(), 1.0):
-            raise ValueError("stage weights must sum to 1")
-
-    @property
-    def stages(self) -> int:
-        return self.b.size
-
-    @classmethod
-    def heun(cls) -> "RkScheme":
-        return cls(a=np.array([[0.0, 0.0], [1.0, 0.0]]), b=np.array([0.5, 0.5]))
-
-    @classmethod
-    def euler(cls) -> "RkScheme":
-        return cls(a=np.zeros((1, 1)), b=np.ones(1))
-
-
-def rk_step(z, u, h_step, rhs, scheme: RkScheme | None = None):
-    """One explicit RK update of z under constant control u.
-
-    `rhs(z, u)` may operate on scalars or arrays; the stage states are
-    evaluated sequentially.
-    """
-    scheme = scheme or RkScheme.heun()
-    stages = []
-    for i in range(scheme.stages):
-        zi = z
-        for j in range(i):
-            aij = scheme.a[i, j]
-            if aij != 0.0:
-                zi = zi + h_step * aij * stages[j]
-        stages.append(rhs(zi, u))
-    out = z
-    for bi, ki in zip(scheme.b, stages):
-        if bi != 0.0:
-            out = out + h_step * bi * ki
-    return out
-
-
 def heun_step(z, u, h_step, rhs):
-    """Explicit Heun update z + (h/2)*(f(z,u) + f(z + h*f(z,u), u))."""
-    return rk_step(z, u, h_step, rhs, RkScheme.heun())
+    """Explicit Heun update z + (h/2)*(f(z,u) + f(z + h*f(z,u), u)).
+
+    `rhs(z, u)` may operate on scalars or on whole arrays of nodes.
+    """
+    k1 = rhs(z, u)
+    k2 = rhs(z + h_step * k1, u)
+    return z + 0.5 * h_step * k1 + 0.5 * h_step * k2
 
 
 def _rhs_cols(Z, U, model: AircraftModel, atm: Atmosphere):
@@ -164,14 +115,13 @@ def _rhs_cols(Z, U, model: AircraftModel, atm: Atmosphere):
     return np.stack(out, axis=-1)
 
 
-def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere,
-                   scheme: RkScheme | None = None):
-    """RK update applied to whole arrays of nodes at once."""
-    return rk_step(Z, U, h_step, lambda z, u: _rhs_cols(z, u, model, atm), scheme)
+def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere):
+    """Heun update applied to whole arrays of nodes at once."""
+    return heun_step(Z, U, h_step, lambda z, u: _rhs_cols(z, u, model, atm))
 
 
-def simulate(z0, controls, grid: Grid, model: AircraftModel, atm: Atmosphere = ISA,
-             scheme: RkScheme | None = None) -> noise.Trajectory:
+def simulate(z0, controls, grid: Grid, model: AircraftModel,
+             atm: Atmosphere = ISA) -> noise.Trajectory:
     """Forward-simulate the piecewise-constant controls from z0."""
     U = np.asarray(controls, dtype=float)
     if U.shape != (grid.n_intervals, 3):
@@ -179,7 +129,7 @@ def simulate(z0, controls, grid: Grid, model: AircraftModel, atm: Atmosphere = I
     Z = np.empty((grid.n_intervals + 1, 6))
     Z[0] = np.asarray(z0, dtype=float)
     for k in range(grid.n_intervals):
-        Z[k + 1] = rk_step_arrays(Z[k], U[k], grid.h_step, model, atm, scheme)
+        Z[k + 1] = rk_step_arrays(Z[k], U[k], grid.h_step, model, atm)
     return noise.Trajectory(times=grid.times(), states=Z, controls=U)
 
 
@@ -462,11 +412,9 @@ _EPIGRAPH = _Term(lambda Z, U: 0.0, lambda grad, Z, U: None, lambda *args: None,
 class _Transcription:
     """Shared state behind the NlpProblem callbacks of one scenario."""
 
-    def __init__(self, scn: "Scenario", grid: Grid, scheme: RkScheme,
-                 fuel_cap: float | None):
+    def __init__(self, scn: "Scenario", grid: Grid, fuel_cap: float | None):
         self.scn = scn
         self.grid = grid
-        self.scheme = scheme
         self.fuel_cap = fuel_cap
         self.model = scn.aircraft
         self.atm = scn.atmosphere
@@ -525,8 +473,7 @@ class _Transcription:
 
     def _step(self, X):
         """Phi(z_k, u_k) of every interval from its local variables (..., N, 9)."""
-        return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model,
-                              self.atm, self.scheme)
+        return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model, self.atm)
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
@@ -696,7 +643,6 @@ class _Transcription:
 
 
 def assemble(scn: "Scenario", grid: Grid | None = None,
-             scheme: RkScheme | None = None,
              fuel_cap: float | None = None) -> NlpProblem:
     """Build the NLP for one scenario variant.
 
@@ -706,8 +652,7 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
     """
     scn.validate()
     grid = grid or Grid(0.0, scn.tf, scn.n_intervals)
-    scheme = scheme or RkScheme.heun()
-    tr = _Transcription(scn, grid, scheme, fuel_cap)
+    tr = _Transcription(scn, grid, fuel_cap)
     lo, hi = tr.variable_bounds()
     ineq_lo, ineq_hi = tr.ineq_bounds()
     problem = NlpProblem(
@@ -732,14 +677,13 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
         ineq_sparsity=tr.ineq_sparsity(),
         lagrangian_hessian=tr.lagrangian_hessian,
     )
-    problem.meta = {"layout": tr.layout, "grid": grid, "scheme": scheme,
-                    "transcription": tr}
+    problem.meta = {"layout": tr.layout, "grid": grid, "transcription": tr}
     return problem
 
 
 def internode_violation(traj: noise.Trajectory, bounds_lower, bounds_upper,
                         model: AircraftModel, atm: Atmosphere = ISA,
-                        refine: int = 10, scheme: RkScheme | None = None) -> float:
+                        refine: int = 10) -> float:
     """Max scaled path-constraint violation between grid nodes.
 
     Each interval is re-simulated from its own node state with `refine`
@@ -754,7 +698,7 @@ def internode_violation(traj: noise.Trajectory, bounds_lower, bounds_upper,
     U = traj.controls
     worst = 0.0
     for _ in range(refine):
-        Z = rk_step_arrays(Z, U, h_sub, model, atm, scheme)
+        Z = rk_step_arrays(Z, U, h_sub, model, atm)
         rows = np.column_stack([Z[:, IGAMMA], Z[:, IV], Z[:, ICHI],
                                 U[:, IALPHA], U[:, IDELTA_X], U[:, IMU]])
         over = (rows - hi) / PATH_SCALE

@@ -17,12 +17,9 @@ from noisedescent.flight_dynamics import (
     ISA,
     AircraftModel,
     Atmosphere,
-    Control,
-    State,
     air_density,
     drag,
-    dynamics_rhs,
-    fuel_flow,
+    fuel_flow_arrays,
     lift,
     rhs_arrays,
     speed_of_sound,
@@ -61,21 +58,24 @@ def oracle_rhs(z, u, model=MODEL):
     )
 
 
-states = st.builds(
-    State,
-    V=st.floats(60.0, 250.0),
-    gamma=st.floats(-0.3, 0.3),
-    chi=st.floats(-1.0, 1.0),
-    x=st.floats(-1e5, 1e5),
-    y=st.floats(-1e5, 1e5),
-    h=st.floats(0.0, 10000.0),
+# (V, gamma, chi, x, y, h) and (alpha, delta_x, mu)
+states = st.tuples(
+    st.floats(60.0, 250.0),
+    st.floats(-0.3, 0.3),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e5, 1e5),
+    st.floats(-1e5, 1e5),
+    st.floats(0.0, 10000.0),
 )
-controls = st.builds(
-    Control,
-    alpha=st.floats(-0.1, 0.25),
-    delta_x=st.floats(0.0, 1.0),
-    mu=st.floats(-0.5, 0.5),
+controls = st.tuples(
+    st.floats(-0.1, 0.25),
+    st.floats(0.0, 1.0),
+    st.floats(-0.5, 0.5),
 )
+
+
+def rhs(z, u):
+    return np.array(rhs_arrays(*z, *u, MODEL))
 
 
 class TestAirDensity:
@@ -176,82 +176,64 @@ class TestDynamics:
             T = D / math.cos(alpha)
             alpha = (MODEL.mass * MODEL.g - T * math.sin(alpha)) / (qS * MODEL.Cz_alpha)
         delta = T / thrust(h, V, 1.0, MODEL)
-        state = State(V=V, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=h)
-        control = Control(alpha=alpha, delta_x=delta, mu=0.0)
-        out = dynamics_rhs(state, control, MODEL)
-        assert out.V_dot == pytest.approx(0.0, abs=1e-9)
-        assert out.gamma_dot == pytest.approx(0.0, abs=1e-11)
-        assert out.h_dot == 0.0
+        V_dot, gamma_dot, _, _, _, h_dot = rhs((V, 0.0, 0.0, 0.0, 0.0, h), (alpha, delta, 0.0))
+        assert V_dot == pytest.approx(0.0, abs=1e-9)
+        assert gamma_dot == pytest.approx(0.0, abs=1e-11)
+        assert h_dot == 0.0
 
     def test_level_flight_geometry(self):
-        state = State(V=120.0, gamma=0.0, chi=0.0, x=10.0, y=-5.0, h=800.0)
-        control = Control(alpha=0.05, delta_x=0.5, mu=0.0)
-        out = dynamics_rhs(state, control, MODEL)
-        assert out.x_dot == pytest.approx(120.0, rel=1e-15)
-        assert out.y_dot == 0.0
-        assert out.h_dot == 0.0
+        _, _, _, x_dot, y_dot, h_dot = rhs((120.0, 0.0, 0.0, 10.0, -5.0, 800.0),
+                                           (0.05, 0.5, 0.0))
+        assert x_dot == pytest.approx(120.0, rel=1e-15)
+        assert y_dot == 0.0
+        assert h_dot == 0.0
 
     @given(state=states, control=controls)
     @settings(max_examples=150, deadline=None)
     def test_matches_independent_formulas(self, state, control):
-        got = dynamics_rhs(state, control, MODEL).as_array()
-        want = np.array(oracle_rhs(state.as_array(), control.as_array()))
+        got = rhs(state, control)
+        want = np.array(oracle_rhs(state, control))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @given(state=states, control=controls)
     @settings(max_examples=30, deadline=None)
     def test_deterministic(self, state, control):
-        a = dynamics_rhs(state, control, MODEL).as_array()
-        b = dynamics_rhs(state, control, MODEL).as_array()
-        assert np.array_equal(a, b)
+        assert np.array_equal(rhs(state, control), rhs(state, control))
 
     @given(state=states)
     @settings(max_examples=100, deadline=None)
     def test_gliding_only_dissipates(self, state):
         # with T=0 and alpha=0: d/dt(V^2/2 + g h) = -D*V/m <= 0
-        control = Control(alpha=0.0, delta_x=0.0, mu=0.0)
-        out = dynamics_rhs(state, control, MODEL)
-        e_dot = state.V * out.V_dot + MODEL.g * out.h_dot
-        D = drag(state.h, state.V, 0.0, MODEL)
-        assert e_dot == pytest.approx(-D * state.V / MODEL.mass, rel=1e-9)
+        V, h = state[0], state[5]
+        out = rhs(state, (0.0, 0.0, 0.0))
+        e_dot = V * out[0] + MODEL.g * out[5]
+        D = drag(h, V, 0.0, MODEL)
+        assert e_dot == pytest.approx(-D * V / MODEL.mass, rel=1e-9)
         assert e_dot <= 0.0
 
     def test_singularity_guards(self):
-        state = State(V=120.0, gamma=math.pi / 2, chi=0.0, x=0.0, y=0.0, h=100.0)
-        control = Control(alpha=0.0, delta_x=0.5, mu=0.0)
         with pytest.raises(SingularStateError):
-            dynamics_rhs(state, control, MODEL)
+            rhs((120.0, math.pi / 2, 0.0, 0.0, 0.0, 100.0), (0.0, 0.5, 0.0))
         with pytest.raises(SingularStateError):
             rhs_arrays(1e-12, 0.0, 0.0, 0.0, 0.0, 100.0, 0.0, 0.5, 0.0, MODEL, ISA)
 
 
 class TestFuelFlow:
     def test_zero_throttle_zero_flow(self):
-        s = State(V=100.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=500.0)
-        assert fuel_flow(s, Control(0.0, 0.0, 0.0), MODEL) == 0.0
+        assert fuel_flow_arrays(100.0, 500.0, 0.0, MODEL) == 0.0
 
     def test_static_full_throttle(self):
-        from noisedescent.flight_dynamics import fuel_flow_arrays
         got = fuel_flow_arrays(0.0, 0.0, 1.0, MODEL)
         assert float(got) == pytest.approx(MODEL.C_SR * MODEL.T0, rel=1e-15)
 
     @given(delta=st.floats(0.0, 0.5))
     def test_doubling_throttle_doubles_flow(self, delta):
-        s = State(V=110.0, gamma=-0.02, chi=0.0, x=0.0, y=0.0, h=900.0)
-        f1 = fuel_flow(s, Control(0.02, delta, 0.0), MODEL)
-        f2 = fuel_flow(s, Control(0.02, 2.0 * delta, 0.0), MODEL)
+        f1 = fuel_flow_arrays(110.0, 900.0, delta, MODEL)
+        f2 = fuel_flow_arrays(110.0, 900.0, 2.0 * delta, MODEL)
         assert f2 == pytest.approx(2.0 * f1, rel=1e-12, abs=1e-12)
 
 
 class TestValidation:
-    def test_state_rejects_nonpositive_speed(self):
-        with pytest.raises(ValueError):
-            State(V=0.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=100.0)
-
-    def test_state_rejects_negative_height(self):
-        with pytest.raises(ValueError):
-            State(V=100.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=-1.0)
-
     def test_aircraft_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             AircraftModel(mass=-1.0)

@@ -12,27 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisedescent.errors import DomainError, NoiseTermError
-from noisedescent.flight_dynamics import ISA, AircraftModel, Control, State
+from noisedescent.flight_dynamics import ISA, AircraftModel
 from noisedescent.noise import (
     TERM_NAMES,
     EngineNoiseParams,
     Observer,
     Trajectory,
     _doppler_factor_cos,
+    _level_terms,
     breakdown_rows,
     convection_mach,
     density_exponent_w,
-    directivity_angle,
-    doppler_factor,
+    directivity_cos_arrays,
     effective_jet_speed,
     leq,
     leq_from_levels,
-    level_breakdown,
     levels_along,
     levels_arrays,
     slant_range_arrays,
-    sound_pressure_level,
-    source_observer_distance,
     total_consumption,
 )
 
@@ -40,25 +37,26 @@ PARAMS = EngineNoiseParams()
 MODEL = AircraftModel()
 
 
-def oracle_level(state: State, obs: Observer, p: EngineNoiseParams,
+def oracle_level(z, obs: Observer, p: EngineNoiseParams,
                  cos_theta: float | None = None) -> float:
-    """Independent term-by-term evaluation of the overall level."""
-    rho = 1.225 * (1.0 - 22.6e-6 * state.h) ** 4.26
+    """Independent term-by-term evaluation of the overall level at the
+    node state z = (V, gamma, chi, x, y, h)."""
+    V, gamma, chi, x, y, h = z
+    rho = 1.225 * (1.0 - 22.6e-6 * h) ** 4.26
     c = 340.29 * (rho / 1.225) ** (1.0 / 8.52)
-    R = math.sqrt((state.x - obs.x) ** 2 + (state.y - obs.y) ** 2 + state.h ** 2)
+    R = math.sqrt((x - obs.x) ** 2 + (y - obs.y) ** 2 + h ** 2)
     R = max(R, 1.0)
     if cos_theta is None:
-        ex = math.cos(state.gamma) * math.cos(state.chi)
-        ey = math.cos(state.gamma) * math.sin(state.chi)
-        ez = math.sin(state.gamma)
-        cos_theta = (ex * (obs.x - state.x) + ey * (obs.y - state.y)
-                     + ez * (-state.h)) / R
-    ve = p.v1 * (1.0 - state.V / p.v1) ** (2.0 / 3.0)
+        ex = math.cos(gamma) * math.cos(chi)
+        ey = math.cos(gamma) * math.sin(chi)
+        ez = math.sin(gamma)
+        cos_theta = (ex * (obs.x - x) + ey * (obs.y - y) + ez * (-h)) / R
+    ve = p.v1 * (1.0 - V / p.v1) ** (2.0 / 3.0)
     q = (ve / c) ** 3.5
     w = 3.0 * q / (0.6 + q) - 1.0
-    mc = 0.62 * (p.v1 - state.V) / c
+    mc = 0.62 * (p.v1 - V) / c
     cd = (1.0 + mc * cos_theta) ** 2 + 0.04 * mc ** 2
-    M = state.V / c
+    M = V / c
     return (141.0
             + 10.0 * math.log10((p.rho1 / rho) ** w)
             + 10.0 * math.log10((ve / c) ** 7.5)
@@ -74,38 +72,45 @@ def oracle_level(state: State, obs: Observer, p: EngineNoiseParams,
             - 10.0 * math.log10(1.0 - M * cos_theta))
 
 
-states = st.builds(
-    State,
-    V=st.floats(60.0, 200.0),
-    gamma=st.floats(-0.3, 0.3),
-    chi=st.floats(-1.2, 1.2),
-    x=st.floats(-8e4, 8e4),
-    y=st.floats(-2e4, 2e4),
-    h=st.floats(50.0, 10000.0),
+def level(z, obs: Observer, params: EngineNoiseParams = PARAMS) -> float:
+    """levels_arrays at the one node state z = (V, gamma, chi, x, y, h)."""
+    return float(levels_arrays(*z, obs, params))
+
+
+def resting_trajectory(z) -> Trajectory:
+    """Two nodes, both at state z: a trajectory breakdown_rows can tabulate."""
+    return Trajectory(times=[0.0, 1.0], states=[z, z], controls=np.zeros((1, 3)))
+
+
+# (V, gamma, chi, x, y, h)
+states = st.tuples(
+    st.floats(60.0, 200.0),
+    st.floats(-0.3, 0.3),
+    st.floats(-1.2, 1.2),
+    st.floats(-8e4, 8e4),
+    st.floats(-2e4, 2e4),
+    st.floats(50.0, 10000.0),
 )
 observers = st.builds(Observer, x=st.floats(-7e4, 7e4), y=st.floats(-1e4, 1e4))
 
 
 class TestDistance:
     def test_directly_below(self):
-        s = State(V=100.0, gamma=0.0, chi=0.0, x=500.0, y=-200.0, h=1000.0)
-        assert source_observer_distance(s, Observer(500.0, -200.0)) == 1000.0
+        assert slant_range_arrays(500.0, -200.0, 1000.0, Observer(500.0, -200.0)) == 1000.0
 
     def test_three_four_five(self):
-        s = State(V=100.0, gamma=0.0, chi=0.0, x=3000.0, y=4000.0, h=0.01)
-        d = source_observer_distance(s, Observer(0.0, 0.0))
+        d = slant_range_arrays(3000.0, 4000.0, 0.01, Observer(0.0, 0.0))
         assert d == pytest.approx(5000.0, rel=1e-9)
 
     def test_near_field_clamp(self):
-        s = State(V=100.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=0.25)
-        assert source_observer_distance(s, Observer(0.0, 0.0)) == 1.0
+        assert slant_range_arrays(0.0, 0.0, 0.25, Observer(0.0, 0.0)) == 1.0
 
     @given(state=states, obs=observers)
     @settings(max_examples=120, deadline=None)
     def test_matches_euclidean(self, state, obs):
-        want = math.sqrt((state.x - obs.x) ** 2 + (state.y - obs.y) ** 2 + state.h ** 2)
-        assert source_observer_distance(state, obs) == pytest.approx(
-            max(want, 1.0), rel=1e-12)
+        _, _, _, x, y, h = state
+        want = math.sqrt((x - obs.x) ** 2 + (y - obs.y) ** 2 + h ** 2)
+        assert slant_range_arrays(x, y, h, obs) == pytest.approx(max(want, 1.0), rel=1e-12)
 
 
 class TestKinematicPieces:
@@ -148,49 +153,45 @@ class TestKinematicPieces:
 
     def test_doppler_right_angle(self):
         mc = 0.4
-        assert float(doppler_factor(mc, math.pi / 2)) == pytest.approx(
+        assert float(_doppler_factor_cos(mc, math.cos(math.pi / 2))) == pytest.approx(
             1.0 + 0.04 * mc * mc, rel=1e-12)
 
     def test_doppler_zero_mach(self):
-        assert float(doppler_factor(0.0, 0.3)) == 1.0
+        assert float(_doppler_factor_cos(0.0, math.cos(0.3))) == 1.0
 
     def test_doppler_reference(self):
-        assert float(doppler_factor(0.5, 0.0)) == pytest.approx(2.26, rel=1e-14)
+        assert float(_doppler_factor_cos(0.5, 1.0)) == pytest.approx(2.26, rel=1e-14)
 
 
 class TestDirectivity:
     def test_observer_below_is_right_angle(self):
-        s = State(V=120.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=2000.0)
-        assert directivity_angle(s, Observer(0.0, 0.0), PARAMS) == pytest.approx(
-            math.pi / 2, rel=1e-12)
+        cos = directivity_cos_arrays(120.0, 0.0, 0.0, 0.0, 0.0, 2000.0, Observer(0.0, 0.0),
+                                     PARAMS)
+        assert cos == pytest.approx(0.0, abs=1e-12)
 
     def test_observer_far_ahead_is_zero(self):
-        s = State(V=120.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=10.0)
-        theta = directivity_angle(s, Observer(1e7, 0.0), PARAMS)
-        assert theta == pytest.approx(0.0, abs=1e-5)
-
-    def test_coincident_rejected(self):
-        s = State(V=120.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=1e-13)
-        with pytest.raises(DomainError):
-            directivity_angle(s, Observer(0.0, 0.0), PARAMS)
+        cos = directivity_cos_arrays(120.0, 0.0, 0.0, 0.0, 0.0, 10.0, Observer(1e7, 0.0),
+                                     PARAMS)
+        assert math.acos(min(float(cos), 1.0)) == pytest.approx(0.0, abs=1e-5)
 
     @given(state=states, obs=observers)
     @settings(max_examples=100, deadline=None)
     def test_matches_arccos_of_dot(self, state, obs):
-        got = directivity_angle(state, obs, PARAMS)
-        dx, dy, dz = obs.x - state.x, obs.y - state.y, -state.h
+        V, gamma, chi, x, y, h = state
+        got = math.acos(np.clip(directivity_cos_arrays(*state, obs, PARAMS), -1.0, 1.0))
+        dx, dy, dz = obs.x - x, obs.y - y, -h
         r = math.sqrt(dx * dx + dy * dy + dz * dz)
-        e = (math.cos(state.gamma) * math.cos(state.chi) * dx
-             + math.cos(state.gamma) * math.sin(state.chi) * dy
-             + math.sin(state.gamma) * dz) / r
+        e = (math.cos(gamma) * math.cos(chi) * dx
+             + math.cos(gamma) * math.sin(chi) * dy
+             + math.sin(gamma) * dz) / r
         assert got == pytest.approx(math.acos(max(-1.0, min(1.0, e))), abs=1e-9)
 
 
 class TestLevel:
     def test_sea_level_altitude_term_vanishes(self):
-        s = State(V=100.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=0.0)
-        terms = level_breakdown(s, Observer(10000.0, 0.0), PARAMS)
-        assert terms.altitude == pytest.approx(0.0, abs=1e-12)
+        header, rows = breakdown_rows(resting_trajectory((100.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+                                      Observer(10000.0, 0.0), PARAMS)
+        assert rows[0, header.index("altitude")] == pytest.approx(0.0, abs=1e-12)
 
     def test_doubling_distance_costs_six_db(self):
         from noisedescent.noise import _primitive_terms
@@ -214,48 +215,45 @@ class TestLevel:
         assert np.all(np.diff(totals) < 0)
 
     def test_pinned_reference_evaluation(self):
-        state = State(V=120.0, gamma=-0.05, chi=0.05, x=30000.0, y=2500.0, h=2000.0)
+        z = (120.0, -0.05, 0.05, 30000.0, 2500.0, 2000.0)
         obs = Observer(0.0, 0.0)
-        got = sound_pressure_level(state, obs, PARAMS)
-        assert got == pytest.approx(oracle_level(state, obs, PARAMS), abs=1e-10)
+        assert level(z, obs) == pytest.approx(oracle_level(z, obs, PARAMS), abs=1e-10)
 
     @given(state=states, obs=observers)
     @settings(max_examples=250, deadline=None)
     def test_matches_oracle_on_random_inputs(self, state, obs):
-        got = sound_pressure_level(state, obs, PARAMS)
-        assert got == pytest.approx(oracle_level(state, obs, PARAMS), abs=1e-9)
+        assert level(state, obs) == pytest.approx(oracle_level(state, obs, PARAMS), abs=1e-9)
 
     @given(state=states, obs=observers)
     @settings(max_examples=200, deadline=None)
     def test_term_sum_equals_total(self, state, obs):
-        terms = level_breakdown(state, obs, PARAMS)
-        total = sound_pressure_level(state, obs, PARAMS)
-        assert terms.total == pytest.approx(total, abs=1e-10)
+        traj = resting_trajectory(state)
+        header, rows = breakdown_rows(traj, obs, PARAMS)
+        assert header[1:-1] == TERM_NAMES
+        assert rows[0, 1:-1].sum() == pytest.approx(rows[0, -1], abs=1e-10)
+        assert np.array_equal(rows[:, -1], levels_along(traj, obs, PARAMS))
 
     def test_track_axis_mode_ignores_attitude(self):
         params = EngineNoiseParams(directivity_mode="track_axis",
                                    track_axis=(60000.0, 5000.0))
         obs = Observer(20000.0, 0.0)
-        base = State(V=130.0, gamma=-0.04, chi=0.06, x=25000.0, y=2000.0, h=1800.0)
-        ref = sound_pressure_level(base, obs, params)
+        ref = level((130.0, -0.04, 0.06, 25000.0, 2000.0, 1800.0), obs, params)
         for gamma, chi in ((0.1, -0.3), (-0.12, 0.5), (0.0, 0.0)):
-            s = State(V=130.0, gamma=gamma, chi=chi, x=25000.0, y=2000.0, h=1800.0)
-            assert sound_pressure_level(s, obs, params) == pytest.approx(ref, rel=1e-14)
+            z = (130.0, gamma, chi, 25000.0, 2000.0, 1800.0)
+            assert level(z, obs, params) == pytest.approx(ref, rel=1e-14)
 
     def test_velocity_mode_depends_on_attitude(self):
         obs = Observer(20000.0, 0.0)
-        a = State(V=130.0, gamma=-0.04, chi=0.06, x=25000.0, y=2000.0, h=1800.0)
-        b = State(V=130.0, gamma=0.1, chi=-0.4, x=25000.0, y=2000.0, h=1800.0)
-        assert sound_pressure_level(a, obs, PARAMS) != pytest.approx(
-            sound_pressure_level(b, obs, PARAMS), abs=1e-6)
+        a = (130.0, -0.04, 0.06, 25000.0, 2000.0, 1800.0)
+        b = (130.0, 0.1, -0.4, 25000.0, 2000.0, 1800.0)
+        assert level(a, obs) != pytest.approx(level(b, obs), abs=1e-6)
 
     def test_motion_term_domain_error_names_term(self):
         # supersonic convection toward the observer is rejected by the
         # motion term before anything else degenerates
         fast = EngineNoiseParams(v1=2000.0, v2=250.0)
-        s = State(V=500.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=10.0)
         with pytest.raises(NoiseTermError) as err:
-            sound_pressure_level(s, Observer(1e6, 0.0), fast)
+            level((500.0, 0.0, 0.0, 0.0, 0.0, 10.0), Observer(1e6, 0.0), fast)
         assert err.value.term == "motion"
 
     def test_batched_domain_error_names_the_node(self):
@@ -273,9 +271,9 @@ class TestLevel:
 
     def test_temp_coefficient_switch(self):
         p10 = EngineNoiseParams(temp_term_coeff=10.0)
-        s = State(V=120.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=1000.0)
+        z = (120.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
         obs = Observer(5000.0, 0.0)
-        delta = sound_pressure_level(s, obs, p10) - sound_pressure_level(s, obs, PARAMS)
+        delta = level(z, obs, p10) - level(z, obs)
         assert delta == pytest.approx(9.0 * math.log10(PARAMS.tau1 / PARAMS.tau2),
                                       rel=1e-12)
 
@@ -284,12 +282,11 @@ class TestLevel:
             absorption_hook=lambda R, h: -0.001 * R / 1000.0,
             ground_hook=lambda R, h: np.full_like(np.asarray(R, dtype=float), 1.5),
         )
-        s = State(V=120.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=1000.0)
+        z = (120.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
         obs = Observer(3000.0, 0.0)
-        base = sound_pressure_level(s, obs, PARAMS)
-        got = sound_pressure_level(s, obs, hooked)
-        R = source_observer_distance(s, obs)
-        assert got == pytest.approx(base - 0.001 * R / 1000.0 + 1.5, rel=1e-12)
+        R = float(slant_range_arrays(0.0, 0.0, 1000.0, obs))
+        assert level(z, obs, hooked) == pytest.approx(level(z, obs) - 0.001 * R / 1000.0 + 1.5,
+                                                      rel=1e-12)
 
 
 def circular_trajectory(n=64, radius=8000.0, height=1500.0, V=120.0):
@@ -416,7 +413,12 @@ class TestTrajectoryType:
         header, rows = breakdown_rows(traj, obs, PARAMS)
         assert header[0] == "t" and header[-1] == "total"
         totals = np.array([r[-1] for r in rows])
-        assert np.allclose(totals, levels_along(traj, obs, PARAMS), atol=1e-10)
+        assert np.array_equal(totals, levels_along(traj, obs, PARAMS))
+        # node by node on scalars the log10 and powers may round differently
+        for k, row in enumerate(rows):
+            terms = _level_terms(*traj.states[k], obs, PARAMS, ISA)
+            assert row[1:-1] == pytest.approx([float(terms[n]) for n in TERM_NAMES],
+                                              rel=0.0, abs=1e-12)
 
 
 class TestParamsValidation:

@@ -34,10 +34,20 @@ def test_reference_variant_is_certified(variant):
     assert opt <= opts.optimality_tol
 
 
+def column(path, name):
+    """One column of a CSV file, as the strings written."""
+    header, *rows = path.read_text().splitlines()
+    j = header.split(",").index(name)
+    return [row.split(",")[j] for row in rows]
+
+
 def test_solve_writes_byte_identical_trajectory(tmp_path):
     scn = reference_scenario("noise")
     for run in ("first", "second"):
-        cli.run_solve(scn, SolverOptions(), tmp_path / run)
+        cli.run_solve(scn, SolverOptions(), tmp_path / run, terms_csv=True)
     first = (tmp_path / "first" / "trajectory.csv").read_bytes()
     assert first
     assert first == (tmp_path / "second" / "trajectory.csv").read_bytes()
+    # the term table's total is the level the trajectory reports
+    totals = column(tmp_path / "first" / "noise_terms_obs0.csv", "total")
+    assert totals == column(tmp_path / "first" / "trajectory.csv", "L_P_obs0")

@@ -1,4 +1,4 @@
-"""Grid, Runge-Kutta stepping, packing, and NLP assembly checks.
+"""Grid, Heun stepping, packing, and NLP assembly checks.
 
 Derivative checks difference the callbacks centrally; defect checks pit
 the assembled constraints against plain forward simulation.
@@ -13,21 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from noisedescent.flight_dynamics import IH, IX, IY, ISA, AircraftModel
+from noisedescent.flight_dynamics import IH, IX, IY, AircraftModel
 from noisedescent.noise import Observer
-from noisedescent.scenarios import VARIANTS, Scenario, default_scenario, initial_guess
+from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
 from noisedescent.transcription import (
     _INTERVAL_SCALE,
     _STEP_NONLINEAR,
     Grid,
-    RkScheme,
     VectorLayout,
     assemble,
     heun_step,
     internode_violation,
-    rk_step,
     simulate,
     trajectory_from_vector,
     _cs_hessian_blocks,
@@ -68,12 +65,6 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 10.0, 1)
 
-    def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            RkScheme(a=np.array([[0.5]]), b=np.array([1.0]))  # not explicit
-        with pytest.raises(ValueError):
-            RkScheme(a=np.zeros((1, 1)), b=np.array([0.7]))  # weights
-
 
 class TestHeunStep:
     def test_scalar_decay_reference(self):
@@ -84,10 +75,6 @@ class TestHeunStep:
     def test_constant_rhs_is_exact(self):
         got = heun_step(2.0, None, 0.25, lambda z, u: 3.0)
         assert got == pytest.approx(2.75, rel=1e-15)
-
-    def test_euler_scheme_downgrade(self):
-        got = rk_step(1.0, None, 0.1, lambda z, u: -z, RkScheme.euler())
-        assert got == pytest.approx(0.9, rel=1e-15)
 
     @pytest.mark.parametrize("h,steps", [(0.2, 5), (0.1, 10), (0.05, 20)])
     def test_order_two_on_linear_decay(self, h, steps):
@@ -314,8 +301,8 @@ class TestDerivatives:
         w = random_feasible_point(prob, initial_guess(scn), rng)
         eqm = rng.normal(size=prob.n_eq) * 0.3
         inm = rng.normal(size=prob.n_ineq) * 0.1
-        n_path = 6 * (scn.n_intervals + 1)
-        inm[n_path:] = rng.uniform(0.2, 0.4, prob.n_ineq - n_path)
+        tr = prob.meta["transcription"]
+        inm[tr.n_path:] = rng.uniform(0.2, 0.4, tr.n_extra)
 
         def lag_grad(w_, eq_mult):
             return (prob.objective_gradient(w_)
@@ -340,8 +327,8 @@ class TestDerivatives:
         rng = np.random.default_rng(6)
         w = random_feasible_point(prob, initial_guess(scn), rng)
         inm = np.zeros(prob.n_ineq)
-        n_path = 6 * (scn.n_intervals + 1)
-        inm[n_path:] = rng.uniform(0.2, 0.4, prob.n_ineq - n_path)
+        tr = prob.meta["transcription"]
+        inm[tr.n_path:] = rng.uniform(0.2, 0.4, tr.n_extra)
         Hc = prob.lagrangian_hessian(w, 1.0, np.zeros(prob.n_eq), inm, convexify=True)
         s = prob.x_scale
         evals = np.linalg.eigvalsh(Hc * np.outer(s, s))
@@ -391,8 +378,8 @@ class TestMemo:
         w2 = random_feasible_point(prob, w0, rng)
         eqm = rng.normal(size=prob.n_eq) * 0.3
         inm = np.zeros(prob.n_ineq)
-        n_path = 6 * (scn.n_intervals + 1)
-        inm[n_path:] = rng.uniform(0.2, 0.4, prob.n_ineq - n_path)
+        tr = prob.meta["transcription"]
+        inm[tr.n_path:] = rng.uniform(0.2, 0.4, tr.n_extra)
 
         def fresh(w):
             return self.outputs(variant_problem(variant)[1], w, eqm, inm)
