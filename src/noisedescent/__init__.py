@@ -6,7 +6,8 @@ Library layout:
 - noise: jet source level, corrections, equivalent level, consumption
 - transcription: grid, Heun defects, packed NLP callbacks
 - nlp_solver: augmented-Lagrangian solver and KKT residuals
-- scenarios: problem variants, initial guess, solve orchestration
+- scenarios: problem variants, initial guess, and `solve_variant`, the
+  one solve driver
 - config / cli: config-file ingestion and run tooling
 
 The model is evaluated on arrays only: states and controls are numpy
@@ -37,12 +38,8 @@ from .scenarios import (
     PathBounds,
     Scenario,
     VariantResult,
-    build_fuel_capped_ocp,
-    build_minimax_ocp,
-    build_noise_ocp,
     default_scenario,
     initial_guess,
-    solve_fuel_reference,
     solve_variant,
 )
 from .transcription import (

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import noise
-from .config import parse_config
-from .errors import ConfigError, ScenarioError
+from .config import _parse_pairs, parse_config
+from .errors import ConfigError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
 from .nlp_solver import SolveReport, SolverOptions
@@ -28,7 +28,6 @@ from .scenarios import (
     Scenario,
     VariantResult,
     default_scenario,
-    solve_fuel_reference,
     solve_variant,
 )
 from .transcription import Grid, simulate
@@ -140,33 +139,38 @@ def write_run_outputs(out_dir: Path, result: VariantResult, scn: Scenario,
 
 
 def _load(args) -> tuple[Scenario, SolverOptions]:
+    """Scenario and solver options from the config file and the flags.
+
+    Raises ValueError (ConfigError and ScenarioError included) for any
+    rejected input, before anything is written.
+    """
     if args.config:
         scn, opts = parse_config(args.config)
     else:
         scn, opts = default_scenario(), SolverOptions()
     overrides = {}
-    if getattr(args, "variant", None):
+    if args.variant is not None:
         overrides["variant"] = args.variant
-    if getattr(args, "observers", None):
-        pairs = []
-        for chunk in args.observers.split(";"):
-            x, y = chunk.split(",")
-            pairs.append(Observer(float(x), float(y)))
-        overrides["observers"] = tuple(pairs)
-    if getattr(args, "N", None):
+    if args.observers is not None:
+        overrides["observers"] = tuple(
+            Observer(x, y) for x, y in _parse_pairs(args.observers, "--observers", None))
+    if args.N is not None:
         overrides["n_intervals"] = args.N
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     if overrides:
         scn = dataclasses.replace(scn, **overrides)
     solver_overrides = {}
-    if getattr(args, "tol_feas", None):
+    if args.tol_feas is not None:
         solver_overrides["feasibility_tol"] = args.tol_feas
-    if getattr(args, "tol_opt", None):
+    if args.tol_opt is not None:
         solver_overrides["optimality_tol"] = args.tol_opt
     if solver_overrides:
         opts = dataclasses.replace(opts, **solver_overrides)
     scn.validate()
+    controls = getattr(args, "controls", None)
+    if controls is not None and not controls.is_file():
+        raise ConfigError(f"controls file {str(controls)!r} not found")
     return scn, opts
 
 
@@ -198,9 +202,9 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     fuel-minimal reference trajectory."""
     out_dir.mkdir(parents=True, exist_ok=True)
     positions = observers or SWEEP_OBSERVERS
-    fuel = solve_fuel_reference(scn, opts)
-    write_run_outputs(out_dir / "fuel_reference", fuel,
-                      dataclasses.replace(scn, variant="fuel"))
+    fuel_scn = dataclasses.replace(scn, variant="fuel")
+    fuel = solve_variant(fuel_scn, opts)
+    write_run_outputs(out_dir / "fuel_reference", fuel, fuel_scn)
 
     payloads = []
     for i, (x, y) in enumerate(positions):
@@ -243,8 +247,9 @@ def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
     """Noise-optimal vs fuel-optimal at the scenario's first observer."""
     out_dir.mkdir(parents=True, exist_ok=True)
     noise_scn = dataclasses.replace(scn, variant="noise")
+    fuel_scn = dataclasses.replace(scn, variant="fuel")
     noise_res = solve_variant(noise_scn, opts)
-    fuel_res = solve_fuel_reference(scn, opts)
+    fuel_res = solve_variant(fuel_scn, opts)
     obs = scn.observers[0]
     j = noise_res.leq_by_observer[0]
     j1 = noise.leq(fuel_res.trajectory, obs, scn.engine, scn.atmosphere)
@@ -259,8 +264,7 @@ def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
     }
     write_run_outputs(out_dir / "noise_optimal", noise_res, noise_scn,
                       extra={"comparison": comparison})
-    write_run_outputs(out_dir / "fuel_reference", fuel_res,
-                      dataclasses.replace(scn, variant="fuel"))
+    write_run_outputs(out_dir / "fuel_reference", fuel_res, fuel_scn)
     _atomic_write(out_dir / "compare.json", json.dumps(comparison, indent=2) + "\n")
     return comparison
 
@@ -340,7 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scn, opts = _load(args)
-    except (ConfigError, ScenarioError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,6 +205,24 @@ def _complementarity(lam: np.ndarray, c_hat: np.ndarray,
     return float(np.max(comp, initial=0.0))
 
 
+def _first_order_error(p: NlpProblem, rows: _Rows, w: np.ndarray, y: np.ndarray,
+                       lam: np.ndarray, c_hat: np.ndarray) -> float:
+    """Projected-gradient stationarity plus inequality complementarity.
+
+    `y` is the scaled iterate w / x_scale as the caller holds it: passing
+    it, rather than recomputing it from w, keeps its exact bits.
+    """
+    s = p.x_scale
+    g = p.objective_gradient(w) / p.f_scale
+    if rows.m:
+        g = g + rows.jacobian(w).T @ lam
+    projected = y - np.clip(y - g * s, p.lower / s, p.upper / s)
+    stationarity = float(np.max(np.abs(projected), initial=0.0))
+    comp = _complementarity(lam[p.n_eq:], c_hat[p.n_eq:],
+                            rows.lo[p.n_eq:], rows.hi[p.n_eq:])
+    return stationarity + comp
+
+
 def kkt_residuals(problem: NlpProblem, w: np.ndarray,
                   eq_multipliers: np.ndarray | None = None,
                   ineq_multipliers: np.ndarray | None = None) -> tuple[float, float]:
@@ -229,23 +247,12 @@ def kkt_residuals(problem: NlpProblem, w: np.ndarray,
 
     c_hat = rows.values(w)
     s = p.x_scale
-    y = w / s
     bound_viol = max(
         float(np.max(np.maximum(p.lower - w, 0.0) / s, initial=0.0)),
         float(np.max(np.maximum(w - p.upper, 0.0) / s, initial=0.0)),
     )
     feasibility = max(rows.violation(c_hat), bound_viol)
-
-    g = p.objective_gradient(w) / p.f_scale
-    if rows.m:
-        g = g + rows.jacobian(w).T @ lam
-    g_scaled = g * s
-    y_lo, y_hi = p.lower / s, p.upper / s
-    projected = y - np.clip(y - g_scaled, y_lo, y_hi)
-    stationarity = float(np.max(np.abs(projected), initial=0.0))
-    comp = _complementarity(lam[p.n_eq:], c_hat[p.n_eq:],
-                            rows.lo[p.n_eq:], rows.hi[p.n_eq:])
-    return feasibility, stationarity + comp
+    return feasibility, _first_order_error(p, rows, w, w / s, lam, c_hat)
 
 
 class _Merit:
@@ -680,15 +687,24 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         c = rows.values(w)
         d = c - np.clip(c + lam / rho, rows.lo, rows.hi)
         lam_trial = np.clip(lam + rho * d, -_MULTIPLIER_CAP, _MULTIPLIER_CAP)
-        feas = rows.violation(c)
-        g = p.objective_gradient(w) / p.f_scale
-        if rows.m:
-            g = g + rows.jacobian(w).T @ lam_trial
-        projected = y_vec - np.clip(y_vec - g * s, y_lo, y_hi)
-        stat = float(np.max(np.abs(projected), initial=0.0))
-        comp = _complementarity(lam_trial[p.n_eq:], c[p.n_eq:],
-                                rows.lo[p.n_eq:], rows.hi[p.n_eq:])
-        return feas, stat + comp, lam_trial, float(p.objective(w))
+        return (rows.violation(c), _first_order_error(p, rows, w, y_vec, lam_trial, c),
+                lam_trial, float(p.objective(w)))
+
+    def certify(y_at, lam_at, outer, y_prev, tag) -> bool:
+        """Newton polish from (y_at, lam_at); on success the polished point,
+        logged against y_prev (None logs a zero step), becomes the optimum."""
+        nonlocal y, lam, feas, opt, f_val, status
+        polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y_at, lam_at)
+        if polished is None:
+            return False
+        y, lam, feas, opt = polished
+        f_val = float(p.objective(y * s))
+        step = 0.0 if y_prev is None else float(np.max(np.abs(y - y_prev), initial=0.0))
+        log.append(IterationRecord(outer, f_val, feas, opt, rho, 0, step))
+        if opts.verbose:
+            print(log[-1].format() + f" [{tag}]")
+        status = "optimal"
+        return True
 
     status = "iteration-limit"
     message = ""
@@ -707,14 +723,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         if warm_eq_multipliers is not None or warm_ineq_multipliers is not None:
             # a warm-started solve is usually already inside the Newton
             # basin: try to certify before any penalty iterations
-            polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y, lam.copy())
-            if polished is not None:
-                y, lam, feas, opt = polished
-                f_val = float(p.objective(y * s))
-                log.append(IterationRecord(0, f_val, feas, opt, rho, 0, 0.0))
-                if opts.verbose:
-                    print(log[-1].format() + " [warm polish]")
-                status = "optimal"
+            if certify(y, lam.copy(), 0, None, "warm polish"):
                 max_outer = 0
 
         for outer in range(1, max_outer + 1):
@@ -754,16 +763,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
                 or outer % 3 == 0)
             if attempt:
                 last_polish_feas = feas
-                polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y, lam_trial)
-                if polished is not None:
-                    y, lam, feas, opt = polished
-                    f_val = float(p.objective(y * s))
-                    log.append(IterationRecord(outer, f_val, feas, opt, rho, 0,
-                                               float(np.max(np.abs(y - y_prev),
-                                                            initial=0.0))))
-                    if opts.verbose:
-                        print(log[-1].format() + " [polish]")
-                    status = "optimal"
+                if certify(y, lam_trial, outer, y_prev, "polish"):
                     break
 
             feas_history.append(feas)

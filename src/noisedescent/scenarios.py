@@ -1,6 +1,10 @@
 """Problem variants of the descent: noise-minimal, fuel-minimal,
 fuel-capped noise, and multi-observer minimax, plus initial-guess
 generation and solve orchestration.
+
+`solve_variant` is the one driver: it assembles the scenario's variant
+(the fuel-capped one after solving the fuel variant for its cap) and
+solves it through the grid-continuation ladder.
 """
 
 from __future__ import annotations
@@ -191,22 +195,6 @@ def initial_guess(scn: Scenario, grid: Grid | None = None) -> np.ndarray:
     return layout.pack(Z, U)
 
 
-def build_noise_ocp(scn: Scenario) -> NlpProblem:
-    """Single-observer noise-minimal NLP (observer 0 is the receiver)."""
-    return assemble(dataclasses.replace(scn, variant="noise"))
-
-
-def build_fuel_capped_ocp(scn: Scenario, tr1: Trajectory) -> NlpProblem:
-    """Noise objective plus the scalar consumption cap relative to tr1."""
-    cap = scn.fuel_cap_factor * noise.total_consumption(tr1, scn.aircraft, scn.atmosphere)
-    return assemble(dataclasses.replace(scn, variant="noise_fuel_capped"), fuel_cap=cap)
-
-
-def build_minimax_ocp(scn: Scenario) -> NlpProblem:
-    """Epigraph formulation: minimize theta subject to theta >= each observer level."""
-    return assemble(dataclasses.replace(scn, variant="minimax"))
-
-
 def _perturbed(w0: np.ndarray, problem: NlpProblem, rng: np.random.Generator) -> np.ndarray:
     span = 0.05 * problem.x_scale
     w = w0 + rng.uniform(-1.0, 1.0, size=w0.shape) * span
@@ -274,94 +262,73 @@ def _refine_multipliers(report: SolveReport, coarse_tr: transcription._Transcrip
     return eq_f, in_f
 
 
-def _solve_problem(scn: Scenario, problem: NlpProblem,
-                   opts: SolverOptions) -> tuple[np.ndarray, SolveReport]:
+def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray, SolveReport]:
     """Deterministic solve driver: grid continuation plus optional
-    perturbed multi-start; the best feasible result wins."""
+    perturbed multi-start; the best feasible result wins.
+
+    The first start climbs the ladder: each coarse rung is assembled and
+    solved with relaxed tolerances, and its solution and multipliers,
+    refined, warm-start the next rung; the last rung is `problem`.
+    Further starts solve `problem` from perturbed initial guesses.
+    """
     tr = problem.meta["transcription"]
-    variant_scn = dataclasses.replace(scn, variant=tr.scn.variant)
-    grid: Grid = problem.meta["grid"]
-
-    ladder = _continuation_grids(grid.n_intervals)
-    coarse_tols = dict(
+    scn = tr.scn
+    coarse_opts = dataclasses.replace(
+        opts, verbose=False,
         feasibility_tol=max(opts.feasibility_tol, _CONTINUATION_TOL),
-        optimality_tol=max(opts.optimality_tol, _CONTINUATION_TOL),
-    )
-
-    def run_ladder(seed_vec: np.ndarray | None):
-        """Solve the coarse levels, returning (start vector, warm multipliers,
-        warm penalty) for the final grid."""
-        w_level = seed_vec
-        report = None
-        prev_tr = None
-        for n_level in ladder[:-1]:
-            scn_level = dataclasses.replace(variant_scn, n_intervals=n_level)
-            prob_level = assemble(scn_level, fuel_cap=tr.fuel_cap)
-            level_tr = prob_level.meta["transcription"]
-            if w_level is None:
-                w_start = initial_guess(scn_level, level_tr.grid)
-                warm = (None, None)
-                rho0 = opts.initial_penalty
-            else:
-                w_start = np.clip(_refine_vector(w_level, prev_tr, level_tr),
-                                  prob_level.lower, prob_level.upper)
-                warm = _refine_multipliers(report, prev_tr, level_tr)
-                # moderate restart penalty: the refined start carries only
-                # interpolation defects
-                rho0 = float(np.clip(report.iteration_log[-1].penalty,
-                                     opts.initial_penalty, 1e3))
-            level_opts = dataclasses.replace(opts, verbose=False,
-                                             initial_penalty=rho0, **coarse_tols)
-            w_level, report = solve(prob_level, w_start, level_opts,
-                                    warm_eq_multipliers=warm[0],
-                                    warm_ineq_multipliers=warm[1])
-            prev_tr = level_tr
-        if w_level is None:
-            return initial_guess(variant_scn, grid), (None, None), opts.initial_penalty
-        w = np.clip(_refine_vector(w_level, prev_tr, tr), problem.lower, problem.upper)
-        warm = _refine_multipliers(report, prev_tr, tr)
-        rho0 = float(np.clip(report.iteration_log[-1].penalty,
-                             opts.initial_penalty, 1e3))
-        return w, warm, rho0
-
-    best = None
-    rng = np.random.default_rng(scn.seed)
-    w0_full = initial_guess(variant_scn, grid)
-    for start in range(scn.n_starts):
-        seed_vec = None if start == 0 else _perturbed(w0_full, problem, rng)
-        if len(ladder) > 1 and seed_vec is None:
-            w_start, warm, rho0 = run_ladder(None)
-            final_opts = dataclasses.replace(opts, initial_penalty=rho0)
+        optimality_tol=max(opts.optimality_tol, _CONTINUATION_TOL))
+    w = report = prev_tr = None
+    ladder = _continuation_grids(tr.grid.n_intervals)
+    for n_level in ladder:
+        if n_level == ladder[-1]:
+            prob, level_opts = problem, opts
         else:
-            w_start = w0_full if seed_vec is None else seed_vec
+            prob = assemble(dataclasses.replace(scn, n_intervals=n_level),
+                            fuel_cap=tr.fuel_cap)
+            level_opts = coarse_opts
+        level_tr = prob.meta["transcription"]
+        if prev_tr is None:
+            w_start = initial_guess(level_tr.scn, level_tr.grid)
             warm = (None, None)
-            final_opts = opts
-        w, report = solve(problem, w_start, final_opts,
-                          warm_eq_multipliers=warm[0],
-                          warm_ineq_multipliers=warm[1])
-        key = (report.status != "optimal",
-               max(report.feasibility_error - opts.feasibility_tol, 0.0),
-               report.objective)
-        if best is None or key < best[0]:
-            best = (key, w, report)
-        if report.status == "optimal" and scn.n_starts == 1:
-            break
-    return best[1], best[2]
+            rho0 = opts.initial_penalty
+        else:
+            w_start = np.clip(_refine_vector(w, prev_tr, level_tr), prob.lower, prob.upper)
+            warm = _refine_multipliers(report, prev_tr, level_tr)
+            # moderate restart penalty: the refined start carries only
+            # interpolation defects
+            rho0 = float(np.clip(report.iteration_log[-1].penalty,
+                                 opts.initial_penalty, 1e3))
+        w, report = solve(prob, w_start, dataclasses.replace(level_opts, initial_penalty=rho0),
+                          warm_eq_multipliers=warm[0], warm_ineq_multipliers=warm[1])
+        prev_tr = level_tr
+
+    def key(rep):
+        return (rep.status != "optimal",
+                max(rep.feasibility_error - opts.feasibility_tol, 0.0), rep.objective)
+
+    best = (w, report)
+    rng = np.random.default_rng(scn.seed)
+    w0 = initial_guess(scn, tr.grid) if scn.n_starts > 1 else None
+    for _ in range(1, scn.n_starts):
+        w, report = solve(problem, _perturbed(w0, problem, rng), opts)
+        if key(report) < key(best[1]):
+            best = (w, report)
+    return best
 
 
-def _result_from_solution(scn: Scenario, problem: NlpProblem, w: np.ndarray,
+def _result_from_solution(problem: NlpProblem, w: np.ndarray,
                           report: SolveReport) -> VariantResult:
-    layout: VectorLayout = problem.meta["layout"]
-    grid: Grid = problem.meta["grid"]
-    traj = transcription.trajectory_from_vector(w, layout, grid)
+    tr = problem.meta["transcription"]
+    scn = tr.scn
+    traj = transcription.trajectory_from_vector(w, tr.layout, tr.grid)
     levels = tuple(noise.leq(traj, obs, scn.engine, scn.atmosphere)
                    for obs in scn.observers)
     consumption = noise.total_consumption(traj, scn.aircraft, scn.atmosphere)
-    theta = layout.unpack(w)[2] if layout.has_epigraph else None
+    theta = tr.layout.unpack(w)[2] if tr.layout.has_epigraph else None
     violation = transcription.internode_violation(
         traj, scn.bounds.lower, scn.bounds.upper, scn.aircraft, scn.atmosphere)
     return VariantResult(
-        variant=problem.meta["transcription"].scn.variant,
+        variant=scn.variant,
         trajectory=traj,
         report=report,
         w=w,
@@ -372,40 +339,18 @@ def _result_from_solution(scn: Scenario, problem: NlpProblem, w: np.ndarray,
     )
 
 
-def solve_fuel_reference(scn: Scenario,
-                         opts: SolverOptions | None = None) -> VariantResult:
-    """Fuel-minimal trajectory under the same boundary data and bounds.
-
-    The per-observer levels of this trajectory are the comparison
-    baseline for every noise variant.
-    """
-    opts = opts or SolverOptions()
-    fuel_scn = dataclasses.replace(scn, variant="fuel")
-    problem = assemble(fuel_scn)
-    w, report = _solve_problem(fuel_scn, problem, opts)
-    return _result_from_solution(scn, problem, w, report)
-
-
-def solve_variant(scn: Scenario, opts: SolverOptions | None = None,
-                  fuel_reference: VariantResult | None = None) -> VariantResult:
+def solve_variant(scn: Scenario, opts: SolverOptions | None = None) -> VariantResult:
     """Solve the scenario's selected variant end to end.
 
-    The fuel-capped variant needs the fuel-minimal trajectory; it is
-    computed on demand when not supplied.
+    The fuel-capped variant first solves the fuel variant of the same
+    scenario; its cap is `fuel_cap_factor` times that consumption.
     """
     opts = opts or SolverOptions()
     scn.validate()
-    if scn.variant == "fuel":
-        return solve_fuel_reference(scn, opts)
-    if scn.variant == "noise":
-        problem = build_noise_ocp(scn)
-    elif scn.variant == "minimax":
-        problem = build_minimax_ocp(scn)
-    elif scn.variant == "noise_fuel_capped":
-        if fuel_reference is None:
-            fuel_reference = solve_fuel_reference(scn, opts)
-        problem = build_fuel_capped_ocp(scn, fuel_reference.trajectory)
-    else:
-        raise ScenarioError(f"unknown variant {scn.variant!r}")
-    w, report = _solve_problem(scn, problem, opts)
-    return _result_from_solution(scn, problem, w, report)
+    cap = None
+    if scn.variant == "noise_fuel_capped":
+        fuel = solve_variant(dataclasses.replace(scn, variant="fuel"), opts)
+        cap = scn.fuel_cap_factor * fuel.consumption_kg
+    problem = assemble(scn, fuel_cap=cap)
+    w, report = _solve_problem(problem, opts)
+    return _result_from_solution(problem, w, report)

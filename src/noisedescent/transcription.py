@@ -35,6 +35,11 @@ The variant decides only which terms enter the problem: a table in
 observer, the consumption, or the epigraph variable theta) and the extra
 inequality rows with their upper bounds (the fuel cap, or
 Leq_i - theta <= 0 per observer).
+
+The path rows select decision variables: `path_idx`, one row of six
+indices per node in the order (gamma, V, chi, alpha, delta_x, mu), gives
+their values (`w[path_idx]`), their 0/1 Jacobian and the variable box
+that mirrors the same bounds.  The last node reuses control N-1.
 """
 
 from __future__ import annotations
@@ -61,8 +66,11 @@ _FD = 1e-5    # relative step for Hessian blocks (central FD over exact gradient
 # Characteristic magnitudes used for variable and constraint-row scaling.
 STATE_SCALE = np.array([100.0, 1.0, 1.0, 1.0e4, 1.0e4, 1.0e3])
 CONTROL_SCALE = np.array([1.0, 1.0, 1.0])
-# Path-constraint component order (gamma, V, chi, alpha, delta_x, mu).
+# Path-constraint component order (gamma, V, chi, alpha, delta_x, mu):
+# three node states, then three controls.
 PATH_SCALE = np.array([1.0, 100.0, 1.0, 1.0, 1.0, 1.0])
+_PATH_STATES = [IGAMMA, IV, ICHI]
+_PATH_CONTROLS = [IALPHA, IDELTA_X, IMU]
 
 _H_CEILING = 15000.0  # generic altitude box for the decision variables, m
 
@@ -158,9 +166,6 @@ class VectorLayout:
 
     def state_index(self, k: int, comp: int) -> int:
         return 6 * k + comp
-
-    def control_index(self, k: int, comp: int) -> int:
-        return self.n_state_vars + 3 * k + comp
 
     @property
     def epigraph_index(self) -> int:
@@ -428,6 +433,9 @@ class _Transcription:
         self.interval_idx = np.hstack([self.node_idx[:-1], ctrl_idx])
         self.flow_idx = np.column_stack([self.node_idx[:, IV], self.node_idx[:, IH],
                                          _node_controls(ctrl_idx)[:, IDELTA_X]])
+        # the variables each node's path row constrains
+        self.path_idx = np.hstack([self.node_idx[:, _PATH_STATES],
+                                   _node_controls(ctrl_idx)[:, _PATH_CONTROLS]])
 
         obs = scn.observers
         fuel_scale = 0.1 * self.model.C_SR * self.model.T0 * grid.duration
@@ -453,10 +461,9 @@ class _Transcription:
         self.layout = VectorLayout(n, has_epigraph=any(t.theta_coef for t in terms))
 
         self.n_eq = 6 * n + 7
-        self.n_path = 6 * (n + 1)
+        self.n_path = self.path_idx.size
         self.n_extra = len(self.extra_rows)
         self.n_ineq = self.n_path + self.n_extra
-        self._path_jac = self._build_path_jacobian()
 
     def _value(self, term: _Term, Z, U, theta) -> float:
         value = term.value(Z, U)
@@ -518,35 +525,15 @@ class _Transcription:
 
     # ----- inequalities -----------------------------------------------
 
-    def _build_path_jacobian(self) -> np.ndarray:
-        n, lay = self.grid.n_intervals, self.layout
-        J = np.zeros((self.n_path, lay.n_vars))
-        for k in range(n + 1):
-            r = 6 * k
-            ku = min(k, n - 1)
-            J[r + 0, lay.state_index(k, IGAMMA)] = 1.0
-            J[r + 1, lay.state_index(k, IV)] = 1.0
-            J[r + 2, lay.state_index(k, ICHI)] = 1.0
-            J[r + 3, lay.control_index(ku, IALPHA)] += 1.0
-            J[r + 4, lay.control_index(ku, IDELTA_X)] += 1.0
-            J[r + 5, lay.control_index(ku, IMU)] += 1.0
-        return J
-
-    def _path_values(self, Z, U) -> np.ndarray:
-        Un = _node_controls(U)
-        rows = np.column_stack([Z[:, IGAMMA], Z[:, IV], Z[:, ICHI],
-                                Un[:, IALPHA], Un[:, IDELTA_X], Un[:, IMU]])
-        return rows.ravel()
-
     def inequalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, theta = self.layout.unpack(w)
         extra = [self._value(term, Z, U, theta) for term, _ in self.extra_rows]
-        return np.concatenate([self._path_values(Z, U), np.array(extra, dtype=float)])
+        return np.concatenate([w[self.path_idx.ravel()], np.array(extra, dtype=float)])
 
     def inequalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
         J = np.zeros((self.n_ineq, self.layout.n_vars))
-        J[:self.n_path] = self._path_jac
+        J[np.arange(self.n_path), self.path_idx.ravel()] = 1.0
         for i, (term, _) in enumerate(self.extra_rows):
             J[self.n_path + i] = self._gradient(term, Z, U)
         return J
@@ -566,7 +553,7 @@ class _Transcription:
 
     def ineq_sparsity(self) -> np.ndarray:
         mask = np.zeros((self.n_ineq, self.layout.n_vars), dtype=bool)
-        mask[:self.n_path] = self._path_jac != 0.0
+        mask[np.arange(self.n_path), self.path_idx.ravel()] = True
         for i, (term, _) in enumerate(self.extra_rows):
             mask[self.n_path + i, term.columns] = True
             if term.theta_coef:
@@ -615,27 +602,15 @@ class _Transcription:
     # ----- variable bounds ---------------------------------------------
 
     def variable_bounds(self):
-        lay = self.layout
-        n = self.grid.n_intervals
-        lo = np.full(lay.n_vars, -np.inf)
-        hi = np.full(lay.n_vars, np.inf)
-        b = self.scn.bounds
-        h_hi = min(max(_H_CEILING, 1.5 * max(self.scn.h0, self.scn.hf)),
-                   0.9 * self.atm.max_height)
+        lo = np.full(self.layout.n_vars, -np.inf)
+        hi = np.full(self.layout.n_vars, np.inf)
         # mirror the path bounds onto the variable box: keeps every inner
         # iterate inside the model domain (V > 0, cos(gamma) > 0, M < 1)
-        state_lo = np.array([b.lower[1], b.lower[0], b.lower[2], -np.inf, -np.inf, 0.0])
-        state_hi = np.array([b.upper[1], b.upper[0], b.upper[2], np.inf, np.inf, h_hi])
-        for k in range(n + 1):
-            i = lay.state_index(k, 0)
-            lo[i:i + 6] = state_lo
-            hi[i:i + 6] = state_hi
-        ctrl_lo = np.array([b.lower[3], b.lower[4], b.lower[5]])
-        ctrl_hi = np.array([b.upper[3], b.upper[4], b.upper[5]])
-        for k in range(n):
-            i = lay.control_index(k, 0)
-            lo[i:i + 3] = ctrl_lo
-            hi[i:i + 3] = ctrl_hi
+        lo[self.path_idx] = self.scn.bounds.lower
+        hi[self.path_idx] = self.scn.bounds.upper
+        lo[self.node_idx[:, IH]] = 0.0
+        hi[self.node_idx[:, IH]] = min(max(_H_CEILING, 1.5 * max(self.scn.h0, self.scn.hf)),
+                                       0.9 * self.atm.max_height)
         return lo, hi
 
     def f_scale(self) -> float:
@@ -699,8 +674,7 @@ def internode_violation(traj: noise.Trajectory, bounds_lower, bounds_upper,
     worst = 0.0
     for _ in range(refine):
         Z = rk_step_arrays(Z, U, h_sub, model, atm)
-        rows = np.column_stack([Z[:, IGAMMA], Z[:, IV], Z[:, ICHI],
-                                U[:, IALPHA], U[:, IDELTA_X], U[:, IMU]])
+        rows = np.hstack([Z[:, _PATH_STATES], U[:, _PATH_CONTROLS]])
         over = (rows - hi) / PATH_SCALE
         under = (lo - rows) / PATH_SCALE
         worst = max(worst, float(np.max(np.maximum(over, under), initial=0.0)))

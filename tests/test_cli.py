@@ -1,29 +1,60 @@
 """Command-line entry point: argument and config errors exit with code 2,
-and `evaluate` flies a control file and writes a verified hash manifest."""
+`evaluate` flies a control file and writes a verified hash manifest, and
+`sweep` and `compare` tabulate the same certified solves."""
 
+import csv
 import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from noisedescent import cli
-from noisedescent.noise import leq
+from noisedescent.noise import Observer, leq
 from noisedescent.scenarios import default_scenario, initial_guess
 from noisedescent.transcription import simulate
+
+
+def assert_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text("[solver]\nlbfgs_memory = 5\n")
-    assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "out").exists()
+    assert_exits_2(["solve", "--config", str(config)], tmp_path, capsys)
 
 
 def test_single_interval_grid_exits_2(tmp_path, capsys):
-    assert cli.main(["solve", "--N", "1", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "out").exists()
+    assert_exits_2(["solve", "--N", "1"], tmp_path, capsys)
+
+
+def solve_must_not_run(*args, **kwargs):
+    raise AssertionError("the input was accepted and a solve started")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["solve", "--N", "0"], None),
+    (["solve", "--tol-feas", "0"], None),
+    (["solve", "--tol-feas", "-1"], None),
+    (["solve", "--observers", "0,0;bad"], None),
+    (["solve"], "[aircraft]\nmass = -1\n"),
+    (["solve"], "[solver]\nfeasibility_tol = 0\n"),
+    (["evaluate", "--controls", "{tmp}/missing.csv"], None),
+], ids=["zero-N", "zero-tol", "negative-tol", "bad-observer", "negative-mass",
+        "zero-tol-config", "missing-controls"])
+def test_invalid_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
+    # a value that is ignored instead of rejected would start a solve
+    monkeypatch.setattr(cli, "run_solve", solve_must_not_run)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if config is not None:
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert_exits_2(argv, tmp_path, capsys)
 
 
 def test_evaluate_reports_simulated_trajectory(tmp_path):
@@ -48,3 +79,45 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
     assert list(report["final_state"].values()) == list(traj.states[-1])
     assert report["leq_db_by_observer"] == [leq(traj, obs, scn.engine, scn.atmosphere)
                                             for obs in scn.observers]
+
+
+@pytest.fixture(scope="module")
+def sweep_and_compare(tmp_path_factory):
+    """One-observer `sweep` and `compare` runs at N=12."""
+    root = tmp_path_factory.mktemp("tables")
+    args = ["--N", "12", "--observers", "0,0"]
+    codes = (cli.main(["sweep", *args, "--out", str(root / "sweep")]),
+             cli.main(["compare", *args, "--out", str(root / "compare")]))
+    return codes, root / "sweep", root / "compare"
+
+
+def read_json(path):
+    return json.loads(path.read_text())
+
+
+def test_sweep_and_compare_certify(sweep_and_compare):
+    codes, sweep, compare = sweep_and_compare
+    assert codes == (0, 0)
+    reports = [sweep / "fuel_reference", sweep / "obs_000",
+               compare / "fuel_reference", compare / "noise_optimal"]
+    assert [read_json(d / "report.json")["status"] for d in reports] == ["optimal"] * 4
+    assert [row["status"] for row in read_json(sweep / "summary.json")] == ["optimal"]
+
+
+def test_sweep_table_reads_its_solves(sweep_and_compare):
+    _, sweep, _ = sweep_and_compare
+    with open(sweep / "summary.csv", newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    assert float(row["J_db"]) == read_json(sweep / "obs_000" / "report.json")["objective"]
+    scn = default_scenario()
+    fuel = cli.read_trajectory_csv(sweep / "fuel_reference" / "trajectory.csv")
+    assert float(row["J1_db"]) == leq(fuel, Observer(0.0, 0.0), scn.engine, scn.atmosphere)
+
+
+def test_compare_agrees_with_sweep(sweep_and_compare):
+    _, sweep, compare = sweep_and_compare
+    (row,) = read_json(sweep / "summary.json")
+    comparison = read_json(compare / "compare.json")
+    assert comparison["observer"] == [row["x_obs"], row["y_obs"]]
+    for key in ("J_db", "J1_db", "J1_minus_J_db", "pct_co_of_tr", "pct_co_of_tr1"):
+        assert comparison[key] == pytest.approx(row[key], rel=1e-12), key
