@@ -108,6 +108,8 @@ def _report_dict(result: VariantResult, scn: Scenario) -> dict:
         "optimality_error": rep.optimality_error,
         "iterations": rep.iterations,
         "outer_iterations": rep.outer_iterations,
+        "trial_points": rep.trial_points,
+        "trial_batches": rep.trial_batches,
         "wall_time_s": rep.wall_time,
         "message": rep.message,
         "leq_db_by_observer": list(result.leq_by_observer),
@@ -244,7 +246,10 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
 
 
 def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
-    """Noise-optimal vs fuel-optimal at the scenario's first observer."""
+    """Noise-optimal vs fuel-optimal at the scenario's first observer.
+
+    The comparison's "status" maps each solve to its status.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     noise_scn = dataclasses.replace(scn, variant="noise")
     fuel_scn = dataclasses.replace(scn, variant="fuel")
@@ -261,6 +266,8 @@ def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
         "J1_minus_J_db": j1 - j,
         "pct_co_of_tr": 100.0 * (co_tr - co_tr1) / co_tr,
         "pct_co_of_tr1": 100.0 * (co_tr - co_tr1) / co_tr1,
+        "status": {"noise_optimal": noise_res.report.status,
+                   "fuel_reference": fuel_res.report.status},
     }
     write_run_outputs(out_dir / "noise_optimal", noise_res, noise_scn,
                       extra={"comparison": comparison})
@@ -364,7 +371,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         comparison = run_compare(scn, opts, args.out)
         print(json.dumps(comparison, indent=2))
-        return 0
+        return 0 if all(s == "optimal" for s in comparison["status"].values()) else 1
     if args.command == "evaluate":
         report = run_evaluate(scn, args.controls, args.out)
         print(json.dumps({k: report[k] for k in

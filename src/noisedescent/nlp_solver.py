@@ -17,6 +17,14 @@ t = clip(c + lam/rho, lo, hi), which reduces to the classical multiplier
 update for equalities (lo = hi = 0) and prunes inactive multipliers
 automatically.
 
+The line search backtracks by halving the step from 1, and evaluates
+its trial points in batches of `_TRIAL_BATCH`: the value callbacks take
+a stack of points and evaluate it in one call, and the batch is then
+scanned in order with the Armijo test, so the accepted step is the one
+one-at-a-time backtracking finds.  A trial point outside the model's
+domain raises `DomainError`; a batch that raises is evaluated again one
+point at a time, where such a point is a rejected step.
+
 Every point claimed optimal is certified by `kkt_residuals`, the same
 function tests use to recheck solver output independently.  All error
 measures are computed on scaled rows and scaled variables, using the
@@ -25,7 +33,9 @@ scaling vectors declared by the problem.
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,6 +47,7 @@ from .errors import DomainError
 _COMPLEMENTARITY_CAP = 10.0  # slack distances are capped here in the residual
 _MULTIPLIER_CAP = 1e12
 _ARMIJO_SIGMA = 1e-4  # sufficient-decrease parameter of the line search
+_TRIAL_BATCH = 8      # line-search trial points evaluated per stacked call
 
 
 @dataclass
@@ -48,6 +59,12 @@ class NlpProblem:
     nonzeros for introspection.  Row and variable scalings make the
     reported feasibility/optimality errors meaningful across mixed
     units; callbacks always receive unscaled (physical) vectors.
+
+    `objective`, `equalities` and `inequalities` take one point (n_vars,)
+    or a stack of points (K, n_vars).  For a stack they return (K,) and
+    (K, rows), row k being the value at point k to the last bit, as the
+    line search relies on.  The derivative callbacks and
+    `lagrangian_hessian` take one point only.
     """
 
     n_vars: int
@@ -151,6 +168,8 @@ class SolveReport:
     message: str = ""
     iteration_log: list = field(default_factory=list)
     merit_histories: list = field(default_factory=list)
+    trial_points: int = 0           # points the line-search merit was evaluated at
+    trial_batches: int = 0          # merit calls: stacked, or single in a fallback
 
 
 class _Rows:
@@ -168,6 +187,7 @@ class _Rows:
         self.scale = np.concatenate([p.eq_scale, p.ineq_scale])
 
     def values(self, w: np.ndarray) -> np.ndarray:
+        """Scaled rows at one point (n_vars,), or per point of a stack (K, n_vars)."""
         parts = []
         if self.p.n_eq:
             parts.append(np.asarray(self.p.equalities(w), dtype=float))
@@ -175,7 +195,7 @@ class _Rows:
             parts.append(np.asarray(self.p.inequalities(w), dtype=float))
         if not parts:
             return np.zeros(0)
-        return np.concatenate(parts) / self.scale
+        return np.concatenate(parts, axis=-1) / self.scale
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
         parts = []
@@ -256,26 +276,36 @@ def kkt_residuals(problem: NlpProblem, w: np.ndarray,
 
 
 class _Merit:
-    """Augmented Lagrangian of the scaled problem for fixed (lam, rho)."""
+    """Augmented Lagrangian of the scaled problem for fixed (lam, rho).
+
+    `trials` counts the calls of `value` ("batches") and the points they
+    were made at ("points"), a call that raised included.
+    """
 
     def __init__(self, problem: NlpProblem, rows: _Rows,
-                 lam: np.ndarray, rho: float):
+                 lam: np.ndarray, rho: float, trials: Counter):
         self.p = problem
         self.rows = rows
         self.lam = lam
         self.rho = rho
         self.s = problem.x_scale
+        self.trials = trials
 
     def _shift(self, c: np.ndarray) -> np.ndarray:
         return c - np.clip(c + self.lam / self.rho, self.rows.lo, self.rows.hi)
 
-    def value(self, y: np.ndarray) -> float:
+    def value(self, y: np.ndarray):
+        """Merit at one point (n,), or per point of a stack (K, n).  Each
+        stacked row is reduced by the 1-D dot products of one point, so
+        it keeps that point's bits."""
+        self.trials["batches"] += 1
+        self.trials["points"] += math.prod(y.shape[:-1])
         w = y * self.s
         f = self.p.objective(w) / self.p.f_scale
         if self.rows.m == 0:
-            return float(f)
+            return f
         d = self._shift(self.rows.values(w))
-        return float(f + self.lam @ d + 0.5 * self.rho * (d @ d))
+        return f + np.vecdot(self.lam, d) + 0.5 * self.rho * np.vecdot(d, d)
 
     def value_grad(self, y: np.ndarray):
         """(phi, gradient, shifted residual d, scaled-row Jacobian or None)."""
@@ -340,27 +370,44 @@ def _projected_gradient(y, g, lo, hi):
     return y - np.clip(y - g, lo, hi)
 
 
+def _one_at_a_time(merit: _Merit, Y):
+    """Merit at each row of Y in turn, +inf outside the model's domain."""
+    for y_trial in Y:
+        try:
+            yield merit.value(y_trial)
+        except DomainError:
+            yield np.inf
+
+
 def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions):
     """Projected Armijo backtracking from y along direction.
 
-    Returns (alpha, trial point) of the accepted step, or None.  A trial
-    point outside the model's domain counts as a rejected step.
+    The trial steps are alpha = 1, 1/2, ... (opts.max_line_search of them),
+    projected onto [lo, hi].  They are evaluated `_TRIAL_BATCH` at a time
+    in one stacked merit call, and each batch is scanned in order: the
+    first trial that passes the Armijo test is accepted, and a zero
+    projected step that fails it ends the search.  If a batch raises
+    `DomainError`, its points are evaluated one at a time, up to the
+    accepted one, and a point outside the model's domain counts as a
+    rejected step.  So the result is that of one-at-a-time backtracking.
+    Returns (alpha, trial point) of the accepted step, or None.
     """
-    alpha = 1.0
-    for _ in range(opts.max_line_search):
-        y_trial = np.clip(y + alpha * direction, lo, hi)
-        step = y_trial - y
-        decrease = float(g @ step)
+    alphas = 0.5 ** np.arange(opts.max_line_search)
+    for start in range(0, alphas.size, _TRIAL_BATCH):
+        batch = alphas[start:start + _TRIAL_BATCH]
+        Y = np.clip(y + batch[:, None] * direction, lo, hi)
         try:
-            f_trial = merit.value(y_trial)
+            values = merit.value(Y)
         except DomainError:
-            f_trial = np.inf
-        if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
-                and f_trial < f + 1e-16 * abs(f) + 1e-300):
-            return alpha, y_trial
-        if not np.any(step):
-            return None
-        alpha *= 0.5
+            values = _one_at_a_time(merit, Y)
+        for alpha, y_trial, f_trial in zip(batch, Y, values):
+            step = y_trial - y
+            decrease = float(g @ step)
+            if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
+                    and f_trial < f + 1e-16 * abs(f) + 1e-300):
+                return float(alpha), y_trial
+            if not np.any(step):
+                return None
     return None
 
 
@@ -718,6 +765,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     outer = 0
     last_polish_feas = None
     max_outer = opts.max_outer
+    trials: Counter = Counter()
 
     try:
         if warm_eq_multipliers is not None or warm_ineq_multipliers is not None:
@@ -727,7 +775,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
                 max_outer = 0
 
         for outer in range(1, max_outer + 1):
-            merit = _Merit(p, rows, lam, rho)
+            merit = _Merit(p, rows, lam, rho, trials)
             merit_log: list[float] = []
             gtol = max(omega, 0.05 * opts.optimality_tol)
             y_prev = y
@@ -811,6 +859,8 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         message=message,
         iteration_log=log,
         merit_histories=merit_histories,
+        trial_points=trials["points"],
+        trial_batches=trials["batches"],
     )
     return w, report
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -270,7 +271,10 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
     solved with relaxed tolerances, and its solution and multipliers,
     refined, warm-start the next rung; the last rung is `problem`.
     Further starts solve `problem` from perturbed initial guesses.
+    The returned report is the winning solve's, except that its
+    `wall_time` covers every rung and every start.
     """
+    t_start = time.perf_counter()
     tr = problem.meta["transcription"]
     scn = tr.scn
     coarse_opts = dataclasses.replace(
@@ -313,7 +317,8 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
         w, report = solve(problem, _perturbed(w0, problem, rng), opts)
         if key(report) < key(best[1]):
             best = (w, report)
-    return best
+    w, report = best
+    return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start)
 
 
 def _result_from_solution(problem: NlpProblem, w: np.ndarray,

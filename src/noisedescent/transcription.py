@@ -36,6 +36,13 @@ observer, the consumption, or the epigraph variable theta) and the extra
 inequality rows with their upper bounds (the fuel cap, or
 Leq_i - theta <= 0 per observer).
 
+The value callbacks (`objective`, `equalities`, `inequalities`) also take
+a stack of decision vectors (K, n_vars), the solver's line-search trial
+points, and evaluate it with one kernel call per term: the kernels take
+leading axes, each sum over nodes is a per-row 1-D dot product
+(`np.vecdot`), so every row has the bits of a one-point call, and a stack
+bypasses the one-point memos.
+
 The path rows select decision variables: `path_idx`, one row of six
 indices per node in the order (gamma, V, chi, alpha, delta_x, mu), gives
 their values (`w[path_idx]`), their 0/1 Jacobian and the variable box
@@ -73,6 +80,10 @@ _PATH_STATES = [IGAMMA, IV, ICHI]
 _PATH_CONTROLS = [IALPHA, IDELTA_X, IMU]
 
 _H_CEILING = 15000.0  # generic altitude box for the decision variables, m
+
+# (node, state) of the seven boundary equations: the initial x, y, h, V
+# and the final x, y, h
+_BOUNDARY = (np.array([0, 0, 0, 0, -1, -1, -1]), np.array([IX, IY, IH, IV, IX, IY, IH]))
 
 # Interval-local variables (z_k, u_k) the step map is nonlinear in:
 # rhs_arrays reads neither x nor y, so Phi is the identity along them.
@@ -190,13 +201,17 @@ class VectorLayout:
         return np.concatenate(parts)
 
     def unpack(self, w: np.ndarray):
+        """(states, controls, theta) of one vector (n_vars,), or of each row
+        of a stack (K, n_vars) with the stack axis leading every array."""
         w = np.asarray(w)
-        if w.shape != (self.n_vars,):
-            raise ValueError(f"decision vector must have shape ({self.n_vars},)")
-        Z = w[:self.n_state_vars].reshape(self.n_intervals + 1, 6).copy()
-        U = w[self.n_state_vars:self.n_state_vars + self.n_control_vars] \
-            .reshape(self.n_intervals, 3).copy()
-        theta = float(w[-1]) if self.has_epigraph else None
+        if w.shape[-1:] != (self.n_vars,):
+            raise ValueError(f"decision vector must have shape (..., {self.n_vars})")
+        lead = w.shape[:-1]
+        Z = w[..., :self.n_state_vars].reshape(lead + (self.n_intervals + 1, 6)).copy()
+        U = w[..., self.n_state_vars:self.n_state_vars + self.n_control_vars] \
+            .reshape(lead + (self.n_intervals, 3)).copy()
+        # [()] turns the 0-d theta of one vector into a scalar
+        theta = w[..., -1][()] if self.has_epigraph else None
         return Z, U, theta
 
     def variable_scale(self) -> np.ndarray:
@@ -233,7 +248,7 @@ def _floor_eigenvalues(blocks: np.ndarray, scale_outer: np.ndarray) -> np.ndarra
 
 def _node_controls(U: np.ndarray) -> np.ndarray:
     # the path/integrand sample at t_N reuses the last interval's control
-    return np.vstack([U, U[-1]])
+    return np.concatenate([U, U[..., -1:, :]], axis=-2)
 
 
 def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
@@ -299,6 +314,8 @@ class _PointMemo:
     array; an item is computed on first use and kept until the point
     changes.  The key is the bytes of that array, so equal values rebuilt
     from a new decision vector hit and a vector changed in place misses.
+    One point's array is (rows, d); a stack of them (K, rows, d) is
+    computed and returned without touching the kept point.
     """
 
     def __init__(self, **derive: Callable):
@@ -307,6 +324,8 @@ class _PointMemo:
         self._items: dict = {}
 
     def get(self, X: np.ndarray, name: str):
+        if X.ndim > 2:
+            return self._derive[name](X)
         key = X.tobytes()
         if key != self._key:
             self._key, self._items = key, {}
@@ -319,7 +338,7 @@ class _Term(NamedTuple):
     """One term of the objective or of an extra inequality row: a smooth
     functional of the states and controls plus theta_coef * theta."""
 
-    value: Callable        # (Z, U) -> float
+    value: Callable        # (Z, U) -> float, or (K,) for stacked (K, ...) Z and U
     gradient: Callable     # (grad, Z, U) -> None: writes into a zeroed gradient
     add_hessian: Callable  # (H, Z, U, weight, convexify) -> None: adds weight * Hessian
     columns: np.ndarray    # decision-vector indices the functional depends on
@@ -342,8 +361,9 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
 
     def leq_and_node_weights(Z):
         energy = 10.0 ** (0.1 * levels(Z))
-        total = weights @ energy
-        return float(10.0 * np.log10(total / duration)), weights * energy / total
+        # the total keeps a trailing axis, so it divides each point's energies
+        total = np.vecdot(energy, weights)[..., None]
+        return 10.0 * np.log10(total[..., 0] / duration), weights * energy / total
 
     memo = _PointMemo(leq=leq_and_node_weights,
                       dlev=lambda Z: _cs_derivative(levels, Z),
@@ -388,7 +408,7 @@ def _consumption_term(tr: "_Transcription") -> _Term:
         return fuel_flow_arrays(X[..., 0], X[..., 1], X[..., 2], model, atm)
 
     def local(Z, U):
-        return np.column_stack([Z[:, IV], Z[:, IH], _node_controls(U)[:, IDELTA_X]])
+        return np.stack([Z[..., IV], Z[..., IH], _node_controls(U)[..., IDELTA_X]], axis=-1)
 
     memo = _PointMemo(flows=flows,
                       dflow=lambda X: _cs_derivative(flows, X),
@@ -405,11 +425,11 @@ def _consumption_term(tr: "_Transcription") -> _Term:
             blocks = _floor_eigenvalues(blocks, np.outer(scale, scale))
         _add_blocks(H, idx, (weight * weights)[:, None, None] * blocks)
 
-    return _Term(lambda Z, U: float(weights @ memo.get(local(Z, U), "flows")),
+    return _Term(lambda Z, U: np.vecdot(memo.get(local(Z, U), "flows"), weights),
                  gradient, add_hessian, idx)
 
 
-# the epigraph variable theta alone
+# the epigraph variable theta alone; its value broadcasts against a stack's thetas
 _EPIGRAPH = _Term(lambda Z, U: 0.0, lambda grad, Z, U: None, lambda *args: None,
                   np.zeros(0, dtype=int), theta_coef=1.0)
 
@@ -484,19 +504,15 @@ class _Transcription:
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
-        defects = Z[1:] - self._step(np.hstack([Z[:-1], U]))
+        defects = Z[..., 1:, :] - self._step(np.concatenate([Z[..., :-1, :], U], axis=-1))
         scn = self.scn
-        boundary = np.array([
-            Z[0, IX] - scn.x0, Z[0, IY] - scn.y0, Z[0, IH] - scn.h0,
-            Z[0, IV] - scn.V0,
-            Z[-1, IX] - scn.xf, Z[-1, IY] - scn.yf, Z[-1, IH] - scn.hf,
-        ])
-        return np.concatenate([defects.ravel(), boundary])
+        target = np.array([scn.x0, scn.y0, scn.h0, scn.V0, scn.xf, scn.yf, scn.hf])
+        boundary = Z[(...,) + _BOUNDARY] - target
+        return np.concatenate([defects.reshape(boundary.shape[:-1] + (-1,)), boundary],
+                              axis=-1)
 
     def _boundary_columns(self):
-        n = self.grid.n_intervals
-        return [self.node_idx[node, comp] for node, comp in
-                [(0, IX), (0, IY), (0, IH), (0, IV), (n, IX), (n, IY), (n, IH)]]
+        return self.node_idx[_BOUNDARY]
 
     def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
@@ -511,7 +527,7 @@ class _Transcription:
 
     def eq_scale(self) -> np.ndarray:
         defect = np.tile(STATE_SCALE, self.grid.n_intervals)
-        boundary = STATE_SCALE[[IX, IY, IH, IV, IX, IY, IH]]
+        boundary = STATE_SCALE[_BOUNDARY[1]]
         return np.concatenate([defect, boundary])
 
     def eq_sparsity(self) -> np.ndarray:
@@ -527,8 +543,11 @@ class _Transcription:
 
     def inequalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, theta = self.layout.unpack(w)
-        extra = [self._value(term, Z, U, theta) for term, _ in self.extra_rows]
-        return np.concatenate([w[self.path_idx.ravel()], np.array(extra, dtype=float)])
+        extra = np.array([self._value(term, Z, U, theta) for term, _ in self.extra_rows],
+                         dtype=float)
+        # (n_extra,) or (n_extra, K), rows last
+        return np.concatenate([w[..., self.path_idx.ravel()],
+                               extra.T.reshape(w.shape[:-1] + (self.n_extra,))], axis=-1)
 
     def inequalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)

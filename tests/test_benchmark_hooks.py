@@ -9,6 +9,8 @@ wraps them.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from noisedescent import flight_dynamics, noise, scenarios, transcription
 from noisedescent.nlp_solver import SolverOptions
 
@@ -39,6 +41,7 @@ def test_tracer_installs_and_uninstalls():
                for (owner, name), original in zip(traced, originals))
 
 
+@pytest.mark.slow
 def test_ladder_solve_is_traced_at_every_layer():
     # N=25 climbs the ladder 13 -> 25: one coarse rung plus the final one
     scn = scenarios.default_scenario(n_intervals=25)

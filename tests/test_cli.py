@@ -1,8 +1,10 @@
 """Command-line entry point: argument and config errors exit with code 2,
-`evaluate` flies a control file and writes a verified hash manifest, and
-`sweep` and `compare` tabulate the same certified solves."""
+`evaluate` flies a control file and writes a verified hash manifest,
+`compare` exits 1 unless both its solves are optimal, and `sweep` and
+`compare` tabulate the same certified solves."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -10,9 +12,10 @@ import numpy as np
 import pytest
 
 from noisedescent import cli
+from noisedescent.nlp_solver import SolveReport
 from noisedescent.noise import Observer, leq
-from noisedescent.scenarios import default_scenario, initial_guess
-from noisedescent.transcription import simulate
+from noisedescent.scenarios import _result_from_solution, default_scenario, initial_guess
+from noisedescent.transcription import assemble, simulate
 
 
 def assert_exits_2(argv, tmp_path, capsys):
@@ -81,6 +84,34 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
                                             for obs in scn.observers]
 
 
+def iteration_limit_solve(scn, opts):
+    """Stand-in for `solve_variant`: the initial guess, reported unfinished."""
+    problem = assemble(scn)
+    w = initial_guess(scn)
+    report = SolveReport(status="iteration-limit", objective=float(problem.objective(w)),
+                         feasibility_error=1.0, optimality_error=1.0, iterations=1,
+                         outer_iterations=1, wall_time=0.0,
+                         eq_multipliers=np.zeros(problem.n_eq),
+                         ineq_multipliers=np.zeros(problem.n_ineq))
+    return _result_from_solution(problem, w, report)
+
+
+@pytest.mark.parametrize("unfinished", ["noise", "fuel"])
+def test_compare_exits_1_unless_both_solves_are_optimal(unfinished, tmp_path, monkeypatch):
+    def solve_variant(scn, opts):
+        result = iteration_limit_solve(scn, opts)
+        if scn.variant != unfinished:
+            result.report = dataclasses.replace(result.report, status="optimal")
+        return result
+
+    monkeypatch.setattr(cli, "solve_variant", solve_variant)
+    out = tmp_path / "out"
+    assert cli.main(["compare", "--N", "12", "--observers", "0,0", "--out", str(out)]) == 1
+    status = read_json(out / "compare.json")["status"]
+    assert status[{"noise": "noise_optimal", "fuel": "fuel_reference"}[unfinished]] \
+        == "iteration-limit"
+
+
 @pytest.fixture(scope="module")
 def sweep_and_compare(tmp_path_factory):
     """One-observer `sweep` and `compare` runs at N=12."""
@@ -95,6 +126,7 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+@pytest.mark.slow
 def test_sweep_and_compare_certify(sweep_and_compare):
     codes, sweep, compare = sweep_and_compare
     assert codes == (0, 0)
@@ -104,6 +136,7 @@ def test_sweep_and_compare_certify(sweep_and_compare):
     assert [row["status"] for row in read_json(sweep / "summary.json")] == ["optimal"]
 
 
+@pytest.mark.slow
 def test_sweep_table_reads_its_solves(sweep_and_compare):
     _, sweep, _ = sweep_and_compare
     with open(sweep / "summary.csv", newline="") as f:
@@ -114,6 +147,7 @@ def test_sweep_table_reads_its_solves(sweep_and_compare):
     assert float(row["J1_db"]) == leq(fuel, Observer(0.0, 0.0), scn.engine, scn.atmosphere)
 
 
+@pytest.mark.slow
 def test_compare_agrees_with_sweep(sweep_and_compare):
     _, sweep, compare = sweep_and_compare
     (row,) = read_json(sweep / "summary.json")

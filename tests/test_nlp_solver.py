@@ -1,18 +1,29 @@
 """Solver unit suite: the three reference problems, KKT bookkeeping,
-determinism, merit monotonicity and feasibility restoration.
+determinism, merit monotonicity, feasibility restoration and the batched
+line search.
 
 Every problem handed to `solve` carries its exact Lagrangian Hessian;
 `psd_floor` gives the convexified model the solver asks for when the
-exact one is indefinite.
+exact one is indefinite.  Value callbacks broadcast over a leading axis,
+as the stacked-point contract of `NlpProblem` asks.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from noisedescent.errors import DomainError
+from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
+from noisedescent.transcription import assemble
 from noisedescent.nlp_solver import (
+    _ARMIJO_SIGMA,
+    _TRIAL_BATCH,
     NlpProblem,
     SolverOptions,
+    _line_search,
+    _Merit,
+    _Rows,
     kkt_residuals,
     solve,
 )
@@ -38,7 +49,7 @@ def bound_quadratic():
     """min (w-3)^2 on [0, 2]: optimum pinned at the upper bound."""
     return NlpProblem(
         n_vars=1,
-        objective=lambda w: float((w[0] - 3.0) ** 2),
+        objective=lambda w: (w[..., 0] - 3.0) ** 2,
         objective_gradient=lambda w: np.array([2.0 * (w[0] - 3.0)]),
         lower=np.array([0.0]),
         upper=np.array([2.0]),
@@ -55,10 +66,10 @@ def circle_problem():
 
     return NlpProblem(
         n_vars=2,
-        objective=lambda w: float(w[0] + w[1]),
+        objective=lambda w: w[..., 0] + w[..., 1],
         objective_gradient=lambda w: np.array([1.0, 1.0]),
         n_eq=1,
-        equalities=lambda w: np.array([w[0] ** 2 + w[1] ** 2 - 1.0]),
+        equalities=lambda w: w[..., :1] ** 2 + w[..., 1:] ** 2 - 1.0,
         equalities_jacobian=lambda w: np.array([[2.0 * w[0], 2.0 * w[1]]]),
         lagrangian_hessian=hess,
     )
@@ -68,7 +79,7 @@ def rosenbrock_line():
     """Rosenbrock restricted to w1 + w2 = 1."""
 
     def f(w):
-        return float((1.0 - w[0]) ** 2 + 100.0 * (w[1] - w[0] ** 2) ** 2)
+        return (1.0 - w[..., 0]) ** 2 + 100.0 * (w[..., 1] - w[..., 0] ** 2) ** 2
 
     def g(w):
         return np.array([
@@ -86,10 +97,34 @@ def rosenbrock_line():
     return NlpProblem(
         n_vars=2, objective=f, objective_gradient=g,
         n_eq=1,
-        equalities=lambda w: np.array([w[0] + w[1] - 1.0]),
+        equalities=lambda w: w[..., :1] + w[..., 1:] - 1.0,
         equalities_jacobian=lambda w: np.array([[1.0, 1.0]]),
         lagrangian_hessian=hess,
     )
+
+
+def check_domain(w):
+    """The toy model's domain ends at w0 = 5, for any point of a stack."""
+    if np.any(w[..., 0] > 5.0):
+        raise DomainError("w beyond the model domain")
+
+
+def exp_minus_linear():
+    """min exp(w) - 2w, whose model raises beyond w = 5: optimum ln 2."""
+
+    def f(w):
+        check_domain(w)
+        return np.exp(w[..., 0]) - 2.0 * w[..., 0]
+
+    def g(w):
+        check_domain(w)
+        return np.array([np.exp(w[0]) - 2.0])
+
+    def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
+        return np.array([[sigma_f * np.exp(w[0])]])
+
+    return NlpProblem(n_vars=1, objective=f, objective_gradient=g,
+                      lagrangian_hessian=hess)
 
 
 def grid_refinement_minimum():
@@ -134,10 +169,10 @@ class TestToyProblems:
         # min (w0-4)^2 + w1^2 subject to 1 <= w0 + w1 <= 2
         prob = NlpProblem(
             n_vars=2,
-            objective=lambda w: float((w[0] - 4.0) ** 2 + w[1] ** 2),
+            objective=lambda w: (w[..., 0] - 4.0) ** 2 + w[..., 1] ** 2,
             objective_gradient=lambda w: np.array([2.0 * (w[0] - 4.0), 2.0 * w[1]]),
             n_ineq=1,
-            inequalities=lambda w: np.array([w[0] + w[1]]),
+            inequalities=lambda w: w[..., :1] + w[..., 1:],
             inequalities_jacobian=lambda w: np.array([[1.0, 1.0]]),
             ineq_lower=np.array([1.0]),
             ineq_upper=np.array([2.0]),
@@ -153,7 +188,7 @@ class TestKktResiduals:
     def test_unconstrained_minimum_is_clean(self):
         prob = NlpProblem(
             n_vars=2,
-            objective=lambda w: float(w @ w),
+            objective=lambda w: np.vecdot(w, w),
             objective_gradient=lambda w: 2.0 * w,
         )
         feas, opt = kkt_residuals(prob, np.zeros(2))
@@ -182,10 +217,10 @@ class TestKktResiduals:
         # a huge row scale makes a large violation look small, as declared
         prob = NlpProblem(
             n_vars=1,
-            objective=lambda w: float(w[0] ** 2),
+            objective=lambda w: w[..., 0] ** 2,
             objective_gradient=lambda w: np.array([2.0 * w[0]]),
             n_eq=1,
-            equalities=lambda w: np.array([w[0] - 1000.0]),
+            equalities=lambda w: w[..., :1] - 1000.0,
             equalities_jacobian=lambda w: np.array([[1.0]]),
             eq_scale=np.array([1000.0]),
         )
@@ -246,23 +281,7 @@ class TestSolverBehavior:
         # min exp(w) - 2w from w = -3: the first Newton step (capped at 30)
         # lands far past w = 5, where the model raises; backtracking must
         # carry on to the optimum at ln 2
-        def check(w):
-            if w[0] > 5.0:
-                raise DomainError("w beyond the model domain")
-
-        def f(w):
-            check(w)
-            return float(np.exp(w[0]) - 2.0 * w[0])
-
-        def g(w):
-            check(w)
-            return np.array([np.exp(w[0]) - 2.0])
-
-        def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
-            return np.array([[sigma_f * np.exp(w[0])]])
-
-        prob = NlpProblem(n_vars=1, objective=f, objective_gradient=g,
-                          lagrangian_hessian=hess)
+        prob = exp_minus_linear()
         w, rep = solve(prob, np.array([-3.0]))
         assert rep.status == "optimal"
         assert w[0] == pytest.approx(np.log(2.0), abs=1e-6)
@@ -273,24 +292,20 @@ class TestSolverBehavior:
         # gradient, so the first subproblem stops at once and the Newton
         # polish runs there.  Its full step of about 19 lands beyond w = 5,
         # where the model raises; backtracking must carry on to w = 0
-        def check(w):
-            if w[0] > 5.0:
-                raise DomainError("w beyond the model domain")
-
         def f(w):
-            check(w)
-            return 1e-3 * float(w[0])
+            check_domain(w)
+            return 1e-3 * w[..., 0]
 
         def g(w):
-            check(w)
+            check_domain(w)
             return np.array([1e-3])
 
         def c(w):
-            check(w)
-            return np.array([np.exp(w[0]) - 1.0])
+            check_domain(w)
+            return np.exp(w[..., :1]) - 1.0
 
         def jac(w):
-            check(w)
+            check_domain(w)
             return np.array([[np.exp(w[0])]])
 
         def hess(w, sigma_f, eq_mult, ineq_mult, convexify=False):
@@ -308,7 +323,7 @@ class TestSolverBehavior:
         assert kkt_residuals(circle_problem(), np.array([2.0, 0.0]))[0] == 3.0
 
     def test_solve_requires_the_lagrangian_hessian(self):
-        prob = NlpProblem(n_vars=1, objective=lambda w: float(w[0] ** 2),
+        prob = NlpProblem(n_vars=1, objective=lambda w: w[..., 0] ** 2,
                           objective_gradient=lambda w: 2.0 * w)
         with pytest.raises(ValueError, match="lagrangian_hessian"):
             solve(prob, np.array([1.0]))
@@ -336,3 +351,88 @@ class TestSolverBehavior:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(feasibility_tol=0.0)
+
+
+def sequential_line_search(merit, y, f, g, direction, lo, hi, max_trials):
+    """Reference: projected Armijo backtracking one trial point at a time."""
+    alpha = 1.0
+    for _ in range(max_trials):
+        y_trial = np.clip(y + alpha * direction, lo, hi)
+        step = y_trial - y
+        decrease = float(g @ step)
+        try:
+            f_trial = merit.value(y_trial)
+        except DomainError:
+            f_trial = np.inf
+        if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
+                and f_trial < f + 1e-16 * abs(f) + 1e-300):
+            return alpha, y_trial
+        if not np.any(step):
+            return None
+        alpha *= 0.5
+    return None
+
+
+class TestBatchedLineSearch:
+    """The batched search accepts the trial the one-at-a-time search accepts."""
+
+    @staticmethod
+    def search(problem, y, direction, lam):
+        """(batched result, reference result, trial counts of the batched search)."""
+        rows = _Rows(problem)
+        y = np.asarray(y, dtype=float)
+        lo, hi = problem.lower / problem.x_scale, problem.upper / problem.x_scale
+        merit = _Merit(problem, rows, lam, 10.0, Counter())
+        f, g, _, _ = merit.value_grad(y)
+        direction = direction(g)
+        opts = SolverOptions()
+        batched = _line_search(merit, y, f, g, direction, lo, hi, opts)
+        reference = sequential_line_search(_Merit(problem, rows, lam, 10.0, Counter()),
+                                           y, f, g, direction, lo, hi, opts.max_line_search)
+        return batched, reference, dict(merit.trials)
+
+    @staticmethod
+    def assert_same(batched, reference):
+        alpha, y_trial = batched
+        assert alpha == reference[0]
+        assert y_trial.tobytes() == reference[1].tobytes()
+
+    def test_accepted_trial_in_the_second_batch(self):
+        batched, reference, trials = self.search(
+            circle_problem(), [2.0, 1.0], lambda g: -10.0 * g, np.array([0.3]))
+        self.assert_same(batched, reference)
+        assert batched[0] == 0.5 ** 9
+        assert trials == {"batches": 2, "points": 2 * _TRIAL_BATCH}
+
+    def test_batch_with_a_point_outside_the_domain(self):
+        # alpha = 1 lands on w = 6, past the domain; alpha = 1/2 is accepted
+        batched, reference, trials = self.search(
+            exp_minus_linear(), [-3.0], lambda g: np.array([9.0]), np.zeros(0))
+        self.assert_same(batched, reference)
+        assert batched[0] == 0.5
+        # the stacked call that raised, then the first two points one at a time
+        assert trials == {"batches": 3, "points": _TRIAL_BATCH + 2}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_transcription_merit_matches_one_at_a_time(self, variant):
+        # about 85 rows, so the merit's sums over rows have many terms
+        scn = default_scenario(n_intervals=6, variant=variant)
+        problem = assemble(scn, fuel_cap=120.0 if variant == "noise_fuel_capped" else None)
+        lam = np.random.default_rng(3).normal(size=problem.n_eq + problem.n_ineq) * 0.1
+        y = initial_guess(scn) / problem.x_scale
+        batched, reference, _ = self.search(problem, y, lambda g: -1e-3 * g, lam)
+        self.assert_same(batched, reference)
+        # each stacked merit value has the bits of the one-point value; the
+        # multiplier term, then the penalty term, dominates the objective
+        Y = y + np.outer(0.5 ** np.arange(8), batched[1] - y)
+        for lam_rho in ((1e4 * lam, 1e-6), (0.0 * lam, 1e6)):
+            merit = _Merit(problem, _Rows(problem), *lam_rho, Counter())
+            one_by_one = np.array([merit.value(y_k) for y_k in Y])
+            assert merit.value(Y).tobytes() == one_by_one.tobytes()
+
+    def test_zero_projected_step_ends_the_search(self):
+        # at the upper bound and pointing out of the box: every trial projects back
+        batched, reference, trials = self.search(
+            bound_quadratic(), [2.0], lambda g: np.array([1.0]), np.zeros(0))
+        assert batched is None and reference is None
+        assert trials == {"batches": 1, "points": _TRIAL_BATCH}

@@ -1,14 +1,16 @@
 """End-to-end solves of the reference scenario at N=12: certified optima,
 an independent KKT recheck on a freshly assembled problem, and byte-stable
-CLI output."""
+CLI output; and the wall time of a solve through the continuation ladder."""
 
 import pytest
 
-from noisedescent import cli
+from noisedescent import cli, scenarios
 from noisedescent.nlp_solver import SolverOptions, kkt_residuals
 from noisedescent.noise import Observer
 from noisedescent.scenarios import default_scenario, solve_variant
 from noisedescent.transcription import assemble
+
+pytestmark = pytest.mark.slow
 
 # certified objectives (dB, kg); their last digits move with the BLAS
 # thread count, hence the relative tolerance
@@ -51,3 +53,19 @@ def test_solve_writes_byte_identical_trajectory(tmp_path):
     # the term table's total is the level the trajectory reports
     totals = column(tmp_path / "first" / "noise_terms_obs0.csv", "total")
     assert totals == column(tmp_path / "first" / "trajectory.csv", "L_P_obs0")
+
+
+def test_ladder_wall_time_covers_every_rung(monkeypatch):
+    # N=25 climbs the ladder 13 -> 25: two solves
+    reports = []
+
+    def recorded(*args, **kwargs):
+        w, report = solve(*args, **kwargs)
+        reports.append(report)
+        return w, report
+
+    solve = scenarios.solve
+    monkeypatch.setattr(scenarios, "solve", recorded)
+    result = solve_variant(default_scenario(n_intervals=25), SolverOptions(max_outer=1))
+    assert len(reports) == 2
+    assert result.report.wall_time >= sum(report.wall_time for report in reports)

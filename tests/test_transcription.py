@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisedescent import noise, transcription
 from noisedescent.flight_dynamics import IH, IX, IY, AircraftModel
 from noisedescent.noise import Observer
 from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
@@ -408,6 +409,43 @@ class TestMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record each call of the level and fuel-flow kernels from now on."""
+    calls = []
+    for owner, name in ((noise, "levels_arrays"), (transcription, "fuel_flow_arrays")):
+        def counted(*args, _kernel=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestStackedPoints:
+    """The value callbacks take a stack of points: row k has the bits of the
+    one-point call at point k, and the one-point memos are left as they were."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stack_matches_point_by_point_calls(self, variant, monkeypatch):
+        scn, prob = variant_problem(variant)
+        rng = np.random.default_rng(5)
+        w0 = initial_guess(scn)
+        W = np.array([random_feasible_point(prob, w0, rng) for _ in range(5)])
+        callbacks = (prob.objective, prob.equalities, prob.inequalities)
+        def memo_users():
+            return np.append(prob.objective(w0), prob.inequalities(w0)).tobytes()
+
+        at_w0 = memo_users()  # every objective and extra-row term now keeps w0
+        stacked = [callback(W) for callback in callbacks]
+        calls = count_kernel_calls(monkeypatch)
+        assert memo_users() == at_w0
+        assert calls == []
+        for callback, values in zip(callbacks, stacked):
+            one_by_one = np.array([callback(w) for w in W])
+            assert values.shape == one_by_one.shape
+            assert values.tobytes() == one_by_one.tobytes()
+        assert calls
 
 
 class TestQuadratureConsistency:
