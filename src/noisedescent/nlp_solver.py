@@ -33,6 +33,7 @@ scaling vectors declared by the problem.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import Counter
@@ -92,7 +93,9 @@ class NlpProblem:
     # convexify=True it must return a symmetric positive-semidefinite
     # model of the same Hessian: `solve` passes zero equality multipliers
     # and nonnegative inequality multipliers there and uses the result
-    # where the exact merit Hessian is indefinite.
+    # where the exact merit Hessian is indefinite.  It must return a new
+    # array on every call, never one it keeps: `solve` scales the result
+    # in place.
     lagrangian_hessian: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
@@ -186,6 +189,12 @@ class _Rows:
         self.lo, self.hi = lo, hi
         self.scale = np.concatenate([p.eq_scale, p.ineq_scale])
 
+    @functools.cached_property
+    def scale_outer(self) -> np.ndarray:
+        """x_scale_i * x_scale_j: multiplying a Hessian by it gives the
+        Hessian in scaled variables.  Built on first use."""
+        return np.outer(self.p.x_scale, self.p.x_scale)
+
     def values(self, w: np.ndarray) -> np.ndarray:
         """Scaled rows at one point (n_vars,), or per point of a stack (K, n_vars)."""
         parts = []
@@ -198,14 +207,15 @@ class _Rows:
         return np.concatenate(parts, axis=-1) / self.scale
 
     def jacobian(self, w: np.ndarray) -> np.ndarray:
-        parts = []
-        if self.p.n_eq:
-            parts.append(np.asarray(self.p.equalities_jacobian(w), dtype=float))
+        """Scaled rows' Jacobian, each part divided straight into place."""
+        J = np.empty((self.m, self.p.n_vars))
+        n_eq = self.p.n_eq
+        if n_eq:
+            np.divide(self.p.equalities_jacobian(w), self.scale[:n_eq, None], out=J[:n_eq])
         if self.p.n_ineq:
-            parts.append(np.asarray(self.p.inequalities_jacobian(w), dtype=float))
-        if not parts:
-            return np.zeros((0, self.p.n_vars))
-        return np.vstack(parts) / self.scale[:, None]
+            np.divide(self.p.inequalities_jacobian(w), self.scale[n_eq:, None],
+                      out=J[n_eq:])
+        return J
 
     def violation(self, c_hat: np.ndarray) -> float:
         if self.m == 0:
@@ -342,7 +352,7 @@ class _Merit:
         across inner iterations.
         """
         w = y * self.s
-        ss = np.outer(self.s, self.s)
+        ss = self.rows.scale_outer
         zero_eq = np.zeros(self.p.n_eq)
         zero_in = np.zeros(self.p.n_ineq)
         if self.rows.m:
@@ -351,18 +361,23 @@ class _Merit:
             ineq_mult = lam_t[self.p.n_eq:] / self.p.ineq_scale
         else:
             eq_mult, ineq_mult = zero_eq, zero_in
+        # both are new arrays, so they are scaled and added to in place
         exact = self.p.lagrangian_hessian(
-            w, 1.0 / self.p.f_scale, eq_mult, ineq_mult, convexify=False) * ss
+            w, 1.0 / self.p.f_scale, eq_mult, ineq_mult, convexify=False)
+        exact *= ss
         modified = self.p.lagrangian_hessian(
             w, 1.0 / self.p.f_scale, zero_eq,
-            np.maximum(ineq_mult, 0.0), convexify=True) * ss
+            np.maximum(ineq_mult, 0.0), convexify=True)
+        modified *= ss
         if self.rows.m:
             act = self.penalty_active(d)
             if np.any(act):
-                Jy = J[act] * self.s[None, :]
-                gn = self.rho * (Jy.T @ Jy)
-                exact = exact + gn
-                modified = modified + gn
+                Jy = J[act]  # a copy: boolean indexing
+                Jy *= self.s
+                gn = Jy.T @ Jy
+                gn *= self.rho
+                exact += gn
+                modified += gn
         return exact, modified
 
 
@@ -537,7 +552,8 @@ class _Polisher:
         eq_mult = lam[:p.n_eq] / p.eq_scale if p.n_eq else np.zeros(0)
         ineq_mult = lam[p.n_eq:] / p.ineq_scale if p.n_ineq else np.zeros(0)
         H = p.lagrangian_hessian(w, 1.0 / p.f_scale, eq_mult, ineq_mult)
-        return H * np.outer(self.s, self.s)
+        H *= self.rows.scale_outer
+        return H
 
     def run(self, y0: np.ndarray, lam0: np.ndarray, max_steps: int = 15,
             rounds: int = 3):

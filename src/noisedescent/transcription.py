@@ -303,8 +303,20 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
 
 
 def _add_blocks(H: np.ndarray, idx: np.ndarray, blocks: np.ndarray) -> None:
-    """H[idx[k], idx[k]] += blocks[k] for k in order; blocks may share indices."""
+    """H[idx[k], idx[k]] += blocks[k] for k in order; blocks may share indices.
+
+    Entries (p, q) and (q, p) receive their contributions in the same
+    order, so symmetric blocks keep H symmetric bit for bit."""
     np.add.at(H, (idx[:, :, None], idx[:, None, :]), blocks)
+
+
+def _symmetrise_blocks(H: np.ndarray, idx: np.ndarray) -> None:
+    """H[idx[k], idx[k]] = its symmetric part, for every k, in place.
+
+    Applied twice it changes nothing, so overlapping blocks are safe."""
+    rows, cols = idx[:, :, None], idx[:, None, :]
+    blocks = H[rows, cols]
+    H[rows, cols] = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
 
 
 class _PointMemo:
@@ -341,7 +353,7 @@ class _Term(NamedTuple):
     value: Callable        # (Z, U) -> float, or (K,) for stacked (K, ...) Z and U
     gradient: Callable     # (grad, Z, U) -> None: writes into a zeroed gradient
     add_hessian: Callable  # (H, Z, U, weight, convexify) -> None: adds weight * Hessian
-    columns: np.ndarray    # decision-vector indices the functional depends on
+    columns: np.ndarray    # (rows, d) indices of the local variables of each node
     theta_coef: float = 0.0
 
 
@@ -353,7 +365,7 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
     """Equivalent continuous level at one observer."""
     params, atm, weights, duration = tr.params, tr.atm, tr.weights, tr.grid.duration
     idx = tr.node_idx
-    cols = idx.ravel()
+    n_state = idx.size
 
     def levels(X):
         return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3],
@@ -381,7 +393,10 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
         gradient vector.  With convexify the node blocks get their
         eigenvalues floored at zero and the negative rank-one term is
         dropped, yielding the positive-semidefinite model used by the
-        solver's modified-Newton fallback."""
+        solver's modified-Newton fallback.
+
+        The rank-one term and the unfloored node blocks are symmetric bit
+        for bit; a floored block is not, and the caller symmetrises it."""
         if weight == 0.0:
             return
         _, p = memo.get(Z, "leq")
@@ -390,7 +405,11 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
         blocks = memo.get(Z, "blocks")
         if not convexify:
             G = (p[:, None] * dlev).ravel()
-            H[np.ix_(cols, cols)] -= (weight * beta) * np.outer(G, G)
+            # the states lead the layout, so the node columns are 0..n_state-1:
+            # subtract from that leading block in place, through one buffer
+            GG = np.outer(G, G)
+            GG *= weight * beta
+            H[:n_state, :n_state] -= GG
         blocks = p[:, None, None] * (blocks + beta * (dlev[:, :, None] * dlev[:, None, :]))
         if convexify:
             blocks = _floor_eigenvalues(blocks, np.outer(STATE_SCALE, STATE_SCALE))
@@ -431,7 +450,7 @@ def _consumption_term(tr: "_Transcription") -> _Term:
 
 # the epigraph variable theta alone; its value broadcasts against a stack's thetas
 _EPIGRAPH = _Term(lambda Z, U: 0.0, lambda grad, Z, U: None, lambda *args: None,
-                  np.zeros(0, dtype=int), theta_coef=1.0)
+                  np.zeros((0, 0), dtype=int), theta_coef=1.0)
 
 
 class _Transcription:
@@ -602,10 +621,21 @@ class _Transcription:
         weighted step map, one 9x9 block per interval.  With convexify the
         objective and extra-row blocks get their spectra floored at zero
         (the solver's modified-Newton model).
+
+        The result is symmetric bit for bit.  Every block is symmetrised
+        where it is differenced, and the rank-one Leq term is an outer
+        product, so the exact Hessian needs no further step.  A floored
+        block is symmetric only to rounding: with convexify the node
+        blocks of the weighted terms are replaced by their symmetric
+        parts, which is what 0.5*(H + H.T) would do, without a full copy.
+        Returns a new array on every call.
         """
         Z, U, _ = self.layout.unpack(w)
         n = self.grid.n_intervals
         H = np.zeros((self.layout.n_vars, self.layout.n_vars))
+        weighted = [(self.objective_term, sigma_f)] + [
+            (term, float(ineq_mult[self.n_path + i]))
+            for i, (term, _) in enumerate(self.extra_rows)]
         # blocks overlap, so this order (objective, defects, extra rows)
         # fixes the rounding of the sums
         self.objective_term.add_hessian(H, Z, U, sigma_f, convexify)
@@ -614,9 +644,13 @@ class _Transcription:
             blocks = _cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), _INTERVAL_SCALE,
                                         mu, _STEP_NONLINEAR)
             _add_blocks(H, self.interval_idx, -blocks)
-        for i, (term, _) in enumerate(self.extra_rows):
-            term.add_hessian(H, Z, U, float(ineq_mult[self.n_path + i]), convexify)
-        return 0.5 * (H + H.T)
+        for term, weight in weighted[1:]:
+            term.add_hessian(H, Z, U, weight, convexify)
+        if convexify:
+            for term, weight in weighted:
+                if weight != 0.0:
+                    _symmetrise_blocks(H, term.columns)
+        return H
 
     # ----- variable bounds ---------------------------------------------
 

@@ -228,6 +228,58 @@ class TestKktResiduals:
         assert feas == pytest.approx(1.0)
 
 
+def stacked_jacobian_reference(problem, w):
+    """The scaled rows' Jacobian as np.vstack of the parts over the row scales."""
+    parts = [np.asarray(jac(w), dtype=float)
+             for rows, jac in ((problem.n_eq, problem.equalities_jacobian),
+                               (problem.n_ineq, problem.inequalities_jacobian)) if rows]
+    if not parts:
+        return np.zeros((0, problem.n_vars))
+    return np.vstack(parts) / _Rows(problem).scale[:, None]
+
+
+def inequality_only_problem():
+    """Two scaled inequality rows, one Jacobian entry a negative zero."""
+    return NlpProblem(
+        n_vars=2,
+        objective=lambda w: np.vecdot(w, w),
+        objective_gradient=lambda w: 2.0 * w,
+        n_ineq=2,
+        inequalities=lambda w: np.stack([w[..., 0] + w[..., 1], -w[..., 1]], axis=-1),
+        inequalities_jacobian=lambda w: np.array([[1.0, 1.0], [-0.0, -1.0]]),
+        ineq_lower=np.array([1.0, -np.inf]),
+        ineq_upper=np.array([2.0, 0.0]),
+        ineq_scale=np.array([3.0, 7.0]),
+    )
+
+
+class TestStackedJacobian:
+    """`_Rows.jacobian` divides each part into one array in place; it must
+    keep the bits, signed zeros included, of stacking and then dividing."""
+
+    @pytest.mark.parametrize("case", ["equalities", "inequalities", "unconstrained",
+                                      "transcription"])
+    def test_matches_vstack_then_divide(self, case):
+        if case == "equalities":
+            problem = circle_problem()
+            problem.eq_scale = np.array([3.0])
+            w = np.array([0.3, -0.7])
+        elif case == "inequalities":
+            problem, w = inequality_only_problem(), np.array([0.3, -0.7])
+        elif case == "unconstrained":
+            problem, w = bound_quadratic(), np.array([0.5])
+        else:
+            scn = default_scenario(n_intervals=6)
+            problem, w = assemble(scn), initial_guess(scn)
+        J = _Rows(problem).jacobian(w)
+        reference = stacked_jacobian_reference(problem, w)
+        assert J.shape == reference.shape == (problem.n_eq + problem.n_ineq, problem.n_vars)
+        assert J.tobytes() == reference.tobytes()
+        assert np.array_equal(np.signbit(J), np.signbit(reference))
+        if case in ("inequalities", "transcription"):
+            assert np.signbit(reference[reference == 0.0]).any()
+
+
 class TestSolverBehavior:
     def test_deterministic_repeat(self):
         a = solve(rosenbrock_line(), np.array([0.5, 0.5]))
