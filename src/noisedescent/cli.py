@@ -58,11 +58,25 @@ def write_trajectory_csv(path: Path, result: VariantResult, scn: Scenario) -> No
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
+    """Trajectory of a file in the trajectory.csv layout.
+
+    Raises ValueError for a file without a data row, without a column of
+    TRAJECTORY_HEADER, with a field that is not a number, with rows of
+    another length than the header, or whose times are not equidistant.
+    """
     lines = Path(path).read_text().strip().splitlines()
+    if len(lines) < 2:
+        raise ValueError("expected a header line and data rows")
     header = lines[0].split(",")
-    idx = {name: header.index(name) for name in TRAJECTORY_HEADER}
+    try:
+        idx = {name: header.index(name) for name in TRAJECTORY_HEADER}
+    except ValueError:
+        missing = [name for name in TRAJECTORY_HEADER if name not in header]
+        raise ValueError(f"no {', '.join(missing)} column") from None
     rows = [list(map(float, line.split(","))) for line in lines[1:]]
     data = np.asarray(rows)
+    if data.shape[1] != len(header):
+        raise ValueError(f"rows of {data.shape[1]} fields under {len(header)} column names")
     times = data[:, idx["t"]]
     states = data[:, [idx[c] for c in STATE_NAMES]]
     controls = data[:-1][:, [idx[c] for c in CONTROL_NAMES]]
@@ -171,9 +185,21 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
         opts = dataclasses.replace(opts, **solver_overrides)
     scn.validate()
     controls = getattr(args, "controls", None)
-    if controls is not None and not controls.is_file():
-        raise ConfigError(f"controls file {str(controls)!r} not found")
+    if controls is not None:
+        _check_controls(controls)
     return scn, opts
+
+
+def _check_controls(path: Path) -> None:
+    """Reject a controls file that `run_evaluate` cannot fly: one that is
+    not a trajectory on an equidistant grid of at least two intervals."""
+    if not path.is_file():
+        raise ConfigError(f"controls file {str(path)!r} not found")
+    try:
+        times = read_trajectory_csv(path).times
+        Grid(times[0], times[-1], times.size - 1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,

@@ -25,10 +25,11 @@ can be nonzero.  An objective or extra-row term keeps a one-entry memo
 energy weights or fuel flows, their complex-step gradients and, on first
 use, their Hessian blocks.  So the value, the gradient and both the exact
 and the convexified Lagrangian Hessian at one point share one set of
-kernel evaluations.  The defect blocks are differenced only along the
-seven variables the step map is nonlinear in (`_STEP_NONLINEAR`);
-`rhs_arrays` reads neither x nor y, so their rows and columns are exact
-zeros.
+kernel evaluations.  The defect Jacobian and Hessian blocks are
+differenced only along the seven variables the step map is nonlinear in
+(`_STEP_NONLINEAR`): `rhs_arrays` reads neither x nor y, so the step map
+is the identity along them, their Jacobian columns are written exactly
+and their Hessian rows and columns are exact zeros.
 
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
@@ -536,7 +537,12 @@ class _Transcription:
     def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
         n = self.grid.n_intervals
-        D = _cs_derivative(self._step, np.hstack([Z[:-1], U]))
+        # Phi is the identity along x and y; D's other x and y entries are
+        # +0.0, so -D holds -0.0 there, as a complex step along them gives
+        D = np.zeros((n, 6, 9))
+        D[..., _STEP_NONLINEAR] = _cs_derivative(self._step, np.hstack([Z[:-1], U]),
+                                                 along=_STEP_NONLINEAR)
+        D[:, IX, IX] = D[:, IY, IY] = 1.0
         J = np.zeros((self.n_eq, self.layout.n_vars))
         rows = np.arange(6 * n).reshape(n, 6)
         J[rows[:, :, None], self.interval_idx[:, None, :]] = -D

@@ -56,3 +56,5 @@ def test_ladder_solve_is_traced_at_every_layer():
     assert totals[("setup", "transcription.assemble.calls")] == 2
     # only the coarsest rung starts from the initial guess
     assert totals[("setup", "scenarios.initial_guess.calls")] == 1
+    # the solver factorises through the name the tracer wraps
+    assert totals[("setup", "nlp_solver.cholesky.calls")] > 0

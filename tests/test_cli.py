@@ -21,8 +21,10 @@ from noisedescent.transcription import assemble, simulate
 def assert_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
     assert not out.exists()
+    return err
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -35,29 +37,46 @@ def test_single_interval_grid_exits_2(tmp_path, capsys):
     assert_exits_2(["solve", "--N", "1"], tmp_path, capsys)
 
 
-def solve_must_not_run(*args, **kwargs):
-    raise AssertionError("the input was accepted and a solve started")
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the input was accepted and a run started")
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["solve", "--N", "0"], None),
-    (["solve", "--tol-feas", "0"], None),
-    (["solve", "--tol-feas", "-1"], None),
-    (["solve", "--observers", "0,0;bad"], None),
-    (["solve"], "[aircraft]\nmass = -1\n"),
-    (["solve"], "[solver]\nfeasibility_tol = 0\n"),
-    (["evaluate", "--controls", "{tmp}/missing.csv"], None),
+def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER, field="0.5"):
+    """A controls file in the trajectory.csv layout, every value but t set to `field`."""
+    rows = [",".join([repr(t)] + [field] * (len(header) - 1)) for t in times]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+@pytest.mark.parametrize("argv, config, controls", [
+    (["solve", "--N", "0"], None, None),
+    (["solve", "--tol-feas", "0"], None, None),
+    (["solve", "--tol-feas", "-1"], None, None),
+    (["solve", "--observers", "0,0;bad"], None, None),
+    (["solve"], "[aircraft]\nmass = -1\n", None),
+    (["solve"], "[solver]\nfeasibility_tol = 0\n", None),
+    (["evaluate", "--controls", "{tmp}/missing.csv"], None, None),
+    (["evaluate"], None, controls_file(field="abc")),
+    (["evaluate"], None, controls_file(header=[c for c in cli.TRAJECTORY_HEADER if c != "chi"])),
+    (["evaluate"], None, controls_file(times=(0.0, 50.0, 110.0, 150.0))),
 ], ids=["zero-N", "zero-tol", "negative-tol", "bad-observer", "negative-mass",
-        "zero-tol-config", "missing-controls"])
-def test_invalid_input_exits_2(argv, config, tmp_path, capsys, monkeypatch):
-    # a value that is ignored instead of rejected would start a solve
-    monkeypatch.setattr(cli, "run_solve", solve_must_not_run)
+        "zero-tol-config", "missing-controls", "controls-not-a-number",
+        "controls-without-chi", "controls-not-equidistant"])
+def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeypatch):
+    # a value that is ignored instead of rejected would start a run
+    monkeypatch.setattr(cli, "run_solve", must_not_run)
+    monkeypatch.setattr(cli, "run_evaluate", must_not_run)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
         path = tmp_path / "run.ini"
         path.write_text(config)
         argv += ["--config", str(path)]
-    assert_exits_2(argv, tmp_path, capsys)
+    if controls is not None:
+        path = tmp_path / "controls.csv"
+        path.write_text(controls)
+        argv += ["--controls", str(path)]
+    err = assert_exits_2(argv, tmp_path, capsys)
+    if controls is not None:
+        assert err.startswith(f"error: {path}: ")
 
 
 def test_evaluate_reports_simulated_trajectory(tmp_path):

@@ -1,6 +1,7 @@
 """Solver unit suite: the three reference problems, KKT bookkeeping,
-determinism, merit monotonicity, feasibility restoration and the batched
-line search.
+determinism, merit monotonicity, feasibility restoration, the batched
+line search, and the factorisations, which the solver looks up by name
+and which load SciPy on first use.
 
 Every problem handed to `solve` carries its exact Lagrangian Hessian;
 `psd_floor` gives the convexified model the solver asks for when the
@@ -8,11 +9,17 @@ exact one is indefinite.  Value callbacks broadcast over a leading axis,
 as the stacked-point contract of `NlpProblem` asks.
 """
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from noisedescent import nlp_solver
 from noisedescent.errors import DomainError
 from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
 from noisedescent.transcription import assemble
@@ -488,3 +495,64 @@ class TestBatchedLineSearch:
             bound_quadratic(), [2.0], lambda g: np.array([1.0]), np.zeros(0))
         assert batched is None and reference is None
         assert trials == {"batches": 1, "points": _TRIAL_BATCH}
+
+
+FACTORISATIONS = ("cho_factor", "cho_solve", "lu_factor", "lu_solve")
+
+
+class TestFactorisations:
+    def test_looked_up_by_name_on_every_call(self, monkeypatch):
+        # the benchmark's tracer counts factorisations through these names;
+        # Rosenbrock on its line reaches the polisher, and its first exact
+        # merit Hessian is indefinite, so one Cholesky fails
+        w_ref, rep_ref = solve(rosenbrock_line(), np.array([0.5, 0.5]))
+        calls, failed = Counter(), Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                except nlp_solver.LinAlgError:
+                    failed[name] += 1
+                    raise
+            return wrapper
+
+        for name in FACTORISATIONS:
+            monkeypatch.setattr(nlp_solver, name, counting(name, getattr(nlp_solver, name)))
+        w, rep = solve(rosenbrock_line(), np.array([0.5, 0.5]))
+
+        assert all(calls[name] > 0 for name in FACTORISATIONS), calls
+        # the failed Cholesky raised the error the solver catches
+        assert failed["cho_factor"] > 0
+        assert rep.status == rep_ref.status == "optimal"
+        assert w.tobytes() == w_ref.tobytes()
+        assert (rep.objective, rep.iterations) == (rep_ref.objective, rep_ref.iterations)
+
+
+SCIPY_PROBE = """
+import json, sys
+import numpy as np
+import noisedescent, noisedescent.cli
+from noisedescent.nlp_solver import NlpProblem, solve
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+problem = NlpProblem(
+    n_vars=1, objective=lambda w: (w[..., 0] - 3.0) ** 2,
+    objective_gradient=lambda w: np.array([2.0 * (w[0] - 3.0)]),
+    lower=np.array([0.0]), upper=np.array([2.0]),
+    lagrangian_hessian=lambda w, s, e, i, convexify=False: np.array([[2.0 * s]]))
+w, report = solve(problem, np.array([0.5]))
+print(json.dumps([loaded, report.status, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_importing_the_package_loads_no_scipy():
+    # SciPy loads on the first factorisation, not with the package
+    src = str(Path(nlp_solver.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    loaded, status, linalg_after_solve = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == []
+    assert status == "optimal"
+    assert linalg_after_solve

@@ -29,6 +29,7 @@ from noisedescent.transcription import (
     internode_violation,
     simulate,
     trajectory_from_vector,
+    _cs_derivative,
     _cs_hessian_blocks,
 )
 
@@ -369,6 +370,20 @@ class TestDerivatives:
         assert full.tobytes() == restricted.tobytes()
         assert not full[:, [IX, IY], :].any() and not full[:, :, [IX, IY]].any()
         assert np.count_nonzero(full[0]) > 40
+
+    def test_step_map_jacobian_matches_the_full_stencil(self):
+        # the defect Jacobian is differenced along the nonlinear variables
+        # only, its x and y columns written as the identity; a complex step
+        # along all nine must give the same bits, signed zeros included
+        scn, prob = variant_problem("noise")
+        tr = prob.meta["transcription"]
+        rng = np.random.default_rng(8)
+        w = random_feasible_point(prob, initial_guess(scn), rng)
+        Z, U, _ = tr.layout.unpack(w)
+        full = _cs_derivative(tr._step, np.hstack([Z[:-1], U]))
+        rows = np.arange(6 * scn.n_intervals).reshape(scn.n_intervals, 6)
+        J = prob.equalities_jacobian(w)
+        assert J[rows[:, :, None], tr.interval_idx[:, None, :]].tobytes() == (-full).tobytes()
 
 
 class TestMemo:
