@@ -2,8 +2,9 @@
 
 Subcommands: solve, sweep, compare, evaluate.  Every run writes
 trajectory.csv (17-significant-digit decimals, byte-stable for a fixed
-seed), report.json (config echo, solve report, per-observer levels,
-consumption, hash manifest) and iterations.log.
+seed), report.json (config echo, per-observer levels, consumption, hash
+manifest, and for a solve the solve report) and iterations.log.
+Every JSON file is strict JSON: a non-finite number is written as null.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from .config import _parse_pairs, parse_config
 from .errors import ConfigError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
-from .nlp_solver import SolveReport, SolverOptions
+from .nlp_solver import SolverOptions
 from .scenarios import (
     Scenario,
     VariantResult,
@@ -39,22 +41,10 @@ SWEEP_OBSERVERS = tuple(
     (x, y) for x in (0.0, 20000.0, 40000.0, 60000.0) for y in (0.0, 2500.0, 5000.0))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_trajectory_csv(path: Path, result: VariantResult, scn: Scenario) -> None:
-    traj = result.trajectory
-    headers = list(TRAJECTORY_HEADER) + [f"L_P_obs{j}" for j in range(len(scn.observers))]
-    levels = [noise.levels_along(traj, obs, scn.engine, scn.atmosphere)
-              for obs in scn.observers]
-    lines = [",".join(headers)]
-    controls = traj.node_controls()
-    for k in range(traj.n_intervals + 1):
-        row = [traj.times[k], *traj.states[k], *controls[k]]
-        row += [lv[k] for lv in levels]
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _csv_text(header, data: np.ndarray) -> str:
+    """CSV of a header and a float table, each field as format(v, ".17g")."""
+    row = ",".join(["%.17g"] * data.shape[1])
+    return "\n".join([",".join(header), *(row % tuple(r) for r in data.tolist())]) + "\n"
 
 
 def read_trajectory_csv(path: Path) -> Trajectory:
@@ -106,15 +96,56 @@ def _scenario_echo(scn: Scenario) -> dict:
         "atmosphere": dataclasses.asdict(scn.atmosphere),
         "seed": scn.seed, "n_starts": scn.n_starts,
     }
-    engine = {k: v for k, v in dataclasses.asdict(scn.engine).items()
-              if not k.endswith("_hook")}
-    echo["engine_noise"] = engine
+    echo["engine_noise"] = {k: v for k, v in dataclasses.asdict(scn.engine).items()
+                            if not k.endswith("_hook")}
     return echo
 
 
-def _report_dict(result: VariantResult, scn: Scenario) -> dict:
+def _json_text(obj) -> str:
+    """Strict JSON of obj, indented, with every non-finite float as null."""
+    return json.dumps(_finite_json(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _finite_json(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def write_run_outputs(out_dir: Path, traj: Trajectory, scn: Scenario, report: dict,
+                      iteration_log=(), levels: np.ndarray | None = None) -> dict:
+    """Write trajectory.csv, iterations.log and report.json; verify hashes.
+
+    trajectory.csv holds the times, states, node controls and node levels
+    at every observer: `levels`, the (n_obs, N+1) matrix of
+    `noise.levels_at`, computed here when not given.  report.json is
+    `report` plus the hash manifest of the other two files; the returned
+    dict keeps its non-finite floats.
+    """
+    if levels is None:
+        levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    traj_path = out_dir / "trajectory.csv"
+    header = TRAJECTORY_HEADER + tuple(f"L_P_obs{j}" for j in range(len(scn.observers)))
+    data = np.column_stack([traj.times, traj.states, traj.node_controls(), levels.T])
+    _atomic_write(traj_path, _csv_text(header, data))
+    log_path = out_dir / "iterations.log"
+    _atomic_write(log_path, "\n".join(r.format() for r in iteration_log) + "\n")
+    report = {**report, "manifest": {p.name: _sha256(p) for p in (traj_path, log_path)}}
+    _atomic_write(out_dir / "report.json", _json_text(report))
+    for name, digest in report["manifest"].items():
+        if _sha256(out_dir / name) != digest:
+            raise RuntimeError(f"manifest hash mismatch for {name}")
+    return report
+
+
+def _write_solve(out_dir: Path, result: VariantResult, scn: Scenario,
+                 extra: dict | None = None) -> dict:
+    """write_run_outputs of a solve: its report, its iteration log."""
     rep = result.report
-    return {
+    report = {
         "variant": result.variant,
         "status": rep.status,
         "objective": rep.objective,
@@ -131,27 +162,9 @@ def _report_dict(result: VariantResult, scn: Scenario) -> dict:
         "theta_db": result.theta_db,
         "internode_violation": result.internode_violation,
         "config": _scenario_echo(scn),
+        **(extra or {}),
     }
-
-
-def write_run_outputs(out_dir: Path, result: VariantResult, scn: Scenario,
-                      extra: dict | None = None) -> dict:
-    """Write trajectory.csv, iterations.log and report.json; verify hashes."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    write_trajectory_csv(traj_path, result, scn)
-    log_path = out_dir / "iterations.log"
-    _atomic_write(log_path, "\n".join(r.format() for r in result.report.iteration_log)
-                  + "\n")
-    report = _report_dict(result, scn)
-    if extra:
-        report.update(extra)
-    report["manifest"] = {p.name: _sha256(p) for p in (traj_path, log_path)}
-    _atomic_write(out_dir / "report.json", json.dumps(report, indent=2) + "\n")
-    for name, digest in report["manifest"].items():
-        if _sha256(out_dir / name) != digest:
-            raise RuntimeError(f"manifest hash mismatch for {name}")
-    return report
+    return write_run_outputs(out_dir, result.trajectory, scn, report, rep.iteration_log)
 
 
 def _load(args) -> tuple[Scenario, SolverOptions]:
@@ -205,14 +218,12 @@ def _check_controls(path: Path) -> None:
 def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
               terms_csv: bool = False) -> dict:
     result = solve_variant(scn, opts)
-    report = write_run_outputs(out_dir, result, scn)
+    report = _write_solve(out_dir, result, scn)
     if terms_csv:
         for j, obs in enumerate(scn.observers):
             header, rows = noise.breakdown_rows(result.trajectory, obs,
                                                 scn.engine, scn.atmosphere)
-            lines = [",".join(header)]
-            lines += [",".join(_fmt(v) for v in row) for row in rows]
-            _atomic_write(out_dir / f"noise_terms_obs{j}.csv", "\n".join(lines) + "\n")
+            _atomic_write(out_dir / f"noise_terms_obs{j}.csv", _csv_text(header, rows))
     return report
 
 
@@ -220,7 +231,7 @@ def _sweep_worker(payload):
     scn, opts, out_dir, x, y = payload
     one = dataclasses.replace(scn, observers=(Observer(x, y),), variant="noise")
     result = solve_variant(one, opts)
-    report = write_run_outputs(out_dir, result, one)
+    report = _write_solve(out_dir, result, one)
     return (x, y, report)
 
 
@@ -232,11 +243,12 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     positions = observers or SWEEP_OBSERVERS
     fuel_scn = dataclasses.replace(scn, variant="fuel")
     fuel = solve_variant(fuel_scn, opts)
-    write_run_outputs(out_dir / "fuel_reference", fuel, fuel_scn)
+    _write_solve(out_dir / "fuel_reference", fuel, fuel_scn)
+    fuel_levels = noise.levels_at(fuel.trajectory, [Observer(x, y) for x, y in positions],
+                                  scn.engine, scn.atmosphere)
 
-    payloads = []
-    for i, (x, y) in enumerate(positions):
-        payloads.append((scn, opts, out_dir / f"obs_{i:03d}", x, y))
+    payloads = [(scn, opts, out_dir / f"obs_{i:03d}", x, y)
+                for i, (x, y) in enumerate(positions)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_worker, payloads))
@@ -244,10 +256,11 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
         results = [_sweep_worker(p) for p in payloads]
 
     rows = []
-    lines = ["x_obs,y_obs,J_db,max_fe_oe,cpu_s,J1_db,J1_minus_J_db,"
-             "pct_co_of_tr,pct_co_of_tr1,status"]
-    for (x, y, report) in results:
-        j1 = noise.leq(fuel.trajectory, Observer(x, y), scn.engine, scn.atmosphere)
+    keys = ("x_obs", "y_obs", "J_db", "max_fe_oe", "cpu_s", "J1_db", "J1_minus_J_db",
+            "pct_co_of_tr", "pct_co_of_tr1", "status")
+    lines = [",".join(keys)]
+    for (x, y, report), fuel_lp in zip(results, fuel_levels):
+        j1 = float(noise.leq_from_levels(fuel.trajectory.times, fuel_lp))
         co_tr = report["consumption_kg"]
         co_tr1 = fuel.consumption_kg
         row = {
@@ -262,12 +275,10 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
             "status": report["status"],
         }
         rows.append(row)
-        lines.append(",".join(
-            _fmt(row[k]) if isinstance(row[k], float) else str(row[k])
-            for k in ("x_obs", "y_obs", "J_db", "max_fe_oe", "cpu_s", "J1_db",
-                      "J1_minus_J_db", "pct_co_of_tr", "pct_co_of_tr1", "status")))
+        lines.append(",".join(format(float(row[k]), ".17g") if isinstance(row[k], float)
+                              else str(row[k]) for k in keys))
     _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
-    _atomic_write(out_dir / "summary.json", json.dumps(rows, indent=2) + "\n")
+    _atomic_write(out_dir / "summary.json", _json_text(rows))
     return rows
 
 
@@ -282,8 +293,7 @@ def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
     noise_res = solve_variant(noise_scn, opts)
     fuel_res = solve_variant(fuel_scn, opts)
     obs = scn.observers[0]
-    j = noise_res.leq_by_observer[0]
-    j1 = noise.leq(fuel_res.trajectory, obs, scn.engine, scn.atmosphere)
+    j, j1 = noise_res.leq_by_observer[0], fuel_res.leq_by_observer[0]
     co_tr, co_tr1 = noise_res.consumption_kg, fuel_res.consumption_kg
     comparison = {
         "observer": [obs.x, obs.y],
@@ -295,42 +305,31 @@ def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
         "status": {"noise_optimal": noise_res.report.status,
                    "fuel_reference": fuel_res.report.status},
     }
-    write_run_outputs(out_dir / "noise_optimal", noise_res, noise_scn,
-                      extra={"comparison": comparison})
-    write_run_outputs(out_dir / "fuel_reference", fuel_res, fuel_scn)
-    _atomic_write(out_dir / "compare.json", json.dumps(comparison, indent=2) + "\n")
+    _write_solve(out_dir / "noise_optimal", noise_res, noise_scn,
+                 extra={"comparison": comparison})
+    _write_solve(out_dir / "fuel_reference", fuel_res, fuel_scn)
+    _atomic_write(out_dir / "compare.json", _json_text(comparison))
     return comparison
 
 
 def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
     """Forward-simulate the controls of a trajectory file and report
-    noise and fuel metrics without optimizing."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    noise and fuel metrics without optimizing: the report has no solver
+    fields, and iterations.log is empty."""
     given = read_trajectory_csv(controls_csv)
     grid = Grid(given.times[0], given.times[-1], given.n_intervals)
     traj = simulate(given.states[0], given.controls, grid,
                     scn.aircraft, scn.atmosphere)
-    levels = [noise.leq(traj, obs, scn.engine, scn.atmosphere)
-              for obs in scn.observers]
+    levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
     report = {
         "variant": "evaluate",
-        "source": str(controls_csv),
-        "leq_db_by_observer": levels,
+        "leq_db_by_observer": [float(noise.leq_from_levels(traj.times, lp)) for lp in levels],
         "consumption_kg": noise.total_consumption(traj, scn.aircraft, scn.atmosphere),
+        "config": _scenario_echo(scn),
+        "source": str(controls_csv),
         "final_state": {k: float(v) for k, v in zip(STATE_NAMES, traj.states[-1])},
     }
-    fake = VariantResult(variant="evaluate", trajectory=traj,
-                         report=SolveReport(
-                             status="optimal", objective=float("nan"),
-                             feasibility_error=0.0, optimality_error=0.0,
-                             iterations=0, outer_iterations=0, wall_time=0.0,
-                             eq_multipliers=np.zeros(0),
-                             ineq_multipliers=np.zeros(0)),
-                         w=np.zeros(0),
-                         leq_by_observer=tuple(levels),
-                         consumption_kg=report["consumption_kg"])
-    write_run_outputs(out_dir, fake, scn, extra=report)
-    return report
+    return write_run_outputs(out_dir, traj, scn, report, levels=levels)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,6 +31,16 @@ CONTROL_NAMES = ("alpha", "delta_x", "mu")
 _SINGULARITY_EPS = 1e-9
 
 
+def _any(mask) -> bool:
+    """Whether any entry of a boolean array or scalar is set.
+
+    The domain guards test ``_any(x.real < c)``: NaN compares false and
+    passes, as with ``.any()``, which costs several times more on the
+    numpy scalars of one-node calls.
+    """
+    return bool(np.count_nonzero(mask)) if getattr(mask, "ndim", 0) else bool(mask)
+
+
 @dataclass(frozen=True)
 class Atmosphere:
     """Sea-level reference values and the density power law.
@@ -91,7 +101,7 @@ class AircraftModel:
 def air_density(h, atm: Atmosphere = ISA):
     """Density at height h: rho_isa * (1 - lapse*h)**exponent, kg/m^3."""
     base = 1.0 - atm.lapse * np.asarray(h)
-    if (np.real(base) <= 0.0).any():
+    if _any(base.real <= 0.0):
         raise DomainError(
             f"height beyond density-law domain (h must stay below {atm.max_height:.0f} m)")
     return atm.rho_isa * base ** atm.exponent
@@ -125,7 +135,7 @@ def thrust(h, V, delta_x, model: AircraftModel, atm: Atmosphere = ISA):
 def _thrust(rho, c, V, delta_x, model: AircraftModel):
     """Thrust from the density and speed of sound at the flight point, N."""
     M = V / c
-    if (np.real(M) >= 1.0).any():
+    if _any(M.real >= 1.0):
         raise DomainError("thrust model is valid for M < 1 only")
     return model.T0 * np.asarray(delta_x) * (rho / model.rho0) * (1.0 - M + 0.5 * M * M)
 
@@ -157,10 +167,10 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     V = np.asarray(V)
     gamma = np.asarray(gamma)
     alpha = np.asarray(alpha)
-    if (np.real(V) < _SINGULARITY_EPS).any():
+    if _any(V.real < _SINGULARITY_EPS):
         raise SingularStateError("airspeed too close to zero for the equations of motion")
     cos_gamma = np.cos(gamma)
-    if (np.abs(np.real(cos_gamma)) < _SINGULARITY_EPS).any():
+    if _any(abs(cos_gamma.real) < _SINGULARITY_EPS):
         raise SingularStateError("cos(gamma) too close to zero for the yaw equation")
 
     rho = air_density(h, atm)

@@ -9,13 +9,24 @@ corrections are zero-valued plug-in hooks.
 
 Functions are complex-step safe for derivative propagation, like the
 flight dynamics module.
+
+The level kernel works componentwise over the node axis, which is the
+last axis of its inputs.  Leading axes stack points (the complex-step
+perturbations of the transcription) or observers: `levels_at` scores a
+trajectory at several observers in one kernel call, passing their
+coordinates as (n_obs, 1) columns, so the terms that do not depend on
+the observer (density, jet speed, convection Mach number) are computed
+once.  `levels_along` and `leq` are its one-observer case.  A correction
+hook then receives the slant range R with the leading observer axis,
+(n_obs, N+1), and the height h with the node shape (N+1,), which
+broadcasts against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,12 +35,16 @@ from .flight_dynamics import (
     ISA,
     AircraftModel,
     Atmosphere,
+    _any,
     _sound_speed,
     air_density,
     fuel_flow_arrays,
 )
 
-# Correction hooks take (R, h) arrays and return a dB contribution.
+# Correction hooks take (R, h) arrays and return a dB contribution that
+# broadcasts against R.  R carries every leading axis of the kernel call
+# (stacked points, or the observer axis of `levels_at`); h has the shape
+# of the flight points' heights and broadcasts against R.
 CorrectionHook = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _NEAR_FIELD_R = 1.0  # m; slant range is clamped here to keep logs finite
@@ -151,11 +166,20 @@ class Trajectory:
         return np.vstack([self.controls, self.controls[-1]])
 
 
+class _ObserverColumns(NamedTuple):
+    """Coordinates of several observers as (n_obs, 1) columns; the kernel
+    takes them in place of one Observer."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
 def _check_log_arg(term: str, value) -> None:
-    if (np.asarray(value).real <= 0.0).any():
+    bad = value.real <= 0.0
+    if _any(bad):
         # the node axis is the last one; leading axes stack perturbations
-        bad = np.atleast_1d(np.asarray(value).real <= 0.0)
-        idx = int(np.argwhere(bad)[0][-1])
+        # or observers
+        idx = int(np.argwhere(np.atleast_1d(bad))[0][-1])
         raise NoiseTermError(term, f"nonpositive log argument at node {idx}")
 
 
@@ -196,7 +220,7 @@ def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
 def effective_jet_speed(V, params: EngineNoiseParams):
     """Effective jet speed v1*(1 - V/v1)**(2/3); jet axis alignment neglected."""
     V = np.asarray(V)
-    if (np.real(V) >= params.v1).any():
+    if _any(V.real >= params.v1):
         raise DomainError(f"airspeed must stay below the inner jet speed {params.v1} m/s")
     return params.v1 * (1.0 - V / params.v1) ** (2.0 / 3.0)
 
@@ -282,16 +306,32 @@ def _sum_terms(terms: dict):
 
 def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
                   params: EngineNoiseParams, atm: Atmosphere = ISA):
-    """Overall sound pressure level at the observer, dB, vectorized over nodes."""
+    """Overall sound pressure level at the observer, dB, vectorized over nodes.
+
+    `obs` is one Observer, or the (n_obs, 1) coordinate columns of
+    several, which add a leading observer axis to the result.
+    """
     return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm))
+
+
+def levels_at(traj: Trajectory, observers, params: EngineNoiseParams,
+              atm: Atmosphere = ISA) -> np.ndarray:
+    """L_P at every grid node for each observer, dB, shape (n_obs, N+1).
+
+    One kernel call for all observers; row j equals what the kernel gives
+    for observer j alone, bit for bit.
+    """
+    Z = traj.states
+    cols = _ObserverColumns(np.array([o.x for o in observers], dtype=float)[:, None],
+                            np.array([o.y for o in observers], dtype=float)[:, None])
+    return np.real(levels_arrays(Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3], Z[:, 4], Z[:, 5],
+                                 cols, params, atm))
 
 
 def levels_along(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
                  atm: Atmosphere = ISA) -> np.ndarray:
     """L_P at every grid node, dB."""
-    Z = traj.states
-    return np.real(levels_arrays(Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3], Z[:, 4], Z[:, 5],
-                                 obs, params, atm))
+    return levels_at(traj, (obs,), params, atm)[0]
 
 
 def leq_from_levels(times, levels):

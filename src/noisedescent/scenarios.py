@@ -191,7 +191,8 @@ def initial_guess(scn: Scenario, grid: Grid | None = None) -> np.ndarray:
     layout = scn.layout()
     if layout.has_epigraph:
         traj = Trajectory(times=grid.times(), states=Z, controls=U)
-        worst = max(noise.leq(traj, obs, scn.engine, atm) for obs in scn.observers)
+        worst = max(float(noise.leq_from_levels(traj.times, lp))
+                    for lp in noise.levels_at(traj, scn.observers, scn.engine, atm))
         return layout.pack(Z, U, theta=worst + 1.0)
     return layout.pack(Z, U)
 
@@ -326,8 +327,8 @@ def _result_from_solution(problem: NlpProblem, w: np.ndarray,
     tr = problem.meta["transcription"]
     scn = tr.scn
     traj = transcription.trajectory_from_vector(w, tr.layout, tr.grid)
-    levels = tuple(noise.leq(traj, obs, scn.engine, scn.atmosphere)
-                   for obs in scn.observers)
+    levels = tuple(float(noise.leq_from_levels(traj.times, lp))
+                   for lp in noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere))
     consumption = noise.total_consumption(traj, scn.aircraft, scn.atmosphere)
     theta = tr.layout.unpack(w)[2] if tr.layout.has_epigraph else None
     violation = transcription.internode_violation(

@@ -3,16 +3,19 @@
 Installing it here makes a rename or deletion of any traced name fail in
 the test suite rather than only when the benchmark runs.  A traced solve
 checks that the drivers look the traced functions up where the tracer
-wraps them.
+wraps them, and a traced evaluation that it scores every observer in one
+kernel call.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from noisedescent import flight_dynamics, noise, scenarios, transcription
+from noisedescent import cli, flight_dynamics, noise, scenarios, transcription
 from noisedescent.nlp_solver import SolverOptions
+from noisedescent.noise import Observer
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,3 +61,29 @@ def test_ladder_solve_is_traced_at_every_layer():
     assert totals[("setup", "scenarios.initial_guess.calls")] == 1
     # the solver factorises through the name the tracer wraps
     assert totals[("setup", "nlp_solver.cholesky.calls")] > 0
+
+
+def test_evaluate_scores_every_observer_in_one_kernel_call(tmp_path):
+    # the first 12 intervals of the reference controls, flown at the paper's
+    # step: 50 s steps of the N=12 grid would leave the model domain
+    scn = scenarios.default_scenario(
+        n_intervals=100,
+        observers=(Observer(0.0, 0.0), Observer(20000.0, 2500.0), Observer(40000.0, 5000.0)))
+    Z, U, _ = scn.layout().unpack(scenarios.initial_guess(scn))
+    traj = transcription.simulate(Z[0], U, scn.grid(), scn.aircraft, scn.atmosphere)
+    rows = np.column_stack([traj.times, traj.states, traj.node_controls()])[:13]
+    controls = tmp_path / "controls.csv"
+    controls.write_text("\n".join([",".join(cli.TRAJECTORY_HEADER)]
+                                  + [",".join(repr(float(v)) for v in row) for row in rows])
+                        + "\n")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = cli.run_evaluate(scn, controls, tmp_path / "out")
+    finally:
+        tracer.uninstall()
+    assert len(report["leq_db_by_observer"]) == 3
+    totals = tracer.totals()
+    assert totals[("setup", "noise.levels_arrays.calls")] == 1
+    assert totals[("setup", "transcription.simulate.calls")] == 1
+    assert totals[("setup", "cli.write_run_outputs.calls")] == 1

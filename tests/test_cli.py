@@ -7,13 +7,14 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from noisedescent import cli
 from noisedescent.nlp_solver import SolveReport
-from noisedescent.noise import Observer, leq
+from noisedescent.noise import Observer, leq, levels_along
 from noisedescent.scenarios import _result_from_solution, default_scenario, initial_guess
 from noisedescent.transcription import assemble, simulate
 
@@ -79,6 +80,20 @@ def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeyp
         assert err.startswith(f"error: {path}: ")
 
 
+def strict_json(path):
+    """The file's JSON; NaN and Infinity, which strict parsers reject, raise."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds the non-standard constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1e-300, 1e300, 0.1, math.nan, math.inf,
+                                   -math.inf])
+def test_csv_fields_are_written_as_format_17g(value):
+    text = cli._csv_text(("a", "b"), np.array([[value, 1.0 / 3.0]]))
+    assert text == f"a,b\n{format(value, '.17g')},{format(1.0 / 3.0, '.17g')}\n"
+
+
 def test_evaluate_reports_simulated_trajectory(tmp_path):
     # the paper's grid; with 50 s steps at N=12 these controls leave the model domain
     scn = default_scenario(n_intervals=100)
@@ -93,7 +108,9 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
 
     assert cli.main(["evaluate", "--controls", str(controls_csv), "--out", str(out)]) == 0
 
-    report = json.loads((out / "report.json").read_text())
+    report = strict_json(out / "report.json")
+    # no solve ran, so no solver field is reported
+    assert not {"status", "objective", "iterations", "feasibility_error"} & set(report)
     assert set(report["manifest"]) == {"trajectory.csv", "iterations.log"}
     for name, digest in report["manifest"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
@@ -101,6 +118,12 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
     assert list(report["final_state"].values()) == list(traj.states[-1])
     assert report["leq_db_by_observer"] == [leq(traj, obs, scn.engine, scn.atmosphere)
                                             for obs in scn.observers]
+    written = cli.read_trajectory_csv(out / "trajectory.csv")
+    with open(out / "trajectory.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    for j, obs in enumerate(scn.observers):
+        assert [float(row[f"L_P_obs{j}"]) for row in rows] == list(
+            levels_along(written, obs, scn.engine, scn.atmosphere))
 
 
 def iteration_limit_solve(scn, opts):
@@ -113,6 +136,22 @@ def iteration_limit_solve(scn, opts):
                          eq_multipliers=np.zeros(problem.n_eq),
                          ineq_multipliers=np.zeros(problem.n_ineq))
     return _result_from_solution(problem, w, report)
+
+
+def test_nonfinite_solver_floats_are_written_as_null(tmp_path, monkeypatch):
+    # a solve that fails before its first evaluation has no objective value
+    def solve_variant(scn, opts):
+        result = iteration_limit_solve(scn, opts)
+        result.report = dataclasses.replace(result.report, objective=math.nan,
+                                            feasibility_error=math.inf)
+        return result
+
+    monkeypatch.setattr(cli, "solve_variant", solve_variant)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--N", "12", "--out", str(out)]) == 1
+    report = strict_json(out / "report.json")
+    assert report["objective"] is None and report["feasibility_error"] is None
+    assert report["optimality_error"] == 1.0
 
 
 @pytest.mark.parametrize("unfinished", ["noise", "fuel"])

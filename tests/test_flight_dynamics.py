@@ -217,6 +217,35 @@ class TestDynamics:
         with pytest.raises(SingularStateError):
             rhs_arrays(1e-12, 0.0, 0.0, 0.0, 0.0, 100.0, 0.0, 0.5, 0.0, MODEL, ISA)
 
+    @pytest.mark.parametrize("shape, bad", [((), ()), ((5,), (3,)), ((3, 5), (2, 3))],
+                             ids=["0-d", "nodes", "stacked-complex"])
+    @pytest.mark.parametrize("name, value, error", [
+        ("V", 1e-12, SingularStateError),
+        ("gamma", math.pi / 2, SingularStateError),
+        ("h", 1.0 / ISA.lapse + 1.0, DomainError),
+        ("V", 400.0, DomainError),   # M >= 1 in the thrust law
+        ("V", math.nan, None),
+        ("gamma", math.nan, None),
+        ("h", math.nan, None),
+    ], ids=["V-zero", "cos-gamma-zero", "h-beyond-density-law", "supersonic",
+            "V-nan", "gamma-nan", "h-nan"])
+    def test_guards_at_every_shape(self, shape, bad, name, value, error):
+        # one bad entry among benign ones; stacked points are complex-step
+        # perturbations
+        step = 1e-20j if len(shape) == 2 else 0.0
+        args = dict(V=120.0, gamma=-0.05, chi=0.0, x=0.0, y=0.0, h=1000.0,
+                    alpha=0.05, delta_x=0.5, mu=0.0)
+        cols = {k: np.full(shape, v + step) for k, v in args.items()}
+        cols[name][bad] = value
+        if error is None:
+            with np.errstate(invalid="ignore"):
+                out = rhs_arrays(**cols, model=MODEL)
+            # V_dot depends on V, gamma and h
+            assert np.isnan(np.asarray(out[0])[bad])
+        else:
+            with pytest.raises(error):
+                rhs_arrays(**cols, model=MODEL)
+
 
 class TestFuelFlow:
     def test_zero_throttle_zero_flow(self):

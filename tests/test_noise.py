@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisedescent.cli import SWEEP_OBSERVERS
 from noisedescent.errors import DomainError, NoiseTermError
 from noisedescent.flight_dynamics import ISA, AircraftModel
 from noisedescent.noise import (
@@ -29,6 +30,7 @@ from noisedescent.noise import (
     leq_from_levels,
     levels_along,
     levels_arrays,
+    levels_at,
     slant_range_arrays,
     total_consumption,
 )
@@ -269,6 +271,39 @@ class TestLevel:
         assert err.value.term == "motion"
         assert str(err.value).endswith("at node 3")
 
+    @pytest.mark.parametrize("shape, bad", [((), ()), ((5,), (3,)), ((3, 5), (2, 3))],
+                             ids=["0-d", "nodes", "stacked-complex"])
+    def test_guards_raise_as_before_at_every_shape(self, shape, bad):
+        fast = EngineNoiseParams(v1=2000.0, v2=250.0)
+        node = f"at node {bad[-1] if bad else 0}"
+        # stacked points are complex-step perturbations
+        step = 1e-20j if len(shape) == 2 else 0.0
+
+        def args(**values):
+            base = dict(V=130.0, gamma=0.0, chi=0.0, x=0.0, y=0.0, h=10.0)
+            cols = {k: np.full(shape, v + step) for k, v in base.items()}
+            for k, v in values.items():
+                cols[k][bad] = v
+            return [cols[k] for k in base]
+
+        far_ahead = Observer(1e6, 0.0)
+        # a nonpositive log argument names the node column
+        with pytest.raises(NoiseTermError) as err:
+            levels_arrays(*args(V=500.0), far_ahead, fast)
+        assert err.value.term == "motion"
+        assert str(err.value).endswith(node)
+        # airspeed at the inner jet speed leaves the jet-speed law
+        with pytest.raises(DomainError):
+            levels_arrays(*args(V=PARAMS.v1), far_ahead, PARAMS)
+        # and heights beyond the density law
+        with pytest.raises(DomainError):
+            levels_arrays(*args(h=1.0 / ISA.lapse + 1.0), far_ahead, PARAMS)
+        # NaN compares false and passes every guard
+        for name in ("V", "gamma", "h"):
+            with np.errstate(invalid="ignore"):
+                out = levels_arrays(*args(**{name: math.nan}), far_ahead, fast)
+            assert np.isnan(out[bad])
+
     def test_temp_coefficient_switch(self):
         p10 = EngineNoiseParams(temp_term_coeff=10.0)
         z = (120.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
@@ -304,6 +339,54 @@ def circular_trajectory(n=64, radius=8000.0, height=1500.0, V=120.0):
     ])
     controls = np.tile([0.05, 0.5, 0.0], (n, 1))
     return Trajectory(times=t, states=states, controls=controls)
+
+
+def simulated_trajectory(n=100) -> Trajectory:
+    """The reference scenario's initial-guess controls flown from its first node."""
+    from noisedescent.scenarios import default_scenario, initial_guess
+    from noisedescent.transcription import simulate
+    scn = default_scenario(n_intervals=n)
+    Z, U, _ = scn.layout().unpack(initial_guess(scn))
+    return simulate(Z[0], U, scn.grid(), scn.aircraft, scn.atmosphere)
+
+
+class TestObserverAxis:
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        EngineNoiseParams(directivity_mode="track_axis", track_axis=(60000.0, 5000.0)),
+        EngineNoiseParams(absorption_hook=lambda R, h: -0.005 * R / (1.0 + 1e-3 * h),
+                          ground_hook=lambda R, h: 3.0 * np.exp(-h / 500.0) - 1e-5 * R),
+    ], ids=["velocity_vector", "track_axis", "hooks"])
+    def test_level_matrix_matches_the_per_observer_loop(self, params):
+        traj = simulated_trajectory()
+        observers = [Observer(x, y) for x, y in SWEEP_OBSERVERS]
+        matrix = levels_at(traj, observers, params)
+        assert matrix.shape == (12, traj.n_intervals + 1)
+        # the kernel on one Observer at a time, as the solver's objective calls it
+        loop = [np.real(levels_arrays(*traj.states.T, obs, params)) for obs in observers]
+        assert np.array_equal(matrix, np.array(loop))
+        assert np.array_equal(matrix, np.array([levels_along(traj, obs, params)
+                                                for obs in observers]))
+
+    def test_hooks_get_the_observer_axis(self):
+        shapes = []
+        hooked = EngineNoiseParams(
+            frequency_hook=lambda R, h: shapes.append((R.shape, h.shape)) or 0.0)
+        traj = simulated_trajectory()
+        levels_at(traj, [Observer(0.0, 0.0), Observer(2e4, 2500.0), Observer(4e4, 0.0)],
+                  hooked)
+        assert shapes == [((3, 101), (101,))]
+
+    def test_observer_axis_names_the_node(self):
+        # the motion term fails only for the observer ahead, at node 3
+        fast = EngineNoiseParams(v1=2000.0, v2=250.0)
+        states = np.tile([130.0, 0.0, 0.0, 0.0, 0.0, 10.0], (5, 1))
+        states[3, 0] = 500.0
+        traj = Trajectory(times=np.arange(5.0), states=states, controls=np.zeros((4, 3)))
+        with pytest.raises(NoiseTermError) as err:
+            levels_at(traj, [Observer(-1e6, 0.0), Observer(1e6, 0.0)], fast)
+        assert err.value.term == "motion"
+        assert str(err.value).endswith("at node 3")
 
 
 class TestLeq:
