@@ -75,12 +75,12 @@ def read_trajectory_csv(path: Path) -> Trajectory:
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(text.encode())
     tmp.replace(path)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _scenario_echo(scn: Scenario) -> dict:
@@ -121,23 +121,23 @@ def write_run_outputs(out_dir: Path, traj: Trajectory, scn: Scenario, report: di
     trajectory.csv holds the times, states, node controls and node levels
     at every observer: `levels`, the (n_obs, N+1) matrix of
     `noise.levels_at`, computed here when not given.  report.json is
-    `report` plus the hash manifest of the other two files; the returned
-    dict keeps its non-finite floats.
+    `report` plus the manifest of the other two files: the sha256 of the
+    bytes meant for each, checked against each file once it is written.
+    The returned dict keeps its non-finite floats.
     """
     if levels is None:
         levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
     header = TRAJECTORY_HEADER + tuple(f"L_P_obs{j}" for j in range(len(scn.observers)))
     data = np.column_stack([traj.times, traj.states, traj.node_controls(), levels.T])
-    _atomic_write(traj_path, _csv_text(header, data))
-    log_path = out_dir / "iterations.log"
-    _atomic_write(log_path, "\n".join(r.format() for r in iteration_log) + "\n")
-    report = {**report, "manifest": {p.name: _sha256(p) for p in (traj_path, log_path)}}
-    _atomic_write(out_dir / "report.json", _json_text(report))
-    for name, digest in report["manifest"].items():
-        if _sha256(out_dir / name) != digest:
+    texts = {"trajectory.csv": _csv_text(header, data),
+             "iterations.log": "\n".join(r.format() for r in iteration_log) + "\n"}
+    report = {**report, "manifest": {n: _sha256(t.encode()) for n, t in texts.items()}}
+    for name, text in texts.items():
+        _atomic_write(out_dir / name, text)
+        if _sha256((out_dir / name).read_bytes()) != report["manifest"][name]:
             raise RuntimeError(f"manifest hash mismatch for {name}")
+    _atomic_write(out_dir / "report.json", _json_text(report))
     return report
 
 

@@ -129,7 +129,13 @@ def heun_step(z, u, h_step, rhs):
 
 
 def _rhs_cols(Z, U, model: AircraftModel, atm: Atmosphere):
-    """rhs stacked on (..., 6) state and (..., 3) control arrays."""
+    """rhs stacked on (..., 6) state and (..., 3) control arrays.
+
+    One node's 1-D z and u are unpacked into numpy scalars, not sliced
+    into 0-d arrays, so its kernel call runs on scalars throughout.
+    """
+    if Z.ndim == 1:
+        return np.array(rhs_arrays(*Z, *U, model, atm))
     out = rhs_arrays(Z[..., 0], Z[..., 1], Z[..., 2], Z[..., 3], Z[..., 4], Z[..., 5],
                      U[..., 0], U[..., 1], U[..., 2], model, atm)
     return np.stack(out, axis=-1)
@@ -142,7 +148,13 @@ def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere):
 
 def simulate(z0, controls, grid: Grid, model: AircraftModel,
              atm: Atmosphere = ISA) -> noise.Trajectory:
-    """Forward-simulate the piecewise-constant controls from z0."""
+    """Forward-simulate the piecewise-constant controls from z0.
+
+    Each Heun step is a one-node kernel call on numpy scalars, which stay
+    scalars through `rhs_arrays`.  Its node matches the stacked step map
+    of the NLP's defect rows to rounding, not bit for bit: a scalar `**`
+    and an array `**` may round differently.
+    """
     U = np.asarray(controls, dtype=float)
     if U.shape != (grid.n_intervals, 3):
         raise ValueError(f"controls must have shape ({grid.n_intervals}, 3)")

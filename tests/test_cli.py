@@ -1,5 +1,6 @@
 """Command-line entry point: argument and config errors exit with code 2,
-`evaluate` flies a control file and writes a verified hash manifest,
+`evaluate` flies a control file and writes byte-stable outputs with a
+verified hash manifest,
 `compare` exits 1 unless both its solves are optimal, and `sweep` and
 `compare` tabulate the same certified solves."""
 
@@ -94,7 +95,9 @@ def test_csv_fields_are_written_as_format_17g(value):
     assert text == f"a,b\n{format(value, '.17g')},{format(1.0 / 3.0, '.17g')}\n"
 
 
-def test_evaluate_reports_simulated_trajectory(tmp_path):
+def simulated_controls(tmp_path):
+    """Scenario at N=100, its initial-guess controls flown from the first
+    guess state, and that trajectory written as a controls file."""
     # the paper's grid; with 50 s steps at N=12 these controls leave the model domain
     scn = default_scenario(n_intervals=100)
     Z, U, _ = scn.layout().unpack(initial_guess(scn))
@@ -104,6 +107,11 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
     controls_csv.write_text("\n".join([",".join(cli.TRAJECTORY_HEADER)]
                                       + [",".join(repr(float(v)) for v in row) for row in rows])
                             + "\n")
+    return scn, traj, controls_csv
+
+
+def test_evaluate_reports_simulated_trajectory(tmp_path):
+    scn, traj, controls_csv = simulated_controls(tmp_path)
     out = tmp_path / "out"
 
     assert cli.main(["evaluate", "--controls", str(controls_csv), "--out", str(out)]) == 0
@@ -124,6 +132,35 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
     for j, obs in enumerate(scn.observers):
         assert [float(row[f"L_P_obs{j}"]) for row in rows] == list(
             levels_along(written, obs, scn.engine, scn.atmosphere))
+
+
+def test_evaluate_outputs_are_byte_stable(tmp_path):
+    scn, _, controls_csv = simulated_controls(tmp_path)
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(controls_csv.read_bytes())
+    cli.run_evaluate(scn, controls_csv, tmp_path / "a")
+    cli.run_evaluate(scn, copy, tmp_path / "b")
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in ("trajectory.csv", "iterations.log"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    text_a, text_b = (a / "report.json").read_text(), (b / "report.json").read_text()
+    assert text_a != text_b
+    # the controls file's path is the only difference, byte for byte
+    assert text_a.replace(json.dumps(str(controls_csv)), json.dumps(str(copy))) == text_b
+
+
+def test_corrupted_write_fails_the_manifest_check(tmp_path, monkeypatch):
+    scn, _, controls_csv = simulated_controls(tmp_path)
+    write = cli._atomic_write
+
+    def corrupting_write(path, text):
+        write(path, text.replace("0", "1", 1) if path.name == "trajectory.csv" else text)
+
+    monkeypatch.setattr(cli, "_atomic_write", corrupting_write)
+    with pytest.raises(RuntimeError, match="manifest hash mismatch for trajectory.csv"):
+        cli.run_evaluate(scn, controls_csv, tmp_path / "out")
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def iteration_limit_solve(scn, opts):

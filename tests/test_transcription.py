@@ -15,18 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisedescent import nlp_solver, noise, transcription
+from noisedescent import flight_dynamics, nlp_solver, noise, transcription
 from noisedescent.flight_dynamics import IH, IX, IY, AircraftModel
 from noisedescent.noise import Observer
 from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
 from noisedescent.transcription import (
     _INTERVAL_SCALE,
     _STEP_NONLINEAR,
+    STATE_SCALE,
     Grid,
     VectorLayout,
     assemble,
     heun_step,
     internode_violation,
+    rk_step_arrays,
     simulate,
     trajectory_from_vector,
     _cs_derivative,
@@ -110,6 +112,71 @@ class TestHeunStep:
             errors.append(np.linalg.norm((traj.states[-1] - ref) / [100, 1, 1, 1e4, 1e4, 1e3]))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
+
+
+class TestScalarStep:
+    """One node steps on numpy scalars, with the bits of the former route
+    through 0-d arrays, and matches the stacked step map to rounding."""
+
+    @pytest.fixture(scope="class")
+    def guess(self):
+        scn = small_scenario(n=100)
+        Z, U, _ = scn.layout().unpack(initial_guess(scn))
+        return scn, Z, U
+
+    @pytest.fixture(scope="class")
+    def nodes(self, guess):
+        """200 seeded (z, u) pairs near the nodes of the N=100 guess."""
+        _, Z, U = guess
+        rng = np.random.default_rng(12)
+        k = rng.integers(0, U.shape[0], 200)
+        return (Z[k] + 0.01 * STATE_SCALE * rng.uniform(-1.0, 1.0, (200, 6)),
+                U[k] + 0.01 * rng.uniform(-1.0, 1.0, (200, 3)))
+
+    def test_simulate_passes_numpy_scalars_to_the_kernel(self, guess, monkeypatch):
+        scn, Z, U = guess
+        seen = {}
+        # the kernel, and inside it the density and thrust laws, with the
+        # number of leading state and control arguments of each
+        for owner, name, n_args in ((transcription, "rhs_arrays", 9),
+                                    (flight_dynamics, "air_density", 1),
+                                    (flight_dynamics, "_thrust", 4)):
+            def recording(*args, _fn=getattr(owner, name), _name=name, _n=n_args, **kwargs):
+                seen.setdefault(_name, []).extend(args[:_n])
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, recording)
+
+        simulate(Z[0], U, scn.grid(), scn.aircraft, scn.atmosphere)
+        assert len(seen["rhs_arrays"]) == 9 * 2 * U.shape[0]
+        # np.float64 is not an ndarray: no 0-d array reaches the kernel
+        assert {name: {type(arg) for arg in args} for name, args in seen.items()} == {
+            "rhs_arrays": {np.float64}, "air_density": {np.float64}, "_thrust": {np.float64}}
+
+    @pytest.fixture(scope="class")
+    def steps(self, guess, nodes):
+        """The one-node step of each node, and the (h, model, atm) it used."""
+        scn = guess[0]
+        args = (scn.grid().h_step, scn.aircraft, scn.atmosphere)
+        return np.array([rk_step_arrays(z, u, *args) for z, u in zip(*nodes)]), args
+
+    def test_scalar_step_has_the_bits_of_the_0d_route(self, nodes, steps):
+        scalar, (h, model, atm) = steps
+
+        def rhs_0d(z, u):
+            out = transcription.rhs_arrays(*(z[..., i] for i in range(6)),
+                                           *(u[..., j] for j in range(3)), model, atm)
+            return np.stack(out, axis=-1)
+
+        zero_d = np.array([heun_step(z, u, h, rhs_0d) for z, u in zip(*nodes)])
+        assert scalar.tobytes() == zero_d.tobytes()
+
+    def test_scalar_step_matches_the_stacked_step_to_rounding(self, nodes, steps):
+        # a scalar ** and an array ** may differ in the last bit, so
+        # nodes agree within a few ulp of the value or of its scale
+        scalar, args = steps
+        stacked = rk_step_arrays(*nodes, *args)
+        ulp = np.spacing(np.maximum(np.abs(stacked), STATE_SCALE))
+        assert np.all(np.abs(scalar - stacked) <= 4.0 * ulp)
 
 
 class TestLayout:
