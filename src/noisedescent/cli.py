@@ -1,9 +1,10 @@
 """Run orchestration and bit-stable result export.
 
-Subcommands: solve, sweep, compare, evaluate.  Every run writes
-trajectory.csv (17-significant-digit decimals, byte-stable for a fixed
-seed), report.json (config echo, per-observer levels, consumption, hash
-manifest, and for a solve the solve report) and iterations.log.
+Subcommands: solve, sweep and evaluate; each accepts only the flags its
+run reads.  Every run writes trajectory.csv (17-significant-digit
+decimals), report.json (config echo, per-observer levels, consumption,
+hash manifest, and for a solve the solve report) and iterations.log.  A
+sweep also writes its table, summary.csv and summary.json.
 Every JSON file is strict JSON: a non-finite number is written as null.
 """
 
@@ -27,8 +28,8 @@ from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
 from .nlp_solver import SolverOptions
 from .scenarios import (
+    VARIANTS,
     Scenario,
-    VariantResult,
     default_scenario,
     solve_variant,
 )
@@ -94,7 +95,6 @@ def _scenario_echo(scn: Scenario) -> dict:
         "bounds": {"lower": list(scn.bounds.lower), "upper": list(scn.bounds.upper)},
         "aircraft": dataclasses.asdict(scn.aircraft),
         "atmosphere": dataclasses.asdict(scn.atmosphere),
-        "seed": scn.seed, "n_starts": scn.n_starts,
     }
     echo["engine_noise"] = {k: v for k, v in dataclasses.asdict(scn.engine).items()
                             if not k.endswith("_hook")}
@@ -141,9 +141,64 @@ def write_run_outputs(out_dir: Path, traj: Trajectory, scn: Scenario, report: di
     return report
 
 
-def _write_solve(out_dir: Path, result: VariantResult, scn: Scenario,
-                 extra: dict | None = None) -> dict:
-    """write_run_outputs of a solve: its report, its iteration log."""
+def _load(args) -> tuple[Scenario, SolverOptions]:
+    """Scenario and solver options from the config file and the flags.
+
+    A flag that the subcommand does not take reads as None.  Raises
+    ValueError (ConfigError and ScenarioError included) for any rejected
+    input, before anything is written.
+    """
+    def flag(name):
+        return getattr(args, name, None)
+
+    if args.config:
+        scn, opts = parse_config(args.config)
+    else:
+        scn, opts = default_scenario(), SolverOptions()
+    overrides = {}
+    if flag("variant") is not None:
+        overrides["variant"] = args.variant
+    if flag("observers") is not None:
+        overrides["observers"] = tuple(
+            Observer(x, y) for x, y in _parse_pairs(args.observers, "--observers", None))
+    if flag("N") is not None:
+        overrides["n_intervals"] = args.N
+    if overrides:
+        scn = dataclasses.replace(scn, **overrides)
+    solver_overrides = {}
+    if flag("tol_feas") is not None:
+        solver_overrides["feasibility_tol"] = args.tol_feas
+    if flag("tol_opt") is not None:
+        solver_overrides["optimality_tol"] = args.tol_opt
+    if solver_overrides:
+        opts = dataclasses.replace(opts, **solver_overrides)
+    scn.validate()
+    if flag("jobs") is not None and args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if flag("controls") is not None:
+        _check_controls(args.controls)
+    return scn, opts
+
+
+def _check_controls(path: Path) -> None:
+    """Reject a controls file that `run_evaluate` cannot fly: one that is
+    not a trajectory on an equidistant grid of at least two intervals."""
+    if not path.is_file():
+        raise ConfigError(f"controls file {str(path)!r} not found")
+    try:
+        times = read_trajectory_csv(path).times
+        Grid(times[0], times[-1], times.size - 1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
+              terms_csv: bool = False) -> dict:
+    """Solve the scenario's variant and write it: write_run_outputs with
+    the solve report and iteration log, and with `terms_csv` the per-term
+    level breakdown at each observer.  Every solve the CLI makes is
+    written here."""
+    result = solve_variant(scn, opts)
     rep = result.report
     report = {
         "variant": result.variant,
@@ -162,63 +217,8 @@ def _write_solve(out_dir: Path, result: VariantResult, scn: Scenario,
         "theta_db": result.theta_db,
         "internode_violation": result.internode_violation,
         "config": _scenario_echo(scn),
-        **(extra or {}),
     }
-    return write_run_outputs(out_dir, result.trajectory, scn, report, rep.iteration_log)
-
-
-def _load(args) -> tuple[Scenario, SolverOptions]:
-    """Scenario and solver options from the config file and the flags.
-
-    Raises ValueError (ConfigError and ScenarioError included) for any
-    rejected input, before anything is written.
-    """
-    if args.config:
-        scn, opts = parse_config(args.config)
-    else:
-        scn, opts = default_scenario(), SolverOptions()
-    overrides = {}
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-    if args.observers is not None:
-        overrides["observers"] = tuple(
-            Observer(x, y) for x, y in _parse_pairs(args.observers, "--observers", None))
-    if args.N is not None:
-        overrides["n_intervals"] = args.N
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        scn = dataclasses.replace(scn, **overrides)
-    solver_overrides = {}
-    if args.tol_feas is not None:
-        solver_overrides["feasibility_tol"] = args.tol_feas
-    if args.tol_opt is not None:
-        solver_overrides["optimality_tol"] = args.tol_opt
-    if solver_overrides:
-        opts = dataclasses.replace(opts, **solver_overrides)
-    scn.validate()
-    controls = getattr(args, "controls", None)
-    if controls is not None:
-        _check_controls(controls)
-    return scn, opts
-
-
-def _check_controls(path: Path) -> None:
-    """Reject a controls file that `run_evaluate` cannot fly: one that is
-    not a trajectory on an equidistant grid of at least two intervals."""
-    if not path.is_file():
-        raise ConfigError(f"controls file {str(path)!r} not found")
-    try:
-        times = read_trajectory_csv(path).times
-        Grid(times[0], times[-1], times.size - 1)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
-              terms_csv: bool = False) -> dict:
-    result = solve_variant(scn, opts)
-    report = _write_solve(out_dir, result, scn)
+    report = write_run_outputs(out_dir, result.trajectory, scn, report, rep.iteration_log)
     if terms_csv:
         for j, obs in enumerate(scn.observers):
             header, rows = noise.breakdown_rows(result.trajectory, obs,
@@ -227,44 +227,35 @@ def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
     return report
 
 
-def _sweep_worker(payload):
-    scn, opts, out_dir, x, y = payload
-    one = dataclasses.replace(scn, observers=(Observer(x, y),), variant="noise")
-    result = solve_variant(one, opts)
-    report = _write_solve(out_dir, result, one)
-    return (x, y, report)
-
-
 def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
               observers=None, jobs: int = 1) -> list[dict]:
-    """Solve the noise problem for each observer and tabulate against the
-    fuel-minimal reference trajectory."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    positions = observers or SWEEP_OBSERVERS
-    fuel_scn = dataclasses.replace(scn, variant="fuel")
-    fuel = solve_variant(fuel_scn, opts)
-    _write_solve(out_dir / "fuel_reference", fuel, fuel_scn)
-    fuel_levels = noise.levels_at(fuel.trajectory, [Observer(x, y) for x, y in positions],
-                                  scn.engine, scn.atmosphere)
+    """Solve the noise problem for each observer position (SWEEP_OBSERVERS
+    by default) and tabulate it against the fuel-optimal reference.
 
-    payloads = [(scn, opts, out_dir / f"obs_{i:03d}", x, y)
-                for i, (x, y) in enumerate(positions)]
+    The reference is one fuel solve scored at every position; each row
+    carries the status of its noise solve and of the reference.
+    """
+    observers = tuple(Observer(x, y) for x, y in observers or SWEEP_OBSERVERS)
+    fuel = run_solve(dataclasses.replace(scn, variant="fuel", observers=observers),
+                     opts, out_dir / "fuel_reference")
+    solves = ([dataclasses.replace(scn, observers=(obs,), variant="noise") for obs in observers],
+              [opts] * len(observers),
+              [out_dir / f"obs_{i:03d}" for i in range(len(observers))])
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
+            reports = list(pool.map(run_solve, *solves))
     else:
-        results = [_sweep_worker(p) for p in payloads]
+        reports = list(map(run_solve, *solves))
 
     rows = []
     keys = ("x_obs", "y_obs", "J_db", "max_fe_oe", "cpu_s", "J1_db", "J1_minus_J_db",
-            "pct_co_of_tr", "pct_co_of_tr1", "status")
+            "pct_co_of_tr", "pct_co_of_tr1", "status", "fuel_status")
     lines = [",".join(keys)]
-    for (x, y, report), fuel_lp in zip(results, fuel_levels):
-        j1 = float(noise.leq_from_levels(fuel.trajectory.times, fuel_lp))
+    co_tr1 = fuel["consumption_kg"]
+    for obs, report, j1 in zip(observers, reports, fuel["leq_db_by_observer"]):
         co_tr = report["consumption_kg"]
-        co_tr1 = fuel.consumption_kg
         row = {
-            "x_obs": x, "y_obs": y,
+            "x_obs": obs.x, "y_obs": obs.y,
             "J_db": report["objective"],
             "max_fe_oe": max(report["feasibility_error"], report["optimality_error"]),
             "cpu_s": report["wall_time_s"],
@@ -273,6 +264,7 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
             "pct_co_of_tr": 100.0 * (co_tr - co_tr1) / co_tr,
             "pct_co_of_tr1": 100.0 * (co_tr - co_tr1) / co_tr1,
             "status": report["status"],
+            "fuel_status": fuel["status"],
         }
         rows.append(row)
         lines.append(",".join(format(float(row[k]), ".17g") if isinstance(row[k], float)
@@ -282,50 +274,23 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     return rows
 
 
-def run_compare(scn: Scenario, opts: SolverOptions, out_dir: Path) -> dict:
-    """Noise-optimal vs fuel-optimal at the scenario's first observer.
-
-    The comparison's "status" maps each solve to its status.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    noise_scn = dataclasses.replace(scn, variant="noise")
-    fuel_scn = dataclasses.replace(scn, variant="fuel")
-    noise_res = solve_variant(noise_scn, opts)
-    fuel_res = solve_variant(fuel_scn, opts)
-    obs = scn.observers[0]
-    j, j1 = noise_res.leq_by_observer[0], fuel_res.leq_by_observer[0]
-    co_tr, co_tr1 = noise_res.consumption_kg, fuel_res.consumption_kg
-    comparison = {
-        "observer": [obs.x, obs.y],
-        "J_db": j,
-        "J1_db": j1,
-        "J1_minus_J_db": j1 - j,
-        "pct_co_of_tr": 100.0 * (co_tr - co_tr1) / co_tr,
-        "pct_co_of_tr1": 100.0 * (co_tr - co_tr1) / co_tr1,
-        "status": {"noise_optimal": noise_res.report.status,
-                   "fuel_reference": fuel_res.report.status},
-    }
-    _write_solve(out_dir / "noise_optimal", noise_res, noise_scn,
-                 extra={"comparison": comparison})
-    _write_solve(out_dir / "fuel_reference", fuel_res, fuel_scn)
-    _atomic_write(out_dir / "compare.json", _json_text(comparison))
-    return comparison
-
-
 def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
     """Forward-simulate the controls of a trajectory file and report
     noise and fuel metrics without optimizing: the report has no solver
-    fields, and iterations.log is empty."""
+    fields, and iterations.log is empty.  The config echo's N and tf are
+    those of the grid flown, the controls file's."""
     given = read_trajectory_csv(controls_csv)
     grid = Grid(given.times[0], given.times[-1], given.n_intervals)
     traj = simulate(given.states[0], given.controls, grid,
                     scn.aircraft, scn.atmosphere)
     levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
+    config = _scenario_echo(scn)
+    config["N"], config["tf"] = grid.n_intervals, float(grid.tf)
     report = {
         "variant": "evaluate",
         "leq_db_by_observer": [float(noise.leq_from_levels(traj.times, lp)) for lp in levels],
         "consumption_kg": noise.total_consumption(traj, scn.aircraft, scn.atmosphere),
-        "config": _scenario_echo(scn),
+        "config": config,
         "source": str(controls_csv),
         "final_state": {k: float(v) for k, v in zip(STATE_NAMES, traj.states[-1])},
     }
@@ -337,38 +302,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noisedescent",
         description="Noise-minimal descent trajectories by direct transcription")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="scenario config file (defaults to the built-in scenario)")
-        p.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory")
-        p.add_argument("--variant", choices=("noise", "fuel", "noise_fuel_capped",
-                                             "minimax"), default=None)
-        p.add_argument("--observers", default=None,
-                       help="semicolon-separated x,y pairs, e.g. '0,0;20000,2500'")
-        p.add_argument("--N", type=int, default=None, help="grid intervals")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol-feas", type=float, default=None)
-        p.add_argument("--tol-opt", type=float, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-
-    p_solve = sub.add_parser("solve", help="solve the configured variant")
-    common(p_solve)
-    p_solve.add_argument("--terms-csv", action="store_true",
-                         help="export the per-term level breakdown per observer")
-
-    p_sweep = sub.add_parser("sweep", help="noise solve per observer position")
-    common(p_sweep)
-
-    p_cmp = sub.add_parser("compare", help="noise-optimal vs fuel-optimal")
-    common(p_cmp)
-
-    p_eval = sub.add_parser("evaluate",
-                            help="forward-simulate a control file, no optimization")
-    common(p_eval)
-    p_eval.add_argument("--controls", type=Path, required=True,
-                        help="trajectory.csv whose controls (and first state) to fly")
+    flags = {
+        "--config": dict(type=Path, default=None,
+                         help="scenario config file (defaults to the built-in scenario)"),
+        "--out": dict(type=Path, default=Path("out"), help="output directory"),
+        "--variant": dict(choices=VARIANTS, default=None),
+        "--observers": dict(default=None,
+                            help="semicolon-separated x,y pairs, e.g. '0,0;20000,2500'"),
+        "--N": dict(type=int, default=None, help="grid intervals"),
+        "--tol-feas": dict(type=float, default=None),
+        "--tol-opt": dict(type=float, default=None),
+        "--jobs": dict(type=int, default=1, help="worker processes for the noise solves"),
+        "--terms-csv": dict(action="store_true",
+                            help="export the per-term level breakdown per observer"),
+        "--controls": dict(type=Path, required=True,
+                           help="trajectory.csv whose controls (and first state) to fly"),
+    }
+    for name, help_text, names in (
+            ("solve", "solve the configured variant",
+             "--config --out --variant --observers --N --tol-feas --tol-opt --terms-csv"),
+            ("sweep", "noise solve per observer position against the fuel-optimal one",
+             "--config --out --observers --N --tol-feas --tol-opt --jobs"),
+            ("evaluate", "forward-simulate a control file, no optimization",
+             "--config --out --observers --controls")):
+        p = sub.add_parser(name, help=help_text)
+        for flag in names.split():
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -391,12 +350,8 @@ def main(argv=None) -> int:
         rows = run_sweep(scn, opts, args.out, observers=observers, jobs=args.jobs)
         for row in rows:
             print(f"({row['x_obs']:.0f},{row['y_obs']:.0f}) J={row['J_db']:.2f} dB "
-                  f"J1={row['J1_db']:.2f} dB [{row['status']}]")
-        return 0 if all(r["status"] == "optimal" for r in rows) else 1
-    if args.command == "compare":
-        comparison = run_compare(scn, opts, args.out)
-        print(json.dumps(comparison, indent=2))
-        return 0 if all(s == "optimal" for s in comparison["status"].values()) else 1
+                  f"J1={row['J1_db']:.2f} dB [{row['status']}, fuel {row['fuel_status']}]")
+        return 0 if all(r["status"] == r["fuel_status"] == "optimal" for r in rows) else 1
     if args.command == "evaluate":
         report = run_evaluate(scn, args.controls, args.out)
         print(json.dumps({k: report[k] for k in

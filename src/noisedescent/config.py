@@ -29,13 +29,14 @@ _DEG = math.pi / 180.0
 
 
 def _parse_float(text: str, key: str, line: int) -> float:
-    t = text.strip().lower()
+    """A number; infinities (for the bounds) are accepted, NaN is not."""
     try:
-        if t in ("inf", "+inf", "infinity"):
-            return math.inf
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}", key=key, line=line) from None
+        value = math.nan
+    if math.isnan(value):
+        raise ConfigError(f"expected a number, got {text!r}", key=key, line=line)
+    return value
 
 
 def _parse_angle(text: str, key: str, line: int) -> float:
@@ -100,8 +101,6 @@ _SCHEMA = {
         "fuel_cap_factor": _parse_float,
         "stall_speed": _parse_float,
         "observers": _parse_pairs,
-        "n_starts": _parse_int,
-        "seed": _parse_int,
         "directivity": _parse_choice(("velocity_vector", "track_axis")),
         "track_axis": _parse_pairs,
     },
@@ -224,7 +223,6 @@ def parse_config(path: str | Path) -> tuple[Scenario, SolverOptions]:
         fuel_cap_factor=sc.pop("fuel_cap_factor", 1.1),
         stall_speed=sc.pop("stall_speed", 70.0),
         aircraft=aircraft, engine=engine, atmosphere=atmosphere,
-        n_starts=sc.pop("n_starts", 1), seed=sc.pop("seed", 0),
     )
     scenario.validate()
     solver = SolverOptions(**_typed(sections, "solver"))

@@ -169,7 +169,7 @@ class SolverOptions:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
+        if not (self.feasibility_tol > 0 and self.optimality_tol > 0):
             raise ValueError("tolerances must be strictly positive")
 
 

@@ -4,7 +4,8 @@ generation and solve orchestration.
 
 `solve_variant` is the one driver: it assembles the scenario's variant
 (the fuel-capped one after solving the fuel variant for its cap) and
-solves it through the grid-continuation ladder.
+solves it once, from `initial_guess`, through the grid-continuation
+ladder.  There is no multi-start: perturbed starts belong to the caller.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ class Scenario:
     aircraft: AircraftModel = field(default_factory=AircraftModel)
     engine: EngineNoiseParams = field(default_factory=EngineNoiseParams)
     atmosphere: Atmosphere = ISA
-    n_starts: int = 1
-    seed: int = 0
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -100,8 +99,6 @@ class Scenario:
             raise ScenarioError(f"variant {self.variant!r} needs at least one observer")
         if self.fuel_cap_factor <= 0:
             raise ScenarioError("fuel cap factor must be positive")
-        if self.n_starts < 1:
-            raise ScenarioError("need at least one start")
         v_lo, v_hi = self.bounds.component("V")
         if v_lo < 1.3 * self.stall_speed - 1e-9:
             raise ScenarioError(
@@ -197,12 +194,6 @@ def initial_guess(scn: Scenario, grid: Grid | None = None) -> np.ndarray:
     return layout.pack(Z, U)
 
 
-def _perturbed(w0: np.ndarray, problem: NlpProblem, rng: np.random.Generator) -> np.ndarray:
-    span = 0.05 * problem.x_scale
-    w = w0 + rng.uniform(-1.0, 1.0, size=w0.shape) * span
-    return np.clip(w, problem.lower, problem.upper)
-
-
 _COARSEST_GRID = 12     # starting resolution of the continuation ladder
 _CONTINUATION_TOL = 1e-4  # relaxed tolerances on intermediate grids
 
@@ -265,15 +256,14 @@ def _refine_multipliers(report: SolveReport, coarse_tr: transcription._Transcrip
 
 
 def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray, SolveReport]:
-    """Deterministic solve driver: grid continuation plus optional
-    perturbed multi-start; the best feasible result wins.
+    """Deterministic solve driver: one start climbing the grid-continuation
+    ladder.
 
-    The first start climbs the ladder: each coarse rung is assembled and
-    solved with relaxed tolerances, and its solution and multipliers,
-    refined, warm-start the next rung; the last rung is `problem`.
-    Further starts solve `problem` from perturbed initial guesses.
-    The returned report is the winning solve's, except that its
-    `wall_time` covers every rung and every start.
+    The coarsest rung starts from `initial_guess`.  Each coarse rung is
+    assembled and solved with relaxed tolerances, and its solution and
+    multipliers, refined, warm-start the next rung; the last rung is
+    `problem`.  The returned report is the last rung's, except that its
+    `wall_time` covers every rung.
     """
     t_start = time.perf_counter()
     tr = problem.meta["transcription"]
@@ -306,19 +296,6 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
         w, report = solve(prob, w_start, dataclasses.replace(level_opts, initial_penalty=rho0),
                           warm_eq_multipliers=warm[0], warm_ineq_multipliers=warm[1])
         prev_tr = level_tr
-
-    def key(rep):
-        return (rep.status != "optimal",
-                max(rep.feasibility_error - opts.feasibility_tol, 0.0), rep.objective)
-
-    best = (w, report)
-    rng = np.random.default_rng(scn.seed)
-    w0 = initial_guess(scn, tr.grid) if scn.n_starts > 1 else None
-    for _ in range(1, scn.n_starts):
-        w, report = solve(problem, _perturbed(w0, problem, rng), opts)
-        if key(report) < key(best[1]):
-            best = (w, report)
-    w, report = best
     return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start)
 
 

@@ -1,8 +1,9 @@
-"""Command-line entry point: argument and config errors exit with code 2,
-`evaluate` flies a control file and writes byte-stable outputs with a
-verified hash manifest,
-`compare` exits 1 unless both its solves are optimal, and `sweep` and
-`compare` tabulate the same certified solves."""
+"""Command-line entry point: argument and config errors, and flags that a
+subcommand does not read, exit with code 2 before a run starts;
+`evaluate` flies a control file, echoes the grid it flew and writes
+byte-stable outputs with a verified hash manifest; `sweep` exits 1 unless
+its noise solves and its fuel reference are all optimal, and its table
+reads the certified solves it writes."""
 
 import csv
 import dataclasses
@@ -22,9 +23,16 @@ from noisedescent.transcription import assemble, simulate
 
 def assert_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "out"
-    assert cli.main(argv + ["--out", str(out)]) == 2
+    try:
+        code = cli.main(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        # argparse rejects an unknown subcommand or flag after its usage line
+        code, prefix = exc.code, "usage:"
+    else:
+        prefix = "error:"
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert code == 2
+    assert err.startswith(prefix) and "error: " in err
     assert not out.exists()
     return err
 
@@ -60,13 +68,27 @@ def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER,
     (["evaluate"], None, controls_file(field="abc")),
     (["evaluate"], None, controls_file(header=[c for c in cli.TRAJECTORY_HEADER if c != "chi"])),
     (["evaluate"], None, controls_file(times=(0.0, 50.0, 110.0, 150.0))),
+    (["compare"], None, None),
+    (["evaluate", "--variant", "fuel"], None, controls_file()),
+    (["evaluate", "--tol-feas", "1"], None, controls_file()),
+    (["solve", "--jobs", "2"], None, None),
+    (["solve", "--seed", "1"], None, None),
+    (["sweep", "--jobs", "0"], None, None),
+    (["sweep", "--jobs", "-3"], None, None),
+    (["solve", "--tol-feas", "nan"], None, None),
+    (["solve", "--observers", "nan,0"], None, None),
+    (["solve"], "[aircraft]\nmass = nan\n", None),
+    (["solve"], "[scenario]\nh0 = nan\n", None),
+    (["solve"], "[solver]\nfeasibility_tol = nan\n", None),
 ], ids=["zero-N", "zero-tol", "negative-tol", "bad-observer", "negative-mass",
         "zero-tol-config", "missing-controls", "controls-not-a-number",
-        "controls-without-chi", "controls-not-equidistant"])
+        "controls-without-chi", "controls-not-equidistant", "compare",
+        "evaluate-variant", "evaluate-tol", "solve-jobs", "solve-seed", "zero-jobs",
+        "negative-jobs", "nan-tol", "nan-observer", "nan-mass", "nan-h0", "nan-tol-config"])
 def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeypatch):
     # a value that is ignored instead of rejected would start a run
-    monkeypatch.setattr(cli, "run_solve", must_not_run)
-    monkeypatch.setattr(cli, "run_evaluate", must_not_run)
+    for run in ("run_solve", "run_sweep", "run_evaluate"):
+        monkeypatch.setattr(cli, run, must_not_run)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
         path = tmp_path / "run.ini"
@@ -77,7 +99,7 @@ def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeyp
         path.write_text(controls)
         argv += ["--controls", str(path)]
     err = assert_exits_2(argv, tmp_path, capsys)
-    if controls is not None:
+    if controls is not None and err.startswith("error:"):
         assert err.startswith(f"error: {path}: ")
 
 
@@ -132,6 +154,18 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
     for j, obs in enumerate(scn.observers):
         assert [float(row[f"L_P_obs{j}"]) for row in rows] == list(
             levels_along(written, obs, scn.engine, scn.atmosphere))
+
+
+def test_evaluate_echoes_the_grid_it_flew(tmp_path):
+    scn, _, controls_csv = simulated_controls(tmp_path)
+    # the first 12 of the 100 six-second intervals: a grid ending at t=72
+    first = tmp_path / "first.csv"
+    first.write_text("\n".join(controls_csv.read_text().splitlines()[:14]) + "\n")
+    cli.run_evaluate(scn, first, tmp_path / "out")
+
+    config = strict_json(tmp_path / "out" / "report.json")["config"]
+    assert (config["N"], config["tf"]) == (12, 72.0)
+    assert (scn.n_intervals, scn.tf) == (100, 600.0)
 
 
 def test_evaluate_outputs_are_byte_stable(tmp_path):
@@ -192,7 +226,7 @@ def test_nonfinite_solver_floats_are_written_as_null(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("unfinished", ["noise", "fuel"])
-def test_compare_exits_1_unless_both_solves_are_optimal(unfinished, tmp_path, monkeypatch):
+def test_sweep_exits_1_unless_both_solves_are_optimal(unfinished, tmp_path, monkeypatch):
     def solve_variant(scn, opts):
         result = iteration_limit_solve(scn, opts)
         if scn.variant != unfinished:
@@ -201,20 +235,22 @@ def test_compare_exits_1_unless_both_solves_are_optimal(unfinished, tmp_path, mo
 
     monkeypatch.setattr(cli, "solve_variant", solve_variant)
     out = tmp_path / "out"
-    assert cli.main(["compare", "--N", "12", "--observers", "0,0", "--out", str(out)]) == 1
-    status = read_json(out / "compare.json")["status"]
-    assert status[{"noise": "noise_optimal", "fuel": "fuel_reference"}[unfinished]] \
-        == "iteration-limit"
+    assert cli.main(["sweep", "--N", "12", "--observers", "0,0", "--out", str(out)]) == 1
+    (row,) = read_json(out / "summary.json")
+    assert {"noise": row["status"], "fuel": row["fuel_status"]} == {
+        variant: "iteration-limit" if variant == unfinished else "optimal"
+        for variant in ("noise", "fuel")}
+    with open(out / "summary.csv", newline="") as f:
+        (csv_row,) = list(csv.DictReader(f))
+    assert list(csv_row)[-1] == "fuel_status"
+    assert csv_row["fuel_status"] == row["fuel_status"]
 
 
 @pytest.fixture(scope="module")
-def sweep_and_compare(tmp_path_factory):
-    """One-observer `sweep` and `compare` runs at N=12."""
-    root = tmp_path_factory.mktemp("tables")
-    args = ["--N", "12", "--observers", "0,0"]
-    codes = (cli.main(["sweep", *args, "--out", str(root / "sweep")]),
-             cli.main(["compare", *args, "--out", str(root / "compare")]))
-    return codes, root / "sweep", root / "compare"
+def sweep(tmp_path_factory):
+    """Exit code and output directory of a one-observer `sweep` at N=12."""
+    out = tmp_path_factory.mktemp("sweep")
+    return cli.main(["sweep", "--N", "12", "--observers", "0,0", "--out", str(out)]), out
 
 
 def read_json(path):
@@ -222,31 +258,27 @@ def read_json(path):
 
 
 @pytest.mark.slow
-def test_sweep_and_compare_certify(sweep_and_compare):
-    codes, sweep, compare = sweep_and_compare
-    assert codes == (0, 0)
-    reports = [sweep / "fuel_reference", sweep / "obs_000",
-               compare / "fuel_reference", compare / "noise_optimal"]
-    assert [read_json(d / "report.json")["status"] for d in reports] == ["optimal"] * 4
-    assert [row["status"] for row in read_json(sweep / "summary.json")] == ["optimal"]
+def test_sweep_certifies(sweep):
+    code, out = sweep
+    assert code == 0
+    reports = [out / "fuel_reference", out / "obs_000"]
+    assert [read_json(d / "report.json")["status"] for d in reports] == ["optimal"] * 2
+    assert [(row["status"], row["fuel_status"]) for row in read_json(out / "summary.json")] \
+        == [("optimal", "optimal")]
 
 
 @pytest.mark.slow
-def test_sweep_table_reads_its_solves(sweep_and_compare):
-    _, sweep, _ = sweep_and_compare
-    with open(sweep / "summary.csv", newline="") as f:
+def test_sweep_table_reads_its_solves(sweep):
+    _, out = sweep
+    with open(out / "summary.csv", newline="") as f:
         (row,) = list(csv.DictReader(f))
-    assert float(row["J_db"]) == read_json(sweep / "obs_000" / "report.json")["objective"]
+    noise_report = read_json(out / "obs_000" / "report.json")
+    fuel_report = read_json(out / "fuel_reference" / "report.json")
+    assert float(row["J_db"]) == noise_report["objective"]
     scn = default_scenario()
-    fuel = cli.read_trajectory_csv(sweep / "fuel_reference" / "trajectory.csv")
+    fuel = cli.read_trajectory_csv(out / "fuel_reference" / "trajectory.csv")
     assert float(row["J1_db"]) == leq(fuel, Observer(0.0, 0.0), scn.engine, scn.atmosphere)
-
-
-@pytest.mark.slow
-def test_compare_agrees_with_sweep(sweep_and_compare):
-    _, sweep, compare = sweep_and_compare
-    (row,) = read_json(sweep / "summary.json")
-    comparison = read_json(compare / "compare.json")
-    assert comparison["observer"] == [row["x_obs"], row["y_obs"]]
-    for key in ("J_db", "J1_db", "J1_minus_J_db", "pct_co_of_tr", "pct_co_of_tr1"):
-        assert comparison[key] == pytest.approx(row[key], rel=1e-12), key
+    assert float(row["J1_minus_J_db"]) == float(row["J1_db"]) - float(row["J_db"])
+    co_tr, co_tr1 = noise_report["consumption_kg"], fuel_report["consumption_kg"]
+    assert float(row["pct_co_of_tr"]) == 100.0 * (co_tr - co_tr1) / co_tr
+    assert float(row["pct_co_of_tr1"]) == 100.0 * (co_tr - co_tr1) / co_tr1

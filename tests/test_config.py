@@ -1,13 +1,17 @@
-"""Config-file parsing: schema errors name the key and line, and the
-[solver] keys are exactly the SolverOptions fields."""
+"""Config-file parsing: schema errors and NaN values name the key and
+line, the [solver] keys are exactly the SolverOptions fields, and every
+[scenario] key sets a Scenario field or an engine-noise setting."""
 
 import dataclasses
+import math
 
 import pytest
 
 from noisedescent.config import _SCHEMA, parse_config
 from noisedescent.errors import ConfigError
 from noisedescent.nlp_solver import SolverOptions
+from noisedescent.noise import EngineNoiseParams
+from noisedescent.scenarios import Scenario
 
 
 def test_unknown_solver_key_reports_key_and_line(tmp_path):
@@ -23,3 +27,31 @@ def test_every_solver_key_is_a_solver_option():
     # equality: an option that no config file can set has no place
     fields = {f.name for f in dataclasses.fields(SolverOptions)}
     assert set(_SCHEMA["solver"]) == fields
+
+
+def test_every_scenario_key_sets_a_scenario_field_or_an_engine_setting():
+    # a key that sets nothing is a knob no run reads
+    renamed = {"N": "n_intervals", "directivity": "directivity_mode"}
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    fields |= {f.name for f in dataclasses.fields(EngineNoiseParams)}
+    assert {renamed.get(key, key) for key in _SCHEMA["scenario"]} <= fields
+
+
+@pytest.mark.parametrize("section, key", [("scenario", "n_starts"), ("scenario", "seed"),
+                                          ("aircraft", "mass"), ("scenario", "h0"),
+                                          ("bounds", "gamma_min"),
+                                          ("solver", "feasibility_tol")])
+def test_removed_key_or_nan_reports_key_and_line(section, key, tmp_path):
+    value = {"n_starts": "2", "seed": "1"}.get(key, "nan")
+    path = tmp_path / "run.ini"
+    path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == (key, 3)
+
+
+def test_infinite_bound_is_accepted(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[bounds]\nV_max = inf\n")
+    scn, _ = parse_config(path)
+    assert scn.bounds.component("V")[1] == math.inf

@@ -410,6 +410,8 @@ class TestSolverBehavior:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(feasibility_tol=0.0)
+        with pytest.raises(ValueError):
+            SolverOptions(optimality_tol=float("nan"))
 
 
 def sequential_line_search(merit, y, f, g, direction, lo, hi, max_trials):
