@@ -14,10 +14,9 @@ Unknown sections or keys are rejected with the offending line number.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError
 from .flight_dynamics import AircraftModel, Atmosphere
@@ -82,15 +81,6 @@ def _parse_choice(options):
     return parse
 
 
-def _parse_bool(text: str, key: str, line: int) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}", key=key, line=line)
-
-
 # section -> key -> parser
 _SCHEMA = {
     "scenario": {
@@ -137,7 +127,6 @@ _SCHEMA = {
         "penalty_factor": _parse_float,
         "penalty_max": _parse_float,
         "max_line_search": _parse_int,
-        "verbose": _parse_bool,
     },
 }
 
@@ -189,20 +178,24 @@ def parse_config(path: str | Path) -> tuple[Scenario, SolverOptions]:
     if "directivity" in sc:
         engine_kwargs["directivity_mode"] = sc.pop("directivity")
     track = sc.pop("track_axis", None)
+    if "N" in sc:
+        sc["n_intervals"] = sc.pop("N")
+    if "observers" in sc:
+        sc["observers"] = tuple(Observer(x, y) for x, y in sc["observers"])
+    # the file's keys over the Scenario defaults; the bounds and the track
+    # axis below default from the result
+    scenario = Scenario(aircraft=aircraft, atmosphere=atmosphere, **sc)
+
     if engine_kwargs.get("directivity_mode") == "track_axis":
-        if track is None:
-            # default track axis: the straight route direction
-            dx = sc.get("xf", 60000.0) - sc.get("x0", 0.0)
-            dy = sc.get("yf", 5000.0) - sc.get("y0", 0.0)
-            track = [(dx, dy)]
-        engine_kwargs["track_axis"] = tuple(track[0])
+        # default track axis: the straight route direction
+        engine_kwargs["track_axis"] = (tuple(track[0]) if track is not None else
+                                       (scenario.xf - scenario.x0, scenario.yf - scenario.y0))
     elif track is not None:
         raise ConfigError("track_axis is only meaningful with directivity = track_axis",
                           key="track_axis")
-    engine = EngineNoiseParams(**engine_kwargs)
 
     b = _typed(sections, "bounds")
-    defaults = PathBounds.default(sc.get("stall_speed", 70.0))
+    defaults = PathBounds.default(scenario.stall_speed)
     lower = defaults.lower.copy()
     upper = defaults.upper.copy()
     for i, comp in enumerate(PATH_COMPONENTS):
@@ -210,20 +203,8 @@ def parse_config(path: str | Path) -> tuple[Scenario, SolverOptions]:
             lower[i] = b[f"{comp}_min"]
         if f"{comp}_max" in b:
             upper[i] = b[f"{comp}_max"]
-    bounds = PathBounds(lower=lower, upper=upper)
-
-    variant = sc.pop("variant", "noise")
-    observers = tuple(Observer(x, y) for x, y in sc.pop("observers", [(0.0, 0.0)]))
-    scenario = Scenario(
-        x0=sc.pop("x0", 0.0), y0=sc.pop("y0", 0.0), h0=sc.pop("h0", 3500.0),
-        V0=sc.pop("V0", 160.0),
-        xf=sc.pop("xf", 60000.0), yf=sc.pop("yf", 5000.0), hf=sc.pop("hf", 500.0),
-        tf=sc.pop("tf", 600.0), n_intervals=sc.pop("N", 100),
-        bounds=bounds, observers=observers, variant=variant,
-        fuel_cap_factor=sc.pop("fuel_cap_factor", 1.1),
-        stall_speed=sc.pop("stall_speed", 70.0),
-        aircraft=aircraft, engine=engine, atmosphere=atmosphere,
-    )
+    scenario = dataclasses.replace(scenario, bounds=PathBounds(lower=lower, upper=upper),
+                                   engine=EngineNoiseParams(**engine_kwargs))
     scenario.validate()
     solver = SolverOptions(**_typed(sections, "solver"))
     return scenario, solver

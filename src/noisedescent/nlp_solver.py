@@ -88,17 +88,19 @@ def lu_solve(*args, **kwargs):
 class NlpProblem:
     """Callback bundle describing one NLP.
 
-    Jacobians are dense (rows, n_vars) arrays; `eq_sparsity` and
-    `ineq_sparsity` optionally declare a superset of the structural
-    nonzeros for introspection.  Row and variable scalings make the
-    reported feasibility/optimality errors meaningful across mixed
-    units; callbacks always receive unscaled (physical) vectors.
+    Jacobians are dense (rows, n_vars) arrays.  Row and variable
+    scalings make the reported feasibility/optimality errors meaningful
+    across mixed units; callbacks always receive unscaled (physical)
+    vectors.
 
     `objective`, `equalities` and `inequalities` take one point (n_vars,)
     or a stack of points (K, n_vars).  For a stack they return (K,) and
     (K, rows), row k being the value at point k to the last bit, as the
     line search relies on.  The derivative callbacks and
     `lagrangian_hessian` take one point only.
+
+    `meta` is the builder's own; the solver never reads it.  `assemble`
+    keeps its transcription there, under "transcription".
     """
 
     n_vars: int
@@ -118,8 +120,6 @@ class NlpProblem:
     eq_scale: Optional[np.ndarray] = None
     ineq_scale: Optional[np.ndarray] = None
     f_scale: float = 1.0
-    eq_sparsity: Optional[np.ndarray] = None
-    ineq_sparsity: Optional[np.ndarray] = None
     # exact dense Hessian of sigma_f*f + eq_mult.c_eq + ineq_mult.c_ineq
     # (physical variables and unscaled rows), required by `solve`.
     # Called as (w, sigma_f, eq_mult, ineq_mult, convexify=False).  With
@@ -166,7 +166,6 @@ class SolverOptions:
     penalty_factor: float = 10.0
     penalty_max: float = 1e10
     max_line_search: int = 40
-    verbose: bool = False
 
     def __post_init__(self):
         if not (self.feasibility_tol > 0 and self.optimality_tol > 0):
@@ -182,12 +181,15 @@ class IterationRecord:
     penalty: float
     inner_iterations: int
     step_norm: float
+    # why the record's step stopped: converged | maxiter | linesearch for
+    # a penalty subproblem, polish | warm-polish for a certifying polish
+    stop: str
 
     def format(self) -> str:
         return (f"iter={self.outer} objective={self.objective:.10e} "
                 f"feasibility={self.feasibility:.3e} optimality={self.optimality:.3e} "
                 f"penalty={self.penalty:.3e} inner_iters={self.inner_iterations} "
-                f"step={self.step_norm:.3e}")
+                f"step={self.step_norm:.3e} stop={self.stop}")
 
 
 @dataclass
@@ -468,7 +470,8 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     variables follow the negative gradient; the combined direction is
     globalized by a projected Armijo search.  Models and Cholesky
     factors are cached for a few iterations since their assembly and
-    factorization dominate the step cost.
+    factorization dominate the step cost.  Returns (y, Newton steps
+    taken, stop reason: converged | maxiter | linesearch).
     """
     y = np.clip(y0, lo, hi)
     f, g, d, J = merit.value_grad(y)
@@ -554,7 +557,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         y = y_trial
         f, g, d, J = merit.value_grad(y)
         merit_log.append(f)
-    return y, f, g, n_iter, status
+    return y, n_iter, status
 
 
 class _Polisher:
@@ -796,9 +799,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         y, lam, feas, opt = polished
         f_val = float(p.objective(y * s))
         step = 0.0 if y_prev is None else float(np.max(np.abs(y - y_prev), initial=0.0))
-        log.append(IterationRecord(outer, f_val, feas, opt, rho, 0, step))
-        if opts.verbose:
-            print(log[-1].format() + f" [{tag}]")
+        log.append(IterationRecord(outer, f_val, feas, opt, rho, 0, step, tag))
         status = "optimal"
         return True
 
@@ -820,7 +821,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         if warm_eq_multipliers is not None or warm_ineq_multipliers is not None:
             # a warm-started solve is usually already inside the Newton
             # basin: try to certify before any penalty iterations
-            if certify(y, lam.copy(), 0, None, "warm polish"):
+            if certify(y, lam.copy(), 0, None, "warm-polish"):
                 max_outer = 0
 
         for outer in range(1, max_outer + 1):
@@ -828,16 +829,14 @@ def solve(problem: NlpProblem, w0: np.ndarray,
             merit_log: list[float] = []
             gtol = max(omega, 0.05 * opts.optimality_tol)
             y_prev = y
-            y, _, _, nit, inner_status = _inner_newton(
+            y, nit, inner_status = _inner_newton(
                 merit, y, y_lo, y_hi, gtol, opts, merit_log)
             total_inner += nit
             merit_histories.append(merit_log)
 
             feas, opt, lam_trial, f_val = evaluate(y)
             step = float(np.max(np.abs(y - y_prev), initial=0.0))
-            log.append(IterationRecord(outer, f_val, feas, opt, rho, nit, step))
-            if opts.verbose:
-                print(log[-1].format() + f" [{inner_status}]")
+            log.append(IterationRecord(outer, f_val, feas, opt, rho, nit, step, inner_status))
 
             priority = (max(feas - opts.feasibility_tol, 0.0), f_val)
             if best is None or priority < best[0]:

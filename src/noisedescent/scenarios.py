@@ -91,13 +91,17 @@ class Scenario:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
+        for name in ("x0", "y0", "h0", "V0", "xf", "yf", "hf", "tf", "n_intervals",
+                     "fuel_cap_factor", "stall_speed"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name}={getattr(self, name)} must be finite")
         if not self.tf > 0:
             raise ScenarioError("final time must be positive")
         if self.n_intervals < 2:
             raise ScenarioError("need at least 2 grid intervals")
         if self.variant != "fuel" and len(self.observers) == 0:
             raise ScenarioError(f"variant {self.variant!r} needs at least one observer")
-        if self.fuel_cap_factor <= 0:
+        if not self.fuel_cap_factor > 0:
             raise ScenarioError("fuel cap factor must be positive")
         v_lo, v_hi = self.bounds.component("V")
         if v_lo < 1.3 * self.stall_speed - 1e-9:
@@ -136,7 +140,7 @@ class VariantResult:
     internode_violation: float = 0.0
 
 
-def initial_guess(scn: Scenario, grid: Grid | None = None) -> np.ndarray:
+def initial_guess(scn: Scenario) -> np.ndarray:
     """Deterministic bound-feasible starting vector.
 
     Straight-line (x, y, h) between the boundary points, airspeed
@@ -147,7 +151,7 @@ def initial_guess(scn: Scenario, grid: Grid | None = None) -> np.ndarray:
     nonzero.
     """
     scn.validate()
-    grid = grid or scn.grid()
+    grid = scn.grid()
     n = grid.n_intervals
     model, atm, b = scn.aircraft, scn.atmosphere, scn.bounds
     frac = np.linspace(0.0, 1.0, n + 1)
@@ -269,8 +273,7 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
     tr = problem.meta["transcription"]
     scn = tr.scn
     coarse_opts = dataclasses.replace(
-        opts, verbose=False,
-        feasibility_tol=max(opts.feasibility_tol, _CONTINUATION_TOL),
+        opts, feasibility_tol=max(opts.feasibility_tol, _CONTINUATION_TOL),
         optimality_tol=max(opts.optimality_tol, _CONTINUATION_TOL))
     w = report = prev_tr = None
     ladder = _continuation_grids(tr.grid.n_intervals)
@@ -283,7 +286,7 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
             level_opts = coarse_opts
         level_tr = prob.meta["transcription"]
         if prev_tr is None:
-            w_start = initial_guess(level_tr.scn, level_tr.grid)
+            w_start = initial_guess(level_tr.scn)
             warm = (None, None)
             rho0 = opts.initial_penalty
         else:

@@ -469,9 +469,9 @@ _EPIGRAPH = _Term(lambda Z, U: 0.0, lambda grad, Z, U: None, lambda *args: None,
 class _Transcription:
     """Shared state behind the NlpProblem callbacks of one scenario."""
 
-    def __init__(self, scn: "Scenario", grid: Grid, fuel_cap: float | None):
+    def __init__(self, scn: "Scenario", fuel_cap: float | None):
         self.scn = scn
-        self.grid = grid
+        self.grid = grid = scn.grid()
         self.fuel_cap = fuel_cap
         self.model = scn.aircraft
         self.atm = scn.atmosphere
@@ -543,9 +543,6 @@ class _Transcription:
         return np.concatenate([defects.reshape(boundary.shape[:-1] + (-1,)), boundary],
                               axis=-1)
 
-    def _boundary_columns(self):
-        return self.node_idx[_BOUNDARY]
-
     def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
         n = self.grid.n_intervals
@@ -559,22 +556,13 @@ class _Transcription:
         rows = np.arange(6 * n).reshape(n, 6)
         J[rows[:, :, None], self.interval_idx[:, None, :]] = -D
         J[rows, self.node_idx[1:]] = 1.0
-        J[6 * n + np.arange(7), self._boundary_columns()] = 1.0
+        J[6 * n + np.arange(7), self.node_idx[_BOUNDARY]] = 1.0
         return J
 
     def eq_scale(self) -> np.ndarray:
         defect = np.tile(STATE_SCALE, self.grid.n_intervals)
         boundary = STATE_SCALE[_BOUNDARY[1]]
         return np.concatenate([defect, boundary])
-
-    def eq_sparsity(self) -> np.ndarray:
-        n = self.grid.n_intervals
-        mask = np.zeros((self.n_eq, self.layout.n_vars), dtype=bool)
-        rows = np.arange(6 * n).reshape(n, 6)
-        mask[rows[:, :, None], self.interval_idx[:, None, :]] = True
-        mask[rows[:, :, None], self.node_idx[1:, None, :]] = True
-        mask[6 * n + np.arange(7), self._boundary_columns()] = True
-        return mask
 
     # ----- inequalities -----------------------------------------------
 
@@ -606,15 +594,6 @@ class _Transcription:
         # meaningful in absolute kg / dB
         return np.concatenate([np.tile(PATH_SCALE, self.grid.n_intervals + 1),
                                np.ones(self.n_extra)])
-
-    def ineq_sparsity(self) -> np.ndarray:
-        mask = np.zeros((self.n_ineq, self.layout.n_vars), dtype=bool)
-        mask[np.arange(self.n_path), self.path_idx.ravel()] = True
-        for i, (term, _) in enumerate(self.extra_rows):
-            mask[self.n_path + i, term.columns] = True
-            if term.theta_coef:
-                mask[self.n_path + i, self.layout.epigraph_index] = True
-        return mask
 
     # ----- objective ---------------------------------------------------
 
@@ -688,8 +667,7 @@ class _Transcription:
         return self._f_scale
 
 
-def assemble(scn: "Scenario", grid: Grid | None = None,
-             fuel_cap: float | None = None) -> NlpProblem:
+def assemble(scn: "Scenario", fuel_cap: float | None = None) -> NlpProblem:
     """Build the NLP for one scenario variant.
 
     `fuel_cap` is the absolute consumption bound in kg and is required
@@ -697,8 +675,7 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
     fuel-reference trajectory).
     """
     scn.validate()
-    grid = grid or Grid(0.0, scn.tf, scn.n_intervals)
-    tr = _Transcription(scn, grid, fuel_cap)
+    tr = _Transcription(scn, fuel_cap)
     lo, hi = tr.variable_bounds()
     ineq_lo, ineq_hi = tr.ineq_bounds()
     problem = NlpProblem(
@@ -719,11 +696,9 @@ def assemble(scn: "Scenario", grid: Grid | None = None,
         eq_scale=tr.eq_scale(),
         ineq_scale=tr.ineq_scale(),
         f_scale=tr.f_scale(),
-        eq_sparsity=tr.eq_sparsity(),
-        ineq_sparsity=tr.ineq_sparsity(),
         lagrangian_hessian=tr.lagrangian_hessian,
     )
-    problem.meta = {"layout": tr.layout, "grid": grid, "transcription": tr}
+    problem.meta = {"transcription": tr}
     return problem
 
 

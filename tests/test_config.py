@@ -7,11 +7,12 @@ import math
 
 import pytest
 
+from noisedescent.cli import _scenario_echo
 from noisedescent.config import _SCHEMA, parse_config
 from noisedescent.errors import ConfigError
 from noisedescent.nlp_solver import SolverOptions
 from noisedescent.noise import EngineNoiseParams
-from noisedescent.scenarios import Scenario
+from noisedescent.scenarios import Scenario, default_scenario
 
 
 def test_unknown_solver_key_reports_key_and_line(tmp_path):
@@ -40,14 +41,24 @@ def test_every_scenario_key_sets_a_scenario_field_or_an_engine_setting():
 @pytest.mark.parametrize("section, key", [("scenario", "n_starts"), ("scenario", "seed"),
                                           ("aircraft", "mass"), ("scenario", "h0"),
                                           ("bounds", "gamma_min"),
-                                          ("solver", "feasibility_tol")])
+                                          ("solver", "feasibility_tol"),
+                                          ("solver", "verbose")])
 def test_removed_key_or_nan_reports_key_and_line(section, key, tmp_path):
-    value = {"n_starts": "2", "seed": "1"}.get(key, "nan")
+    value = {"n_starts": "2", "seed": "1", "verbose": "true"}.get(key, "nan")
     path = tmp_path / "run.ini"
     path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert (err.value.key, err.value.line) == (key, 3)
+
+
+def test_scenario_defaults_come_from_scenario(tmp_path):
+    # a file that sets no scenario key runs the reference scenario
+    path = tmp_path / "run.ini"
+    path.write_text("[solver]\nmax_outer = 5\n")
+    scn, opts = parse_config(path)
+    assert opts.max_outer == 5
+    assert _scenario_echo(scn) == _scenario_echo(default_scenario())
 
 
 def test_infinite_bound_is_accepted(tmp_path):

@@ -316,6 +316,11 @@ class TestSolverBehavior:
         line = rep.iteration_log[0].format()
         for key in ("iter=", "objective=", "feasibility=", "optimality=", "step="):
             assert key in line
+        # every line says why its subproblem or polish stopped
+        reasons = {"converged", "maxiter", "linesearch", "polish", "warm-polish"}
+        for record in rep.iteration_log:
+            fields = dict(item.split("=") for item in record.format().split())
+            assert fields["stop"] in reasons
 
     def test_iteration_limit_status(self):
         opts = SolverOptions(max_outer=1, inner_maxiter=1)
