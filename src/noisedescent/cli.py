@@ -11,7 +11,6 @@ Every JSON file is strict JSON: a non-finite number is written as null.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -242,6 +241,8 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
               [opts] * len(observers),
               [out_dir / f"obs_{i:03d}" for i in range(len(observers))])
     if jobs > 1:
+        # imported here: it loads `logging` too, which no other run needs
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_solve, *solves))
     else:

@@ -8,9 +8,11 @@ Newton method, a Cholesky solve on the free variables of the exact
 merit Hessian or, where that is indefinite, of its damped convexified
 model.  Near feasibility an active-set Newton polish on the KKT system
 certifies the optimum.  `solve` therefore requires the problem's exact
-Lagrangian Hessian; `kkt_residuals` needs only first derivatives.
-Linear algebra is dense, which is comfortable at the problem sizes this
-package targets.
+Lagrangian Hessian and builds the dense Jacobians; `kkt_residuals` needs
+only the gradient and the product J^T lam, which a problem may sum
+without forming J (`NlpProblem.jacobian_transpose_product`).  Linear
+algebra is dense, which is comfortable at the problem sizes this package
+targets.
 
 Two-sided rows are treated uniformly through the shifted projection
 t = clip(c + lam/rho, lo, hi), which reduces to the classical multiplier
@@ -88,10 +90,15 @@ def lu_solve(*args, **kwargs):
 class NlpProblem:
     """Callback bundle describing one NLP.
 
-    Jacobians are dense (rows, n_vars) arrays.  Row and variable
-    scalings make the reported feasibility/optimality errors meaningful
-    across mixed units; callbacks always receive unscaled (physical)
-    vectors.
+    Jacobians are dense (rows, n_vars) arrays; only `solve` needs them.
+    `jacobian_transpose_product(w, eq_mult, ineq_mult)` returns
+    J_eq^T eq_mult + J_in^T ineq_mult, (n_vars,), with physical-row
+    multipliers as `lagrangian_hessian` takes them; it is all that
+    `kkt_residuals` and the solver's stationarity measure read of the
+    Jacobians.  Left out, it is filled in from the two dense Jacobian
+    callbacks.  Row and variable scalings make the reported
+    feasibility/optimality errors meaningful across mixed units;
+    callbacks always receive unscaled (physical) vectors.
 
     `objective`, `equalities` and `inequalities` take one point (n_vars,)
     or a stack of points (K, n_vars).  For a stack they return (K,) and
@@ -130,6 +137,7 @@ class NlpProblem:
     # array on every call, never one it keeps: `solve` scales the result
     # in place.
     lagrangian_hessian: Optional[Callable] = None
+    jacobian_transpose_product: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -153,6 +161,26 @@ class NlpProblem:
                 setattr(self, name, np.asarray(v, dtype=float))
         if np.any(self.x_scale <= 0):
             raise ValueError("x_scale must be strictly positive")
+        if self.jacobian_transpose_product is None:
+            self.jacobian_transpose_product = _dense_transpose_product(self)
+
+
+def _dense_transpose_product(p: NlpProblem) -> Callable:
+    """J_eq^T eq_mult + J_in^T ineq_mult through the dense Jacobian callbacks.
+
+    The closure holds the callbacks, not the problem, so it makes no
+    reference cycle."""
+    n_vars, n_eq, n_ineq = p.n_vars, p.n_eq, p.n_ineq
+    eq_jac, in_jac = p.equalities_jacobian, p.inequalities_jacobian
+
+    def product(w, eq_mult, ineq_mult):
+        g = np.zeros(n_vars)
+        if n_eq:
+            g += eq_jac(w).T @ eq_mult
+        if n_ineq:
+            g += in_jac(w).T @ ineq_mult
+        return g
+    return product
 
 
 @dataclass
@@ -275,12 +303,15 @@ def _first_order_error(p: NlpProblem, rows: _Rows, w: np.ndarray, y: np.ndarray,
     """Projected-gradient stationarity plus inequality complementarity.
 
     `y` is the scaled iterate w / x_scale as the caller holds it: passing
-    it, rather than recomputing it from w, keeps its exact bits.
+    it, rather than recomputing it from w, keeps its exact bits.  The
+    scaled rows' J^T lam is the problem's `jacobian_transpose_product` at
+    the physical-row multipliers lam / row scale, so no Jacobian is built.
     """
     s = p.x_scale
     g = p.objective_gradient(w) / p.f_scale
     if rows.m:
-        g = g + rows.jacobian(w).T @ lam
+        g = g + p.jacobian_transpose_product(w, lam[:p.n_eq] / p.eq_scale,
+                                             lam[p.n_eq:] / p.ineq_scale)
     projected = y - np.clip(y - g * s, p.lower / s, p.upper / s)
     stationarity = float(np.max(np.abs(projected), initial=0.0))
     comp = _complementarity(lam[p.n_eq:], c_hat[p.n_eq:],
@@ -298,17 +329,23 @@ def kkt_residuals(problem: NlpProblem, w: np.ndarray,
     gradient projected onto the variable-bound box, plus the
     complementarity residual of the inequality rows.  Multipliers follow
     the scaled-row convention used by `solve` (positive at an active
-    upper bound, negative at an active lower bound).
+    upper bound, negative at an active lower bound); each vector must
+    have one entry per row of its kind, or ValueError is raised.  Builds
+    no Jacobian: see `_first_order_error`.
     """
     p = problem
     w = np.asarray(w, dtype=float)
     rows = _Rows(p)
-    if eq_multipliers is None:
-        eq_multipliers = np.zeros(p.n_eq)
-    if ineq_multipliers is None:
-        ineq_multipliers = np.zeros(p.n_ineq)
-    lam = np.concatenate([np.asarray(eq_multipliers, dtype=float),
-                          np.asarray(ineq_multipliers, dtype=float)])
+    parts = []
+    for name, mult, n_rows, kind in (
+            ("eq_multipliers", eq_multipliers, p.n_eq, "equality"),
+            ("ineq_multipliers", ineq_multipliers, p.n_ineq, "inequality")):
+        mult = np.zeros(n_rows) if mult is None else np.asarray(mult, dtype=float)
+        if mult.shape != (n_rows,):
+            raise ValueError(f"{name} has shape {mult.shape}, expected ({n_rows},): "
+                             f"one entry per {kind} row")
+        parts.append(mult)
+    lam = np.concatenate(parts)
 
     c_hat = rows.values(w)
     s = p.x_scale

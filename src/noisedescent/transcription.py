@@ -29,7 +29,9 @@ kernel evaluations.  The defect Jacobian and Hessian blocks are
 differenced only along the seven variables the step map is nonlinear in
 (`_STEP_NONLINEAR`): `rhs_arrays` reads neither x nor y, so the step map
 is the identity along them, their Jacobian columns are written exactly
-and their Hessian rows and columns are exact zeros.
+and their Hessian rows and columns are exact zeros.  The same defect
+blocks give J^T lam block by block (`jacobian_transpose_product`), so
+the KKT certificate costs O(N) and builds no dense Jacobian.
 
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
@@ -543,15 +545,21 @@ class _Transcription:
         return np.concatenate([defects.reshape(boundary.shape[:-1] + (-1,)), boundary],
                               axis=-1)
 
-    def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
-        Z, U, _ = self.layout.unpack(w)
-        n = self.grid.n_intervals
+    def _defect_blocks(self, Z, U) -> np.ndarray:
+        """D_k = dPhi/d(z_k, u_k) of every interval, (N, 6, 9): defect row
+        block k is -D_k on `interval_idx[k]` and the identity on z_{k+1}."""
         # Phi is the identity along x and y; D's other x and y entries are
         # +0.0, so -D holds -0.0 there, as a complex step along them gives
-        D = np.zeros((n, 6, 9))
+        D = np.zeros((self.grid.n_intervals, 6, 9))
         D[..., _STEP_NONLINEAR] = _cs_derivative(self._step, np.hstack([Z[:-1], U]),
                                                  along=_STEP_NONLINEAR)
         D[:, IX, IX] = D[:, IY, IY] = 1.0
+        return D
+
+    def equalities_jacobian(self, w: np.ndarray) -> np.ndarray:
+        Z, U, _ = self.layout.unpack(w)
+        n = self.grid.n_intervals
+        D = self._defect_blocks(Z, U)
         J = np.zeros((self.n_eq, self.layout.n_vars))
         rows = np.arange(6 * n).reshape(n, 6)
         J[rows[:, :, None], self.interval_idx[:, None, :]] = -D
@@ -581,6 +589,30 @@ class _Transcription:
         for i, (term, _) in enumerate(self.extra_rows):
             J[self.n_path + i] = self._gradient(term, Z, U)
         return J
+
+    def jacobian_transpose_product(self, w: np.ndarray, eq_mult: np.ndarray,
+                                   ineq_mult: np.ndarray) -> np.ndarray:
+        """J_eq^T eq_mult + J_in^T ineq_mult, physical-row multipliers.
+
+        Summed row block by row block, in O(N), with no (rows, n_vars)
+        array: defect block k adds -D_k^T mu_k on `interval_idx[k]` and
+        mu_k on z_{k+1}, a boundary row its multiplier on its state, a path
+        row its multiplier on its variable (the last node repeats control
+        N-1, so those two add up) and an extra row its multiplier times its
+        gradient.  Equal to the dense product to rounding.
+        """
+        Z, U, _ = self.layout.unpack(w)
+        n = self.grid.n_intervals
+        mu = np.asarray(eq_mult[:6 * n], dtype=float).reshape(n, 6)
+        g = np.zeros(self.layout.n_vars)
+        # interval k's columns are z_k and u_k: no two intervals share one
+        g[self.interval_idx] = -np.einsum("ki,kij->kj", mu, self._defect_blocks(Z, U))
+        g[self.node_idx[1:]] += mu
+        g[self.node_idx[_BOUNDARY]] += eq_mult[6 * n:]
+        np.add.at(g, self.path_idx, np.reshape(ineq_mult[:self.n_path], self.path_idx.shape))
+        for i, (term, _) in enumerate(self.extra_rows):
+            g += ineq_mult[self.n_path + i] * self._gradient(term, Z, U)
+        return g
 
     def ineq_bounds(self):
         lo = np.concatenate([np.tile(self.scn.bounds.lower, self.grid.n_intervals + 1),
@@ -690,6 +722,7 @@ def assemble(scn: "Scenario", fuel_cap: float | None = None) -> NlpProblem:
         n_ineq=tr.n_ineq,
         inequalities=tr.inequalities,
         inequalities_jacobian=tr.inequalities_jacobian,
+        jacobian_transpose_product=tr.jacobian_transpose_product,
         ineq_lower=ineq_lo,
         ineq_upper=ineq_hi,
         x_scale=tr.layout.variable_scale(),

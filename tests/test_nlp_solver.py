@@ -234,6 +234,19 @@ class TestKktResiduals:
         feas, _ = kkt_residuals(prob, np.array([0.0]))
         assert feas == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eq_shift, ineq_shift", [(-1, 1), (1, -1), (1, 0), (0, -1)])
+    def test_misaligned_multipliers_are_rejected(self, eq_shift, ineq_shift):
+        # the right total, split at the wrong row, is as wrong as a short vector
+        scn = default_scenario(n_intervals=4)
+        prob = assemble(scn)
+        w = initial_guess(scn)
+        n_eq, n_ineq = prob.n_eq + eq_shift, prob.n_ineq + ineq_shift
+        name, given, expected = (("eq_multipliers", n_eq, prob.n_eq) if eq_shift
+                                 else ("ineq_multipliers", n_ineq, prob.n_ineq))
+        with pytest.raises(ValueError, match=rf"{name} has shape \({given},\), "
+                                             rf"expected \({expected},\)"):
+            kkt_residuals(prob, w, np.zeros(n_eq), np.zeros(n_ineq))
+
 
 def stacked_jacobian_reference(problem, w):
     """The scaled rows' Jacobian as np.vstack of the parts over the row scales."""
@@ -542,7 +555,8 @@ import json, sys
 import numpy as np
 import noisedescent, noisedescent.cli
 from noisedescent.nlp_solver import NlpProblem, solve
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                or m in ("concurrent.futures", "logging"))
 problem = NlpProblem(
     n_vars=1, objective=lambda w: (w[..., 0] - 3.0) ** 2,
     objective_gradient=lambda w: np.array([2.0 * (w[0] - 3.0)]),
@@ -554,7 +568,8 @@ print(json.dumps([loaded, report.status, "scipy.linalg" in sys.modules]))
 
 
 def test_importing_the_package_loads_no_scipy():
-    # SciPy loads on the first factorisation, not with the package
+    # SciPy loads on the first factorisation, not with the package; and
+    # concurrent.futures, which loads logging, on a sweep's first worker pool
     src = str(Path(nlp_solver.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,

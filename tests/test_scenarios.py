@@ -15,6 +15,9 @@ pytestmark = pytest.mark.slow
 # certified objectives (dB, kg); their last digits move with the BLAS
 # thread count, hence the relative tolerance
 REFERENCE = {"noise": 46.46725601748521, "fuel": 190.87551245699288}
+# (inner, outer) iterations: the same at one and two BLAS threads, so a
+# change that moves them moves the solve, whatever the thread count
+ITERATIONS = {"noise": (400, 8), "fuel": (650, 13)}
 
 
 def reference_scenario(variant):
@@ -30,6 +33,7 @@ def test_reference_variant_is_certified(variant):
     rep = result.report
     assert rep.status == "optimal", rep.message
     assert rep.objective == pytest.approx(REFERENCE[variant], rel=1e-9)
+    assert (rep.iterations, rep.outer_iterations) == ITERATIONS[variant]
     feas, opt = kkt_residuals(assemble(scn), result.w, rep.eq_multipliers,
                               rep.ineq_multipliers)
     assert feas <= opts.feasibility_tol
