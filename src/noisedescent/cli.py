@@ -22,7 +22,7 @@ import numpy as np
 
 from . import noise
 from .config import _parse_pairs, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
 from .nlp_solver import SolverOptions
@@ -181,12 +181,18 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
 
 def _check_controls(path: Path) -> None:
     """Reject a controls file that `run_evaluate` cannot fly: one that is
-    not a trajectory on an equidistant grid of at least two intervals."""
+    not a trajectory on an equidistant grid of at least two intervals, or
+    that holds a non-finite time, state or control."""
     if not path.is_file():
         raise ConfigError(f"controls file {str(path)!r} not found")
     try:
-        times = read_trajectory_csv(path).times
-        Grid(times[0], times[-1], times.size - 1)
+        given = read_trajectory_csv(path)
+        columns = (given.times, *given.states.T, *given.controls.T)
+        for name, column in zip(TRAJECTORY_HEADER, columns):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise ValueError(f"non-finite {name} in data row {bad[0] + 1}")
+        Grid(given.times[0], given.times[-1], given.n_intervals)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -289,7 +295,7 @@ def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
     config["N"], config["tf"] = grid.n_intervals, float(grid.tf)
     report = {
         "variant": "evaluate",
-        "leq_db_by_observer": [float(noise.leq_from_levels(traj.times, lp)) for lp in levels],
+        "leq_db_by_observer": noise.leq_from_levels(traj.times, levels).tolist(),
         "consumption_kg": noise.total_consumption(traj, scn.aircraft, scn.atmosphere),
         "config": config,
         "source": str(controls_csv),
@@ -354,7 +360,13 @@ def main(argv=None) -> int:
                   f"J1={row['J1_db']:.2f} dB [{row['status']}, fuel {row['fuel_status']}]")
         return 0 if all(r["status"] == r["fuel_status"] == "optimal" for r in rows) else 1
     if args.command == "evaluate":
-        report = run_evaluate(scn, args.controls, args.out)
+        # controls that fly out of the model domain; Python-float `**`
+        # raises OverflowError where numpy would return inf
+        try:
+            report = run_evaluate(scn, args.controls, args.out)
+        except (DomainError, ArithmeticError) as exc:
+            print(f"error: {args.controls}: {exc}", file=sys.stderr)
+            return 2
         print(json.dumps({k: report[k] for k in
                           ("leq_db_by_observer", "consumption_kg")}, indent=2))
         return 0

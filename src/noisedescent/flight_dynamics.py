@@ -8,8 +8,14 @@ States and controls are plain arrays in the component orders below, and
 every evaluation routine works componentwise on scalars or numpy arrays
 of any shape; there is no per-point wrapper.  `rhs_arrays` and
 `air_density` keep scalars as scalars: they do not promote their inputs
-to arrays, so one node given as numpy scalars runs on scalars from start
-to end, several times faster than on 0-d arrays, with the same bits.
+to arrays, so one node given as Python floats runs on scalars from start
+to end, several times faster than on 0-d arrays, with the same bits
+(float arithmetic is IEEE arithmetic, a float `**` calls libm `pow` as
+`np.float64` does, and `np.sin`/`np.cos` of a float run numpy's loop).
+
+The controls are constant over a Runge-Kutta step, so both stages of a
+step share one `control_trig(alpha, mu)`, passed to `rhs_arrays` as
+`trig`.
 
 The routines are complex-step safe: feeding complex inputs propagates
 derivative information through every branch, which the transcription
@@ -39,8 +45,8 @@ def _any(mask) -> bool:
     """Whether any entry of a boolean array or scalar is set.
 
     The domain guards test ``_any(x.real < c)``: NaN compares false and
-    passes, as with ``.any()``, which costs several times more on the
-    numpy scalars of one-node calls.
+    passes, as with ``.any()``.  A scalar mask, the bool of a one-node
+    call on floats, is read directly, without a reduction.
     """
     return bool(np.count_nonzero(mask)) if getattr(mask, "ndim", 0) else bool(mask)
 
@@ -157,8 +163,14 @@ def drag(h, V, alpha, model: AircraftModel, atm: Atmosphere = ISA):
     return q * model.S * (model.Cx0 + model.k_i * cz2 * np.asarray(alpha) ** 2)
 
 
+def control_trig(alpha, mu):
+    """(sin alpha, cos alpha, sin mu, cos mu), the control trigonometry
+    `rhs_arrays` reads."""
+    return np.sin(alpha), np.cos(alpha), np.sin(mu), np.cos(mu)
+
+
 def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
-               model: AircraftModel, atm: Atmosphere = ISA):
+               model: AircraftModel, atm: Atmosphere = ISA, trig=None):
     """Equations of motion evaluated componentwise on arrays.
 
     Returns the six derivative arrays (V_dot, gamma_dot, chi_dot,
@@ -166,7 +178,8 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     cos(gamma) is numerically zero (the chi equation divides by both).
     The atmosphere and forces are evaluated once per call, sharing the
     density between thrust and aerodynamics: this is the innermost loop
-    of the transcription machinery.
+    of the transcription machinery.  `trig` is `control_trig(alpha, mu)`
+    when the caller has it already, and is computed here otherwise.
     """
     if _any(V.real < _SINGULARITY_EPS):
         raise SingularStateError("airspeed too close to zero for the equations of motion")
@@ -180,13 +193,14 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     L = qS * model.Cz_alpha * alpha
     D = qS * (model.Cx0 + model.k_i * model.Cz_alpha ** 2 * alpha * alpha)
     m, g = model.mass, model.g
+    sin_alpha, cos_alpha, sin_mu, cos_mu = trig or control_trig(alpha, mu)
 
     sin_gamma = np.sin(gamma)
-    normal_force = (T * np.sin(alpha) + L)
+    normal_force = (T * sin_alpha + L)
 
-    V_dot = (T * np.cos(alpha) - D) / m - g * sin_gamma
-    gamma_dot = (normal_force * np.cos(mu) - m * g * cos_gamma) / (m * V)
-    chi_dot = normal_force * np.sin(mu) / (m * V * cos_gamma)
+    V_dot = (T * cos_alpha - D) / m - g * sin_gamma
+    gamma_dot = (normal_force * cos_mu - m * g * cos_gamma) / (m * V)
+    chi_dot = normal_force * sin_mu / (m * V * cos_gamma)
     x_dot = V * cos_gamma * np.cos(chi)
     y_dot = V * cos_gamma * np.sin(chi)
     h_dot = V * sin_gamma

@@ -338,7 +338,9 @@ def leq_from_levels(times, levels):
     """Equivalent continuous level of sampled L_P values, dB.
 
     Trapezoidal quadrature of 10**(0.1*L_P) over the horizon, divided by
-    its length, then back to decibels.
+    its length, then back to decibels.  `levels` may hold one row per
+    observer, (n_obs, N+1): each row reduces to the bits of its own 1-D
+    call.
     """
     times = np.asarray(times)
     energy = 10.0 ** (0.1 * np.asarray(levels))

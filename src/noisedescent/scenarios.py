@@ -192,8 +192,8 @@ def initial_guess(scn: Scenario) -> np.ndarray:
     layout = scn.layout()
     if layout.has_epigraph:
         traj = Trajectory(times=grid.times(), states=Z, controls=U)
-        worst = max(float(noise.leq_from_levels(traj.times, lp))
-                    for lp in noise.levels_at(traj, scn.observers, scn.engine, atm))
+        worst = float(np.max(noise.leq_from_levels(
+            traj.times, noise.levels_at(traj, scn.observers, scn.engine, atm))))
         return layout.pack(Z, U, theta=worst + 1.0)
     return layout.pack(Z, U)
 
@@ -307,8 +307,8 @@ def _result_from_solution(problem: NlpProblem, w: np.ndarray,
     tr = problem.meta["transcription"]
     scn = tr.scn
     traj = transcription.trajectory_from_vector(w, tr.layout, tr.grid)
-    levels = tuple(float(noise.leq_from_levels(traj.times, lp))
-                   for lp in noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere))
+    levels = tuple(noise.leq_from_levels(
+        traj.times, noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)).tolist())
     consumption = noise.total_consumption(traj, scn.aircraft, scn.atmosphere)
     theta = tr.layout.unpack(w)[2] if tr.layout.has_epigraph else None
     violation = transcription.internode_violation(

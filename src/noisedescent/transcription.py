@@ -63,7 +63,7 @@ from . import noise
 from .errors import ScenarioError
 from .flight_dynamics import (
     IALPHA, IDELTA_X, IMU, IV, IGAMMA, ICHI, IX, IY, IH,
-    AircraftModel, Atmosphere, ISA, fuel_flow_arrays, rhs_arrays,
+    AircraftModel, Atmosphere, ISA, control_trig, fuel_flow_arrays, rhs_arrays,
 )
 from .nlp_solver import NlpProblem
 
@@ -92,6 +92,8 @@ _BOUNDARY = (np.array([0, 0, 0, 0, -1, -1, -1]), np.array([IX, IY, IH, IV, IX, I
 # rhs_arrays reads neither x nor y, so Phi is the identity along them.
 _STEP_NONLINEAR = np.array([IV, IGAMMA, ICHI, IH, 6 + IALPHA, 6 + IDELTA_X, 6 + IMU])
 _INTERVAL_SCALE = np.concatenate([STATE_SCALE, CONTROL_SCALE])
+
+_RANK_ONE_ROWS = 32  # rows per block of the Leq term's rank-one Hessian update
 
 
 @dataclass(frozen=True)
@@ -130,38 +132,45 @@ def heun_step(z, u, h_step, rhs):
     return z + 0.5 * h_step * k1 + 0.5 * h_step * k2
 
 
-def _rhs_cols(Z, U, model: AircraftModel, atm: Atmosphere):
-    """rhs stacked on (..., 6) state and (..., 3) control arrays.
-
-    One node's 1-D z and u are unpacked into numpy scalars, not sliced
-    into 0-d arrays, so its kernel call runs on scalars throughout.
-    """
-    if Z.ndim == 1:
-        return np.array(rhs_arrays(*Z, *U, model, atm))
-    out = rhs_arrays(Z[..., 0], Z[..., 1], Z[..., 2], Z[..., 3], Z[..., 4], Z[..., 5],
-                     U[..., 0], U[..., 1], U[..., 2], model, atm)
-    return np.stack(out, axis=-1)
-
-
 def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere):
-    """Heun update applied to whole arrays of nodes at once."""
-    return heun_step(Z, U, h_step, lambda z, u: _rhs_cols(z, u, model, atm))
+    """Heun update applied to whole arrays of nodes at once.
+
+    The controls are constant over the step, so both stages share one
+    `control_trig`.  One node (a 1-D z and u) runs on Python floats: its
+    controls are read once and each stage's state once with `tolist()`,
+    so the kernel runs on scalars throughout.
+    """
+    one_node = Z.ndim == 1
+    u = U.tolist() if one_node else (U[..., IALPHA], U[..., IDELTA_X], U[..., IMU])
+    trig = control_trig(u[IALPHA], u[IMU])
+
+    def rhs(z, _):
+        if one_node:
+            return np.array(rhs_arrays(*z.tolist(), *u, model, atm, trig=trig))
+        out = rhs_arrays(z[..., 0], z[..., 1], z[..., 2], z[..., 3], z[..., 4], z[..., 5],
+                         *u, model, atm, trig=trig)
+        return np.stack(out, axis=-1)
+    return heun_step(Z, U, h_step, rhs)
 
 
 def simulate(z0, controls, grid: Grid, model: AircraftModel,
              atm: Atmosphere = ISA) -> noise.Trajectory:
     """Forward-simulate the piecewise-constant controls from z0.
 
-    Each Heun step is a one-node kernel call on numpy scalars, which stay
-    scalars through `rhs_arrays`.  Its node matches the stacked step map
-    of the NLP's defect rows to rounding, not bit for bit: a scalar `**`
-    and an array `**` may round differently.
+    Each Heun step is a one-node `rk_step_arrays` call, which runs the
+    kernel on Python floats and shares the control trigonometry between
+    its two stages.  Its node matches the stacked step map of the NLP's
+    defect rows to rounding, not bit for bit: a scalar `**` and an array
+    `**` may round differently.
     """
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (6,):
+        raise ValueError("z0 must have shape (6,)")
     U = np.asarray(controls, dtype=float)
     if U.shape != (grid.n_intervals, 3):
         raise ValueError(f"controls must have shape ({grid.n_intervals}, 3)")
     Z = np.empty((grid.n_intervals + 1, 6))
-    Z[0] = np.asarray(z0, dtype=float)
+    Z[0] = z0
     for k in range(grid.n_intervals):
         Z[k + 1] = rk_step_arrays(Z[k], U[k], grid.h_step, model, atm)
     return noise.Trajectory(times=grid.times(), states=Z, controls=U)
@@ -421,10 +430,16 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
         if not convexify:
             G = (p[:, None] * dlev).ravel()
             # the states lead the layout, so the node columns are 0..n_state-1:
-            # subtract from that leading block in place, through one buffer
-            GG = np.outer(G, G)
-            GG *= weight * beta
-            H[:n_state, :n_state] -= GG
+            # subtract (G_i*G_j)*(weight*beta) from that leading block in
+            # place, a few rows at a time through one small buffer
+            scale = weight * beta
+            buf = np.empty((min(_RANK_ONE_ROWS, n_state), n_state))
+            for a in range(0, n_state, _RANK_ONE_ROWS):
+                b = min(a + _RANK_ONE_ROWS, n_state)
+                rows = buf[:b - a]
+                np.multiply.outer(G[a:b], G, out=rows)
+                rows *= scale
+                H[a:b, :n_state] -= rows
         blocks = p[:, None, None] * (blocks + beta * (dlev[:, :, None] * dlev[:, None, :]))
         if convexify:
             blocks = _floor_eigenvalues(blocks, np.outer(STATE_SCALE, STATE_SCALE))

@@ -16,7 +16,7 @@ import pytest
 
 from noisedescent import cli
 from noisedescent.nlp_solver import SolveReport
-from noisedescent.noise import Observer, leq, levels_along
+from noisedescent.noise import Observer, Trajectory, leq, levels_along
 from noisedescent.scenarios import _result_from_solution, default_scenario, initial_guess
 from noisedescent.transcription import assemble, simulate
 
@@ -51,10 +51,15 @@ def must_not_run(*args, **kwargs):
     raise AssertionError("the input was accepted and a run started")
 
 
-def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER, field="0.5"):
-    """A controls file in the trajectory.csv layout, every value but t set to `field`."""
-    rows = [",".join([repr(t)] + [field] * (len(header) - 1)) for t in times]
-    return "\n".join([",".join(header), *rows]) + "\n"
+def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER, field="0.5",
+                  replace=None):
+    """A controls file in the trajectory.csv layout, every value but t set to
+    `field`; `replace` = (row, column, text) sets one field of a data row."""
+    rows = [[repr(t)] + [field] * (len(header) - 1) for t in times]
+    if replace is not None:
+        row, column, text = replace
+        rows[row][list(header).index(column)] = text
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 @pytest.mark.parametrize("argv, config, controls", [
@@ -80,11 +85,16 @@ def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER,
     (["solve"], "[aircraft]\nmass = nan\n", None),
     (["solve"], "[scenario]\nh0 = nan\n", None),
     (["solve"], "[solver]\nfeasibility_tol = nan\n", None),
+    (["evaluate"], None, controls_file(replace=(1, "alpha", "nan"))),
+    (["evaluate"], None, controls_file(replace=(0, "V", "inf"))),
+    (["evaluate"], None, controls_file(replace=(2, "h", "-inf"))),
+    (["evaluate"], None, controls_file(replace=(1, "t", "nan"))),
 ], ids=["zero-N", "zero-tol", "negative-tol", "bad-observer", "negative-mass",
         "zero-tol-config", "missing-controls", "controls-not-a-number",
         "controls-without-chi", "controls-not-equidistant", "compare",
         "evaluate-variant", "evaluate-tol", "solve-jobs", "solve-seed", "zero-jobs",
-        "negative-jobs", "nan-tol", "nan-observer", "nan-mass", "nan-h0", "nan-tol-config"])
+        "negative-jobs", "nan-tol", "nan-observer", "nan-mass", "nan-h0", "nan-tol-config",
+        "nan-alpha", "inf-V", "inf-h", "nan-t"])
 def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeypatch):
     # a value that is ignored instead of rejected would start a run
     for run in ("run_solve", "run_sweep", "run_evaluate"):
@@ -117,6 +127,15 @@ def test_csv_fields_are_written_as_format_17g(value):
     assert text == f"a,b\n{format(value, '.17g')},{format(1.0 / 3.0, '.17g')}\n"
 
 
+def write_controls(path, traj):
+    """The trajectory written as a controls file, every field as repr."""
+    rows = np.column_stack([traj.times, traj.states, traj.node_controls()])
+    path.write_text("\n".join([",".join(cli.TRAJECTORY_HEADER)]
+                               + [",".join(repr(float(v)) for v in row) for row in rows])
+                    + "\n")
+    return path
+
+
 def simulated_controls(tmp_path):
     """Scenario at N=100, its initial-guess controls flown from the first
     guess state, and that trajectory written as a controls file."""
@@ -124,12 +143,23 @@ def simulated_controls(tmp_path):
     scn = default_scenario(n_intervals=100)
     Z, U, _ = scn.layout().unpack(initial_guess(scn))
     traj = simulate(Z[0], U, scn.grid(), scn.aircraft, scn.atmosphere)
-    controls_csv = tmp_path / "controls.csv"
-    rows = np.column_stack([traj.times, traj.states, traj.node_controls()])
-    controls_csv.write_text("\n".join([",".join(cli.TRAJECTORY_HEADER)]
-                                      + [",".join(repr(float(v)) for v in row) for row in rows])
-                            + "\n")
-    return scn, traj, controls_csv
+    return scn, traj, write_controls(tmp_path / "controls.csv", traj)
+
+
+@pytest.mark.parametrize("h0, reason", [
+    (None, "airspeed too close to zero"),
+    # the density law's base overflows a float power
+    (-1e300, ""),
+], ids=["singular-state", "overflow"])
+def test_evaluate_out_of_the_model_domain_exits_2(h0, reason, tmp_path, capsys):
+    # the N=12 guess: its controls, flown in 50 s Heun steps, stall the aircraft
+    scn = default_scenario(n_intervals=12)
+    Z, U, _ = scn.layout().unpack(initial_guess(scn))
+    if h0 is not None:
+        Z[0, 5] = h0
+    path = write_controls(tmp_path / "controls.csv", Trajectory(scn.grid().times(), Z, U))
+    err = assert_exits_2(["evaluate", "--controls", str(path)], tmp_path, capsys)
+    assert err.startswith(f"error: {path}: {reason}")
 
 
 def test_evaluate_reports_simulated_trajectory(tmp_path):

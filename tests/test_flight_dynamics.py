@@ -18,6 +18,7 @@ from noisedescent.flight_dynamics import (
     AircraftModel,
     Atmosphere,
     air_density,
+    control_trig,
     drag,
     fuel_flow_arrays,
     lift,
@@ -217,8 +218,9 @@ class TestDynamics:
         with pytest.raises(SingularStateError):
             rhs_arrays(1e-12, 0.0, 0.0, 0.0, 0.0, 100.0, 0.0, 0.5, 0.0, MODEL, ISA)
 
-    @pytest.mark.parametrize("shape, bad", [((), ()), ((5,), (3,)), ((3, 5), (2, 3))],
-                             ids=["0-d", "nodes", "stacked-complex"])
+    @pytest.mark.parametrize("shape, bad", [(None, ()), ((), ()), ((5,), (3,)),
+                                            ((3, 5), (2, 3))],
+                             ids=["floats", "0-d", "nodes", "stacked-complex"])
     @pytest.mark.parametrize("name, value, error", [
         ("V", 1e-12, SingularStateError),
         ("gamma", math.pi / 2, SingularStateError),
@@ -231,12 +233,16 @@ class TestDynamics:
             "V-nan", "gamma-nan", "h-nan"])
     def test_guards_at_every_shape(self, shape, bad, name, value, error):
         # one bad entry among benign ones; stacked points are complex-step
-        # perturbations
-        step = 1e-20j if len(shape) == 2 else 0.0
+        # perturbations; Python floats check that the density guard comes
+        # before the power, which would turn a negative base complex
         args = dict(V=120.0, gamma=-0.05, chi=0.0, x=0.0, y=0.0, h=1000.0,
                     alpha=0.05, delta_x=0.5, mu=0.0)
-        cols = {k: np.full(shape, v + step) for k, v in args.items()}
-        cols[name][bad] = value
+        if shape is None:
+            cols = {**args, name: value}
+        else:
+            step = 1e-20j if len(shape) == 2 else 0.0
+            cols = {k: np.full(shape, v + step) for k, v in args.items()}
+            cols[name][bad] = value
         if error is None:
             with np.errstate(invalid="ignore"):
                 out = rhs_arrays(**cols, model=MODEL)
@@ -245,6 +251,36 @@ class TestDynamics:
         else:
             with pytest.raises(error):
                 rhs_arrays(**cols, model=MODEL)
+
+
+class TestControlTrig:
+    """A step's stages share `control_trig`, with the bits of each stage
+    computing its own."""
+
+    LOWER = np.array([60.0, -0.3, -1.0, -1e5, -1e5, 0.0, -0.1, 0.0, -0.5])
+    UPPER = np.array([250.0, 0.3, 1.0, 1e5, 1e5, 10000.0, 0.25, 1.0, 0.5])
+
+    def points(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        return self.LOWER + (self.UPPER - self.LOWER) * rng.uniform(size=shape + (9,))
+
+    @pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex-step"])
+    def test_stack(self, complex_step):
+        # the shape of the step map's Hessian stencil at N=12
+        shape = (7, 14, 12)
+        X = self.points(shape, 3)
+        if complex_step:
+            X = X + 1e-100j * np.random.default_rng(4).normal(size=X.shape)
+        cols = [X[..., i] for i in range(9)]
+        shared = rhs_arrays(*cols, MODEL, ISA, control_trig(cols[6], cols[8]))
+        assert np.array(shared).tobytes() == np.array(rhs_arrays(*cols, MODEL)).tobytes()
+
+    def test_floats_with_shared_trig_match_numpy_scalars(self):
+        for p in self.points((200,), 5):
+            z = p.tolist()
+            shared = rhs_arrays(*z, MODEL, trig=control_trig(z[6], z[8]))
+            # iterating an array gives numpy scalars
+            assert np.array(shared).tobytes() == np.array(rhs_arrays(*p, MODEL)).tobytes()
 
 
 class TestFuelFlow:

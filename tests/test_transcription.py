@@ -115,8 +115,9 @@ class TestHeunStep:
 
 
 class TestScalarStep:
-    """One node steps on numpy scalars, with the bits of the former route
-    through 0-d arrays, and matches the stacked step map to rounding."""
+    """One node steps on Python floats, with the bits of the former routes
+    through numpy scalars and 0-d arrays, and matches the stacked step map
+    to rounding."""
 
     @pytest.fixture(scope="class")
     def guess(self):
@@ -133,12 +134,14 @@ class TestScalarStep:
         return (Z[k] + 0.01 * STATE_SCALE * rng.uniform(-1.0, 1.0, (200, 6)),
                 U[k] + 0.01 * rng.uniform(-1.0, 1.0, (200, 3)))
 
-    def test_simulate_passes_numpy_scalars_to_the_kernel(self, guess, monkeypatch):
+    def test_simulate_passes_python_floats_to_the_kernel(self, guess, monkeypatch):
         scn, Z, U = guess
         seen = {}
-        # the kernel, and inside it the density and thrust laws, with the
-        # number of leading state and control arguments of each
+        # the kernel, its control trigonometry, and inside the kernel the
+        # density and thrust laws, with the number of leading state and
+        # control arguments of each
         for owner, name, n_args in ((transcription, "rhs_arrays", 9),
+                                    (transcription, "control_trig", 2),
                                     (flight_dynamics, "air_density", 1),
                                     (flight_dynamics, "_thrust", 4)):
             def recording(*args, _fn=getattr(owner, name), _name=name, _n=n_args, **kwargs):
@@ -147,10 +150,19 @@ class TestScalarStep:
             monkeypatch.setattr(owner, name, recording)
 
         simulate(Z[0], U, scn.grid(), scn.aircraft, scn.atmosphere)
+        # two stages per step share one set of control sines
         assert len(seen["rhs_arrays"]) == 9 * 2 * U.shape[0]
-        # np.float64 is not an ndarray: no 0-d array reaches the kernel
+        assert len(seen["control_trig"]) == 2 * U.shape[0]
+        # neither a numpy scalar nor a 0-d array reaches the kernel
         assert {name: {type(arg) for arg in args} for name, args in seen.items()} == {
-            "rhs_arrays": {np.float64}, "air_density": {np.float64}, "_thrust": {np.float64}}
+            "rhs_arrays": {float}, "control_trig": {float}, "air_density": {float},
+            "_thrust": {float}}
+
+    def test_simulate_rejects_a_z0_that_is_not_one_state(self, guess):
+        scn, Z, U = guess
+        for z0 in (5.0, Z[0, :5], Z[:2]):
+            with pytest.raises(ValueError, match=r"z0 must have shape \(6,\)"):
+                simulate(z0, U, scn.grid(), scn.aircraft, scn.atmosphere)
 
     @pytest.fixture(scope="class")
     def steps(self, guess, nodes):
@@ -158,6 +170,17 @@ class TestScalarStep:
         scn = guess[0]
         args = (scn.grid().h_step, scn.aircraft, scn.atmosphere)
         return np.array([rk_step_arrays(z, u, *args) for z, u in zip(*nodes)]), args
+
+    def test_float_step_has_the_bits_of_the_numpy_scalar_route(self, nodes, steps):
+        # the Heun recheck of the benchmark: heun_step over the kernel on
+        # numpy scalars, each stage computing its own control sines
+        scalar, (h, model, atm) = steps
+
+        def rhs_numpy(z, u):
+            return np.array(transcription.rhs_arrays(*z, *u, model, atm))
+
+        numpy = np.array([heun_step(z, u, h, rhs_numpy) for z, u in zip(*nodes)])
+        assert scalar.tobytes() == numpy.tobytes()
 
     def test_scalar_step_has_the_bits_of_the_0d_route(self, nodes, steps):
         scalar, (h, model, atm) = steps
