@@ -22,7 +22,7 @@ import numpy as np
 
 from . import noise
 from .config import _parse_pairs, parse_config
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
 from .nlp_solver import SolverOptions
@@ -51,8 +51,11 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     """Trajectory of a file in the trajectory.csv layout.
 
     Raises ValueError for a file without a data row, without a column of
-    TRAJECTORY_HEADER, with a field that is not a number, with rows of
-    another length than the header, or whose times are not equidistant.
+    TRAJECTORY_HEADER, with a field that is not a number, or with rows of
+    another length than the header; and, naming the first data row at
+    fault, for a non-finite time, state or control, or times that do not
+    increase in equal steps.  The control columns of the last row and the
+    columns not in TRAJECTORY_HEADER are not read.
     """
     lines = Path(path).read_text().strip().splitlines()
     if len(lines) < 2:
@@ -67,7 +70,19 @@ def read_trajectory_csv(path: Path) -> Trajectory:
     data = np.asarray(rows)
     if data.shape[1] != len(header):
         raise ValueError(f"rows of {data.shape[1]} fields under {len(header)} column names")
+    read = data[:, [idx[name] for name in TRAJECTORY_HEADER]]
+    read[-1, -len(CONTROL_NAMES):] = 0.0  # the last row's controls are not read
+    bad = np.argwhere(~np.isfinite(read.T))
+    if bad.size:
+        column, row = bad[0]
+        raise ValueError(f"non-finite {TRAJECTORY_HEADER[column]} in data row {row + 1}")
     times = data[:, idx["t"]]
+    # the tolerance of Trajectory's own check; step k ends at data row k + 2
+    steps = np.diff(times)
+    uneven = np.abs(steps - steps[:1]) > 1e-12 + 1e-9 * np.abs(steps[:1])
+    bad = np.flatnonzero((steps <= 0.0) | uneven)
+    if bad.size:
+        raise ValueError(f"times are not equidistant and increasing at data row {bad[0] + 2}")
     states = data[:, [idx[c] for c in STATE_NAMES]]
     controls = data[:-1][:, [idx[c] for c in CONTROL_NAMES]]
     return Trajectory(times=times, states=states, controls=controls)
@@ -174,27 +189,9 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
     scn.validate()
     if flag("jobs") is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    if flag("controls") is not None:
-        _check_controls(args.controls)
+    if flag("controls") is not None and not args.controls.is_file():
+        raise ConfigError(f"controls file {str(args.controls)!r} not found")
     return scn, opts
-
-
-def _check_controls(path: Path) -> None:
-    """Reject a controls file that `run_evaluate` cannot fly: one that is
-    not a trajectory on an equidistant grid of at least two intervals, or
-    that holds a non-finite time, state or control."""
-    if not path.is_file():
-        raise ConfigError(f"controls file {str(path)!r} not found")
-    try:
-        given = read_trajectory_csv(path)
-        columns = (given.times, *given.states.T, *given.controls.T)
-        for name, column in zip(TRAJECTORY_HEADER, columns):
-            bad = np.flatnonzero(~np.isfinite(column))
-            if bad.size:
-                raise ValueError(f"non-finite {name} in data row {bad[0] + 1}")
-        Grid(given.times[0], given.times[-1], given.n_intervals)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
@@ -285,7 +282,13 @@ def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
     """Forward-simulate the controls of a trajectory file and report
     noise and fuel metrics without optimizing: the report has no solver
     fields, and iterations.log is empty.  The config echo's N and tf are
-    those of the grid flown, the controls file's."""
+    those of the grid flown, the controls file's.
+
+    Raises ValueError before anything is written for a file that
+    `read_trajectory_csv` rejects or a grid of fewer than two intervals,
+    and DomainError or ArithmeticError for controls that fly out of the
+    model domain.
+    """
     given = read_trajectory_csv(controls_csv)
     grid = Grid(given.times[0], given.times[-1], given.n_intervals)
     traj = simulate(given.states[0], given.controls, grid,
@@ -360,11 +363,12 @@ def main(argv=None) -> int:
                   f"J1={row['J1_db']:.2f} dB [{row['status']}, fuel {row['fuel_status']}]")
         return 0 if all(r["status"] == r["fuel_status"] == "optimal" for r in rows) else 1
     if args.command == "evaluate":
-        # controls that fly out of the model domain; Python-float `**`
-        # raises OverflowError where numpy would return inf
+        # a controls file that is rejected, or whose flight leaves the model
+        # domain (DomainError is a ValueError; a Python-float `**` raises
+        # OverflowError where numpy would return inf)
         try:
             report = run_evaluate(scn, args.controls, args.out)
-        except (DomainError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"error: {args.controls}: {exc}", file=sys.stderr)
             return 2
         print(json.dumps({k: report[k] for k in

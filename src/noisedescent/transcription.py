@@ -33,6 +33,23 @@ and their Hessian rows and columns are exact zeros.  The same defect
 blocks give J^T lam block by block (`jacobian_transpose_product`), so
 the KKT certificate costs O(N) and builds no dense Jacobian.
 
+Every stencil runs its kernel through `_run_stack`.  A stack of at least
+_SPLIT_VALUES complex values (the exact Hessian's step stencil from N=38
+on, 98 step maps per interval) has its leading axes flattened and split
+in two contiguous halves; the second half runs on a thread started for
+the call and joined before it returns, since numpy's loops release the
+GIL on arrays of this size.  No thread is started where the process may
+use only one CPU, but the halves are the same, so the bits never depend
+on the machine.  Reshaping or slicing a complex stack can change
+derivative bits: numpy elides a chained temporary of 256 KiB or more
+(16384 complex values) by computing in place, and an elided complex
+product may round differently, as may a contiguous against a strided
+one.  So the halves are contiguous slices with the strides of the whole,
+and a stack splits only if its column temporaries (its size over its
+last axis: 98*N values for the step stencil, 72*(N+1) for the level
+stencil) and a half's lie on the same side of 16384.  The step stencil
+therefore runs whole for 168 <= N <= 334.
+
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
 observer, the consumption, or the epigraph variable theta) and the extra
@@ -54,6 +71,9 @@ that mirrors the same bounds.  The last node reuses control N-1.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -94,6 +114,13 @@ _STEP_NONLINEAR = np.array([IV, IGAMMA, ICHI, IH, 6 + IALPHA, 6 + IDELTA_X, 6 + 
 _INTERVAL_SCALE = np.concatenate([STATE_SCALE, CONTROL_SCALE])
 
 _RANK_ONE_ROWS = 32  # rows per block of the Leq term's rank-one Hessian update
+
+# A complex-step stack of at least _SPLIT_VALUES values runs in two pieces:
+# on two cores the split loses below ~18000 values and saves 16-44% from
+# ~35000 (table in ROADMAP item 4).  numpy elides a temporary of at least
+# _ELIDE_VALUES complex128 values (256 KiB).
+_SPLIT_VALUES = 32768
+_ELIDE_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -282,7 +309,9 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     `fn` maps an (..., M, d) array, one row of local variables per node or
     interval, to (..., M) values or (..., M, r) vectors, where output row k
     depends on input row k only.  The perturbations are stacked on a new
-    leading axis, so `fn` runs once on all of them.  Returns d(fn)/dX with
+    leading axis, so `fn` runs once on all of them (a large stack in two
+    pieces, `_run_stack`, each of which also takes its imaginary parts and
+    contracts them).  Returns d(fn)/dX with
     the variable index last: (..., M, d) or (..., M, r, d).  With `mult` of
     shape (M, r) the r outputs are first contracted against it, giving
     d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
@@ -293,10 +322,61 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     j = np.arange(X.shape[-1]) if along is None else along
     Xc = np.repeat(X.astype(complex)[None], j.size, axis=0)
     Xc[np.arange(j.size), ..., j] += 1j * _CS
-    F = fn(Xc).imag
-    if mult is not None:
-        F = np.sum(mult * F, axis=-1)
-    return np.moveaxis(F, 0, -1) / _CS
+
+    def imaginary_parts(Xp):
+        F = fn(Xp).imag
+        return F if mult is None else np.sum(mult * F, axis=-1)
+    return np.moveaxis(_run_stack(imaginary_parts, Xc), 0, -1) / _CS
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_stack(fn, Xc: np.ndarray) -> np.ndarray:
+    """fn(Xc) of a contiguous complex stack (..., M, d), large ones in two pieces.
+
+    A stack of at least _SPLIT_VALUES values has its leading axes
+    flattened and split in two contiguous halves, if its column
+    temporaries (..., M) and a half's fall on the same side of
+    _ELIDE_VALUES; the results are concatenated in order.  The second half
+    runs on a thread of its own when this process may use more than one
+    CPU, and after the first otherwise, so the bits never depend on the
+    machine.  If either half raises, the whole stack is evaluated once
+    more, unsplit, and that call raises.  So `fn` must be safe to run on
+    two threads at once, as the pure kernels and their callers' closures
+    are.
+    """
+    lead, m = Xc.shape[:-2], Xc.shape[-2]
+    rows = math.prod(lead)
+    half = rows // 2
+    if Xc.size < _SPLIT_VALUES or (rows * m < _ELIDE_VALUES) != (half * m < _ELIDE_VALUES):
+        return fn(Xc)
+    flat = Xc.reshape((rows,) + Xc.shape[-2:])
+    parts = [None, None]
+
+    def run(i, piece):
+        try:
+            parts[i] = fn(piece)
+        except Exception:
+            pass  # the unsplit evaluation below raises it again
+
+    if _cpus() > 1:
+        second = threading.Thread(target=run, args=(1, flat[half:]))
+        second.start()
+        try:
+            run(0, flat[:half])
+        finally:
+            second.join()
+    else:
+        run(0, flat[:half])
+        run(1, flat[half:])
+    if parts[0] is None or parts[1] is None:
+        return fn(Xc)
+    return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
 
 
 def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,

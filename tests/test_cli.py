@@ -96,8 +96,10 @@ def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER,
         "negative-jobs", "nan-tol", "nan-observer", "nan-mass", "nan-h0", "nan-tol-config",
         "nan-alpha", "inf-V", "inf-h", "nan-t"])
 def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeypatch):
-    # a value that is ignored instead of rejected would start a run
-    for run in ("run_solve", "run_sweep", "run_evaluate"):
+    # a value that is ignored instead of rejected would start a run: a
+    # solve, a sweep, or the flight or the writes of an evaluation, which
+    # reads its controls file itself
+    for run in ("run_solve", "run_sweep", "simulate", "write_run_outputs"):
         monkeypatch.setattr(cli, run, must_not_run)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if config is not None:
@@ -160,6 +162,42 @@ def test_evaluate_out_of_the_model_domain_exits_2(h0, reason, tmp_path, capsys):
     path = write_controls(tmp_path / "controls.csv", Trajectory(scn.grid().times(), Z, U))
     err = assert_exits_2(["evaluate", "--controls", str(path)], tmp_path, capsys)
     assert err.startswith(f"error: {path}: {reason}")
+
+
+@pytest.mark.parametrize("replace, message", [
+    ((3, "alpha", "nan"), "non-finite alpha in data row 4"),
+    ((0, "V", "inf"), "non-finite V in data row 1"),
+    ((100, "t", "-inf"), "non-finite t in data row 101"),
+    ((7, "t", "42.5"), "not equidistant and increasing at data row 8"),
+    ((7, "t", "30.0"), "not equidistant and increasing at data row 8"),
+], ids=["nan-alpha", "inf-V", "inf-t", "uneven-step", "repeated-time"])
+def test_evaluate_rejects_what_it_cannot_fly(replace, message, tmp_path):
+    # through the API: the N=100 guess with one field replaced is rejected
+    # before anything is written
+    scn, _, controls_csv = simulated_controls(tmp_path)
+    lines = controls_csv.read_text().splitlines()
+    row, column, text = replace
+    fields = lines[1 + row].split(",")
+    fields[cli.TRAJECTORY_HEADER.index(column)] = text
+    lines[1 + row] = ",".join(fields)
+    controls_csv.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        cli.run_evaluate(scn, controls_csv, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_reads_its_controls_once(tmp_path, monkeypatch):
+    _, _, controls_csv = simulated_controls(tmp_path)
+    read, calls = cli.read_trajectory_csv, []
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "read_trajectory_csv", counted)
+    argv = ["evaluate", "--controls", str(controls_csv), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert calls == [controls_csv]
 
 
 def test_evaluate_reports_simulated_trajectory(tmp_path):

@@ -6,9 +6,15 @@ the assembled constraints against plain forward simulation.
 
 import dataclasses
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisedescent import flight_dynamics, nlp_solver, noise, transcription
+from noisedescent.errors import DomainError
 from noisedescent.flight_dynamics import IH, IX, IY, AircraftModel
 from noisedescent.noise import Observer
 from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
@@ -658,6 +665,123 @@ class TestAssemblyMemory:
         assert peak < 1.5 * convex.nbytes
         _, peak = traced_peak(lambda: nlp_solver.kkt_residuals(prob, w, lam_eq, lam_in))
         assert peak < 1.5e6
+
+
+def counted_stencil(fn, calls):
+    """fn, appending the shape of every stack it is given to `calls`."""
+    def counted(X):
+        calls.append(X.shape)
+        return fn(X)
+    return counted
+
+
+# the test suite's checkout: its src/ and perfbench/ directories
+ROOT = Path(transcription.__file__).resolve().parents[2]
+
+DIGEST_PROBE = """
+import json, os, sys
+os.sched_setaffinity(0, {cpus})
+sys.path.insert(0, {perfbench!r})
+import numpy as np
+import workloads
+from noisedescent import transcription
+rng = np.random.default_rng(21)
+digests = {{}}
+for variant in workloads.CallbacksN100.VARIANTS:
+    problem, point = workloads.make_model(variant, rng)
+    digests[variant] = workloads.digest(workloads.model_build(problem, point))
+print(json.dumps([transcription._cpus(), digests]))
+"""
+
+
+class TestSplitStencil:
+    """A large complex-step stack runs in two pieces with the bits of one.
+
+    The pieces halve the stack's leading axes.  numpy elides a temporary
+    of 16384 complex values or more, and an elided product may round
+    differently, so a stack is split only where its column temporaries
+    and a half's fall on the same side of that size.  The step stencil's
+    columns hold 98*N values and the level stencil's 72*(N+1): at N=168
+    and 200 the whole step stencil is elided and its halves would not be,
+    so it runs whole (at one point its halves differed in 84 and 101
+    values there); at N=400 both sides are elided and it splits again.
+    """
+
+    # N -> (step stencil split, level stencil split)
+    SPLITS = {50: (True, True), 100: (True, True), 167: (True, True),
+              168: (False, True), 200: (False, True), 400: (True, False)}
+
+    @pytest.mark.parametrize("n", sorted(SPLITS))
+    def test_stencils_have_the_bits_of_one_piece(self, n, monkeypatch):
+        scn = small_scenario(n=n)
+        prob = assemble(scn)
+        tr = prob.meta["transcription"]
+        rng = np.random.default_rng(n)
+        Z, U, _ = tr.layout.unpack(random_feasible_point(prob, initial_guess(scn), rng))
+        mu = rng.normal(size=(n, 6))
+
+        def levels(X):
+            return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3], X[..., 4],
+                                       X[..., 5], scn.observers[0], tr.params, tr.atm)
+
+        stencils = (
+            lambda fn: _cs_hessian_blocks(fn, np.hstack([Z[:-1], U]), _INTERVAL_SCALE, mu,
+                                          _STEP_NONLINEAR),
+            lambda fn: _cs_hessian_blocks(fn, Z, STATE_SCALE),
+        )
+        for stencil, fn, split in zip(stencils, (tr._step, levels), self.SPLITS[n]):
+            monkeypatch.setattr(transcription, "_SPLIT_VALUES", math.inf)
+            whole = stencil(fn)
+            monkeypatch.setattr(transcription, "_SPLIT_VALUES", 0)
+            calls = []
+            pieces = stencil(counted_stencil(fn, calls))
+            assert len(calls) == (2 if split else 1)
+            assert pieces.tobytes() == whole.tobytes()
+
+    def test_model_builds_do_not_depend_on_the_cpus(self):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs")
+        two = set(sorted(os.sched_getaffinity(0))[:2])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"  # the bits of a BLAS call depend on its thread count
+        runs = []
+        for cpus in ({min(two)}, two):
+            probe = DIGEST_PROBE.format(cpus=cpus, perfbench=str(ROOT / "perfbench"))
+            out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                 env=env, timeout=300, check=True)
+            runs.append(json.loads(out.stdout.splitlines()[-1]))
+        (one_cpu, one), (two_cpus, both) = runs
+        assert (one_cpu, two_cpus) == (1, 2)
+        assert set(one) == {"noise", "fuel", "noise_fuel_capped", "minimax"}
+        assert one == both
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first", "second"])
+    def test_an_error_in_a_piece_is_raised_by_the_whole_stack(self, bad, cpus, monkeypatch):
+        monkeypatch.setattr(transcription, "_SPLIT_VALUES", 0)
+        monkeypatch.setattr(transcription, "_cpus", lambda: cpus)
+
+        def kernel(X):
+            if np.any(X.real[..., 0] < 0.0):
+                raise DomainError(f"negative speed in a stack of shape {X.shape}")
+            return X[..., :2] * X[..., 1:3]
+
+        calls = []
+        Xc = np.ones((2, 3, 5, 4), dtype=complex)
+        threads = threading.active_count()
+        split = transcription._run_stack(counted_stencil(kernel, calls), Xc)
+        assert split.tobytes() == kernel(Xc).tobytes()
+        assert calls == [(3, 5, 4)] * 2
+        # Xc[0] becomes the first piece, Xc[1] the second
+        Xc[bad, :, 2, 0] = -1.0
+        calls.clear()
+        with pytest.raises(DomainError) as raised:
+            transcription._run_stack(counted_stencil(kernel, calls), Xc)
+        assert str(raised.value) == "negative speed in a stack of shape (2, 3, 5, 4)"
+        assert calls == [(3, 5, 4)] * 2 + [Xc.shape]
+        assert threading.active_count() == threads
 
 
 def count_kernel_calls(monkeypatch) -> list:
