@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -52,10 +53,11 @@ def read_trajectory_csv(path: Path) -> Trajectory:
 
     Raises ValueError for a file without a data row, without a column of
     TRAJECTORY_HEADER, with a field that is not a number, or with rows of
-    another length than the header; and, naming the first data row at
-    fault, for a non-finite time, state or control, or times that do not
-    increase in equal steps.  The control columns of the last row and the
-    columns not in TRAJECTORY_HEADER are not read.
+    another length than the header; naming the first data row at fault,
+    for a non-finite time, state or control; and, through `Trajectory`,
+    for times that do not increase in equal steps, naming the first time
+    at fault (times[i] is data row i + 1).  The control columns of the
+    last row and the columns not in TRAJECTORY_HEADER are not read.
     """
     lines = Path(path).read_text().strip().splitlines()
     if len(lines) < 2:
@@ -77,12 +79,6 @@ def read_trajectory_csv(path: Path) -> Trajectory:
         column, row = bad[0]
         raise ValueError(f"non-finite {TRAJECTORY_HEADER[column]} in data row {row + 1}")
     times = data[:, idx["t"]]
-    # the tolerance of Trajectory's own check; step k ends at data row k + 2
-    steps = np.diff(times)
-    uneven = np.abs(steps - steps[:1]) > 1e-12 + 1e-9 * np.abs(steps[:1])
-    bad = np.flatnonzero((steps <= 0.0) | uneven)
-    if bad.size:
-        raise ValueError(f"times are not equidistant and increasing at data row {bad[0] + 2}")
     states = data[:, [idx[c] for c in STATE_NAMES]]
     controls = data[:-1][:, [idx[c] for c in CONTROL_NAMES]]
     return Trajectory(times=times, states=states, controls=controls)
@@ -235,7 +231,9 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     by default) and tabulate it against the fuel-optimal reference.
 
     The reference is one fuel solve scored at every position; each row
-    carries the status of its noise solve and of the reference.
+    carries the status of its noise solve and of the reference.  With
+    `jobs` > 1 the noise solves run in that many worker processes, each
+    pinned to its share of the CPUs (`_pin_worker`).
     """
     observers = tuple(Observer(x, y) for x, y in observers or SWEEP_OBSERVERS)
     fuel = run_solve(dataclasses.replace(scn, variant="fuel", observers=observers),
@@ -244,9 +242,12 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
               [opts] * len(observers),
               [out_dir / f"obs_{i:03d}" for i in range(len(observers))])
     if jobs > 1:
-        # imported here: it loads `logging` too, which no other run needs
+        # imported here: they load `logging` too, which no other run needs
         import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        import multiprocessing
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_pin_worker,
+                initargs=(multiprocessing.Value("i", 0), jobs)) as pool:
             reports = list(pool.map(run_solve, *solves))
     else:
         reports = list(map(run_solve, *solves))
@@ -278,21 +279,54 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     return rows
 
 
+def _pin_worker(started, jobs: int) -> None:
+    """Pin a new sweep worker to its share of the CPUs this process may use.
+
+    `started` counts the workers started so far.  With m the lesser of
+    `jobs` and the CPU count, the k-th worker takes every m-th CPU from the
+    (k mod m)-th on, so workers share CPUs only when there are more of them
+    than CPUs.  A worker alone on one CPU runs its stencils in one piece
+    (`transcription._run_stack`), instead of starting threads that contend
+    with the other workers for the same cores.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    cpus = sorted(os.sched_getaffinity(0))
+    m = min(jobs, len(cpus))
+    os.sched_setaffinity(0, cpus[k % m::m])
+
+
 def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:
     """Forward-simulate the controls of a trajectory file and report
     noise and fuel metrics without optimizing: the report has no solver
     fields, and iterations.log is empty.  The config echo's N and tf are
     those of the grid flown, the controls file's.
 
-    Raises ValueError before anything is written for a file that
-    `read_trajectory_csv` rejects or a grid of fewer than two intervals,
-    and DomainError or ArithmeticError for controls that fly out of the
-    model domain.
+    Raises, before anything is written, what `_fly` raises.
+    """
+    return _report_flight(scn, controls_csv, *_fly(scn, controls_csv), out_dir)
+
+
+def _fly(scn: Scenario, controls_csv: Path) -> tuple[Grid, Trajectory]:
+    """The grid of a trajectory file and the flight of its controls from
+    its first state.
+
+    Raises ValueError for a file that `read_trajectory_csv` rejects or a
+    grid of fewer than two intervals, and DomainError (a ValueError) or
+    ArithmeticError for controls that fly out of the model domain.
     """
     given = read_trajectory_csv(controls_csv)
     grid = Grid(given.times[0], given.times[-1], given.n_intervals)
-    traj = simulate(given.states[0], given.controls, grid,
-                    scn.aircraft, scn.atmosphere)
+    return grid, simulate(given.states[0], given.controls, grid,
+                          scn.aircraft, scn.atmosphere)
+
+
+def _report_flight(scn: Scenario, controls_csv: Path, grid: Grid, traj: Trajectory,
+                   out_dir: Path) -> dict:
+    """Score a flight `_fly` made and write it: `run_evaluate`'s report."""
     levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
     config = _scenario_echo(scn)
     config["N"], config["tf"] = grid.n_intervals, float(grid.tf)
@@ -364,13 +398,14 @@ def main(argv=None) -> int:
         return 0 if all(r["status"] == r["fuel_status"] == "optimal" for r in rows) else 1
     if args.command == "evaluate":
         # a controls file that is rejected, or whose flight leaves the model
-        # domain (DomainError is a ValueError; a Python-float `**` raises
-        # OverflowError where numpy would return inf)
+        # domain (a Python-float `**` raises OverflowError where numpy would
+        # return inf); what fails after the flight is not the file's fault
         try:
-            report = run_evaluate(scn, args.controls, args.out)
+            flight = _fly(scn, args.controls)
         except (ValueError, ArithmeticError) as exc:
             print(f"error: {args.controls}: {exc}", file=sys.stderr)
             return 2
+        report = _report_flight(scn, args.controls, *flight, args.out)
         print(json.dumps({k: report[k] for k in
                           ("leq_db_by_observer", "consumption_kg")}, indent=2))
         return 0

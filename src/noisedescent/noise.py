@@ -144,10 +144,10 @@ class Trajectory:
         if controls.shape != (n, 3):
             raise ValueError(f"controls must have shape ({n}, 3), got {controls.shape}")
         steps = np.diff(times)
-        if np.any(steps <= 0):
-            raise ValueError("grid times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("grid times must be equidistant")
+        bad = np.flatnonzero((steps <= 0) | ~np.isclose(steps, steps[0], rtol=1e-9, atol=1e-12))
+        if bad.size:
+            raise ValueError("grid times must increase in equal steps, "
+                             f"and times[{bad[0] + 1}] does not")
 
     @property
     def n_intervals(self) -> int:

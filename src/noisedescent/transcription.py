@@ -118,7 +118,12 @@ _RANK_ONE_ROWS = 32  # rows per block of the Leq term's rank-one Hessian update
 # A complex-step stack of at least _SPLIT_VALUES values runs in two pieces:
 # on two cores the split loses below ~18000 values and saves 16-44% from
 # ~35000 (table in ROADMAP item 4).  numpy elides a temporary of at least
-# _ELIDE_VALUES complex128 values (256 KiB).
+# _ELIDE_VALUES complex128 values (256 KiB): this mirrors numpy's private
+# NPY_MIN_ELIDE_BYTES of numpy 2.x, and whether elision runs at all depends
+# on the numpy build.  The guard is in tests/test_transcription.py:
+# test_numpy_elides_where_the_split_rule_assumes fails if the numpy in use
+# elides at another size, and the N=167 and N=168 byte-equality cases of
+# TestSplitStencil fail if the rule is off.
 _SPLIT_VALUES = 32768
 _ELIDE_VALUES = 16384
 
@@ -348,7 +353,10 @@ def _run_stack(fn, Xc: np.ndarray) -> np.ndarray:
     machine.  If either half raises, the whole stack is evaluated once
     more, unsplit, and that call raises.  So `fn` must be safe to run on
     two threads at once, as the pure kernels and their callers' closures
-    are.
+    are; a wrapper put around a kernel's module-level name (a profiler's,
+    say) is called from both threads too.  `run_sweep` pins each worker
+    process to its share of the CPUs, so two workers on two CPUs run
+    their stacks unsplit.
     """
     lead, m = Xc.shape[:-2], Xc.shape[-2]
     rows = math.prod(lead)

@@ -10,6 +10,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -168,8 +170,8 @@ def test_evaluate_out_of_the_model_domain_exits_2(h0, reason, tmp_path, capsys):
     ((3, "alpha", "nan"), "non-finite alpha in data row 4"),
     ((0, "V", "inf"), "non-finite V in data row 1"),
     ((100, "t", "-inf"), "non-finite t in data row 101"),
-    ((7, "t", "42.5"), "not equidistant and increasing at data row 8"),
-    ((7, "t", "30.0"), "not equidistant and increasing at data row 8"),
+    ((7, "t", "42.5"), r"increase in equal steps, and times\[7\] does not"),
+    ((7, "t", "30.0"), r"increase in equal steps, and times\[7\] does not"),
 ], ids=["nan-alpha", "inf-V", "inf-t", "uneven-step", "repeated-time"])
 def test_evaluate_rejects_what_it_cannot_fly(replace, message, tmp_path):
     # through the API: the N=100 guess with one field replaced is rejected
@@ -184,6 +186,42 @@ def test_evaluate_rejects_what_it_cannot_fly(replace, message, tmp_path):
     with pytest.raises(ValueError, match=message):
         cli.run_evaluate(scn, controls_csv, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_blames_the_controls_file_only_for_its_flight(tmp_path, monkeypatch):
+    # a ValueError after the flight is a fault of the program, not of the
+    # file: it is raised, not reported as `error: <file>: ...` with exit 2
+    _, _, controls_csv = simulated_controls(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken writer")
+
+    monkeypatch.setattr(cli, "write_run_outputs", broken)
+    argv = ["evaluate", "--controls", str(controls_csv), "--out", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match="broken writer"):
+        cli.main(argv)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.parametrize("jobs", [1, 2, 3, 64])
+def test_sweep_workers_take_disjoint_shares_of_the_cpus(jobs):
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    m = min(jobs, len(cpus))
+    started = multiprocessing.Value("i", 0)
+    pinned = []
+    try:
+        for _ in range(jobs):
+            cli._pin_worker(started, jobs)
+            pinned.append(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, allowed)
+    finally:
+        os.sched_setaffinity(0, allowed)
+    assert started.value == jobs
+    assert pinned == [set(cpus[k % m::m]) for k in range(jobs)]
+    # the first m workers split the CPUs between them
+    assert set().union(*pinned[:m]) == allowed
+    assert sum(map(len, pinned[:m])) == len(cpus)
 
 
 def test_evaluate_reads_its_controls_once(tmp_path, monkeypatch):

@@ -480,10 +480,11 @@ class TestConsumption:
 
 class TestTrajectoryType:
     def test_rejects_non_equidistant(self):
-        times = np.array([0.0, 1.0, 3.0])
-        with pytest.raises(ValueError):
-            Trajectory(times=times, states=np.zeros((3, 6)) + 100.0,
-                       controls=np.zeros((2, 3)))
+        for times, bad in (([0.0, 1.0, 3.0], 2), ([0.0, 1.0, 1.0, 2.0], 2),
+                           ([0.0, -1.0, -2.0], 1), ([0.0, 1.0, 2.0 + 1e-6, 3.0], 2)):
+            with pytest.raises(ValueError, match=rf"times\[{bad}\] does not"):
+                Trajectory(times=np.array(times), states=np.zeros((len(times), 6)) + 100.0,
+                           controls=np.zeros((len(times) - 1, 3)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

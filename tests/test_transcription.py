@@ -738,6 +738,25 @@ class TestSplitStencil:
             assert len(calls) == (2 if split else 1)
             assert pieces.tobytes() == whole.tobytes()
 
+    def test_numpy_elides_where_the_split_rule_assumes(self):
+        # The guard of _ELIDE_VALUES, a copy of numpy's private elision size:
+        # an elided `a * b * c` reuses a * b in place, so its traced peak is
+        # one result, not two.  The rule holds if numpy elides from that
+        # size on, or never; a numpy that elides elsewhere fails here.
+        def elided(n):
+            a, b, c = (np.ones(n, dtype=complex) for _ in range(3))
+            tracemalloc.start()
+            try:
+                d = a * b * c
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak < 1.5 * d.nbytes
+
+        size = transcription._ELIDE_VALUES
+        seen = [elided(n) for n in (size - 1, size, 4 * size)]
+        assert seen in ([False, True, True], [False, False, False])
+
     def test_model_builds_do_not_depend_on_the_cpus(self):
         if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two CPUs")
