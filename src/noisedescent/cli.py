@@ -95,7 +95,7 @@ def _sha256(data: bytes) -> str:
 
 
 def _scenario_echo(scn: Scenario) -> dict:
-    echo = {
+    return {
         "boundary": {"x0": scn.x0, "y0": scn.y0, "h0": scn.h0, "V0": scn.V0,
                      "xf": scn.xf, "yf": scn.yf, "hf": scn.hf},
         "tf": scn.tf, "N": scn.n_intervals, "variant": scn.variant,
@@ -105,10 +105,8 @@ def _scenario_echo(scn: Scenario) -> dict:
         "bounds": {"lower": list(scn.bounds.lower), "upper": list(scn.bounds.upper)},
         "aircraft": dataclasses.asdict(scn.aircraft),
         "atmosphere": dataclasses.asdict(scn.atmosphere),
+        "engine_noise": dataclasses.asdict(scn.engine),
     }
-    echo["engine_noise"] = {k: v for k, v in dataclasses.asdict(scn.engine).items()
-                            if not k.endswith("_hook")}
-    return echo
 
 
 def _json_text(obj) -> str:

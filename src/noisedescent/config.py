@@ -120,13 +120,9 @@ _SCHEMA = {
     "solver": {
         "max_outer": _parse_int,
         "inner_maxiter": _parse_int,
-        "max_inner_total": _parse_int,
         "feasibility_tol": _parse_float,
         "optimality_tol": _parse_float,
         "initial_penalty": _parse_float,
-        "penalty_factor": _parse_float,
-        "penalty_max": _parse_float,
-        "max_line_search": _parse_int,
     },
 }
 

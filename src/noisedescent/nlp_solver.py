@@ -17,7 +17,8 @@ targets.
 Two-sided rows are treated uniformly through the shifted projection
 t = clip(c + lam/rho, lo, hi), which reduces to the classical multiplier
 update for equalities (lo = hi = 0) and prunes inactive multipliers
-automatically.
+automatically.  Callers set only the five `SolverOptions`; every other
+number of the algorithm is a module constant.
 
 The line search backtracks by halving the step from 1, and evaluates
 its trial points in batches of `_TRIAL_BATCH`: the value callbacks take
@@ -62,7 +63,13 @@ from .errors import DomainError
 _COMPLEMENTARITY_CAP = 10.0  # slack distances are capped here in the residual
 _MULTIPLIER_CAP = 1e12
 _ARMIJO_SIGMA = 1e-4  # sufficient-decrease parameter of the line search
+_MAX_LINE_SEARCH = 40  # trial steps alpha = 1, 1/2, ... of one line search
 _TRIAL_BATCH = 8      # line-search trial points evaluated per stacked call
+_PENALTY_FACTOR = 10.0  # rho grows by this factor when feasibility lags
+_PENALTY_MAX = 1e10     # and stops here; a stall there is "infeasible"
+_POLISH_ROUNDS = 3    # active-set detections of one polish
+_POLISH_STEPS = 15    # Newton steps per detection
+_POLISH_REG = 1e-11   # diagonal regularisation of the polish's KKT matrix
 
 
 # scipy.linalg loads on the first call (see the module docstring)
@@ -183,21 +190,33 @@ def _dense_transpose_product(p: NlpProblem) -> Callable:
     return product
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
+    """The solver's five settings, checked once (the class is frozen).
+
+    `max_outer` penalty iterations of at most `inner_maxiter` Newton steps
+    each are the whole budget; tests and the `[solver]` config section set
+    both.  A certified point reaches `feasibility_tol` and
+    `optimality_tol` (see `kkt_residuals`): `--tol-feas`, `--tol-opt`, the
+    config and the continuation ladder's coarse rungs set them.
+    `initial_penalty` is the first penalty parameter; the config and the
+    ladder, which starts a finer rung at the last one's (at most 1e3), set it.
+    """
+
     max_outer: int = 60
-    inner_maxiter: int = 50       # Newton steps per subproblem
-    max_inner_total: int = 6000    # Newton steps across all subproblems
+    inner_maxiter: int = 50
     feasibility_tol: float = 1e-6
     optimality_tol: float = 1e-6
     initial_penalty: float = 10.0
-    penalty_factor: float = 10.0
-    penalty_max: float = 1e10
-    max_line_search: int = 40
 
     def __post_init__(self):
         if not (self.feasibility_tol > 0 and self.optimality_tol > 0):
             raise ValueError("tolerances must be strictly positive")
+        for name in ("max_outer", "inner_maxiter"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not (math.isfinite(self.initial_penalty) and self.initial_penalty > 0):
+            raise ValueError("initial_penalty must be finite and strictly positive")
 
 
 @dataclass
@@ -319,6 +338,20 @@ def _first_order_error(p: NlpProblem, rows: _Rows, w: np.ndarray, y: np.ndarray,
     return stationarity + comp
 
 
+def _row_multipliers(p: NlpProblem, eq_multipliers, ineq_multipliers) -> np.ndarray:
+    """Both vectors as one, equalities first, None as zeros; ValueError on a bad shape."""
+    parts = []
+    for name, mult, n_rows, kind in (
+            ("eq_multipliers", eq_multipliers, p.n_eq, "equality"),
+            ("ineq_multipliers", ineq_multipliers, p.n_ineq, "inequality")):
+        mult = np.zeros(n_rows) if mult is None else np.asarray(mult, dtype=float)
+        if mult.shape != (n_rows,):
+            raise ValueError(f"{name} has shape {mult.shape}, expected ({n_rows},): "
+                             f"one entry per {kind} row")
+        parts.append(mult)
+    return np.concatenate(parts)
+
+
 def kkt_residuals(problem: NlpProblem, w: np.ndarray,
                   eq_multipliers: np.ndarray | None = None,
                   ineq_multipliers: np.ndarray | None = None) -> tuple[float, float]:
@@ -336,17 +369,7 @@ def kkt_residuals(problem: NlpProblem, w: np.ndarray,
     p = problem
     w = np.asarray(w, dtype=float)
     rows = _Rows(p)
-    parts = []
-    for name, mult, n_rows, kind in (
-            ("eq_multipliers", eq_multipliers, p.n_eq, "equality"),
-            ("ineq_multipliers", ineq_multipliers, p.n_ineq, "inequality")):
-        mult = np.zeros(n_rows) if mult is None else np.asarray(mult, dtype=float)
-        if mult.shape != (n_rows,):
-            raise ValueError(f"{name} has shape {mult.shape}, expected ({n_rows},): "
-                             f"one entry per {kind} row")
-        parts.append(mult)
-    lam = np.concatenate(parts)
-
+    lam = _row_multipliers(p, eq_multipliers, ineq_multipliers)
     c_hat = rows.values(w)
     s = p.x_scale
     bound_viol = max(
@@ -466,10 +489,10 @@ def _one_at_a_time(merit: _Merit, Y):
             yield np.inf
 
 
-def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions):
+def _line_search(merit: _Merit, y, f, g, direction, lo, hi):
     """Projected Armijo backtracking from y along direction.
 
-    The trial steps are alpha = 1, 1/2, ... (opts.max_line_search of them),
+    The trial steps are alpha = 1, 1/2, ... (`_MAX_LINE_SEARCH` of them),
     projected onto [lo, hi].  They are evaluated `_TRIAL_BATCH` at a time
     in one stacked merit call, and each batch is scanned in order: the
     first trial that passes the Armijo test is accepted, and a zero
@@ -479,7 +502,7 @@ def _line_search(merit: _Merit, y, f, g, direction, lo, hi, opts: SolverOptions)
     rejected step.  So the result is that of one-at-a-time backtracking.
     Returns (alpha, trial point) of the accepted step, or None.
     """
-    alphas = 0.5 ** np.arange(opts.max_line_search)
+    alphas = 0.5 ** np.arange(_MAX_LINE_SEARCH)
     for start in range(0, alphas.size, _TRIAL_BATCH):
         batch = alphas[start:start + _TRIAL_BATCH]
         Y = np.clip(y + batch[:, None] * direction, lo, hi)
@@ -513,7 +536,6 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     y = np.clip(y0, lo, hi)
     f, g, d, J = merit.value_grad(y)
     merit_log.append(f)
-    n_iter = 0
     status = "maxiter"
     models = None
     model_age = 0
@@ -583,7 +605,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if float(direction @ g) >= 0.0:
             direction = -pg  # safeguard
 
-        accepted = _line_search(merit, y, f, g, direction, lo, hi, opts)
+        accepted = _line_search(merit, y, f, g, direction, lo, hi)
         if accepted is None:
             status = "linesearch"
             break
@@ -618,7 +640,6 @@ class _Polisher:
         self.opts = opts
         self.s = problem.x_scale
         self.y_lo, self.y_hi = y_lo, y_hi
-        self.reg = 1e-11
 
     def _hessian(self, w, lam):
         p = self.p
@@ -628,18 +649,18 @@ class _Polisher:
         H *= self.rows.scale_outer
         return H
 
-    def run(self, y0: np.ndarray, lam0: np.ndarray, max_steps: int = 15,
-            rounds: int = 3):
+    def run(self, y0: np.ndarray, lam0: np.ndarray):
         """Return (y, lam, feas, opt) of a certified point, or None.
 
-        Each round freezes the active and fixed-variable sets at the
-        current point and runs globalized Newton on the reduced KKT
+        Each of `_POLISH_ROUNDS` rounds freezes the active and
+        fixed-variable sets at the current point and runs up to
+        `_POLISH_STEPS` globalized Newton steps on the reduced KKT
         system; if the sets were misjudged the next round re-detects
         them at the best point reached.
         """
         y, lam = y0.copy(), lam0.copy()
-        for _ in range(rounds):
-            out = self._one_round(y, lam, max_steps)
+        for _ in range(_POLISH_ROUNDS):
+            out = self._one_round(y, lam)
             if out is None:
                 return None
             y, lam, feas, opt, certified = out
@@ -647,18 +668,22 @@ class _Polisher:
                 return y, lam, feas, opt
         return None
 
-    def _one_round(self, y0: np.ndarray, lam0: np.ndarray, max_steps: int):
+    def _one_round(self, y0: np.ndarray, lam0: np.ndarray):
         p, rows, opts = self.p, self.rows, self.opts
         y = y0.copy()
         lam = lam0.copy()
         m = rows.m
-        n = y.size
 
-        w = y * self.s
-        c = rows.values(w)
-        J = rows.jacobian(w)
-        Jy = J * self.s[None, :] if m else np.zeros((0, n))
+        def kkt_parts(y_, lam_):
+            """Scaled rows, their Jacobian in scaled variables (None without
+            rows) and the scaled Lagrangian gradient."""
+            w_ = y_ * self.s
+            c_ = rows.values(w_)
+            J_ = rows.jacobian(w_) * self.s[None, :] if m else None
+            g_ = self.s * (p.objective_gradient(w_) / p.f_scale)
+            return c_, J_, (g_ + J_.T @ lam_ if m else g_)
 
+        c, Jy, g_lagr = kkt_parts(y, lam)
         # bound-duplicate rows tighten the variable box; their
         # multipliers stay zero (bound activity is handled by projection)
         simple = np.zeros(m, dtype=bool)
@@ -675,13 +700,10 @@ class _Polisher:
             eff_lo[j] = max(eff_lo[j], lo_j)
             eff_hi[j] = min(eff_hi[j], hi_j)
 
-        g = self.s * (p.objective_gradient(w) / p.f_scale)
-        g_lagr = g + Jy.T @ lam if m else g
         band = 1e-5
         at_lo = y <= eff_lo + band
         at_hi = y >= eff_hi - band
         fixed = (at_lo & (g_lagr > 0.0)) | (at_hi & (g_lagr < 0.0))
-        y = y.copy()
         y[fixed & at_lo] = eff_lo[fixed & at_lo]
         y[fixed & at_hi] = eff_hi[fixed & at_hi]
         free_idx = np.flatnonzero(~fixed)
@@ -707,28 +729,23 @@ class _Polisher:
         nf, na = free_idx.size, act_idx.size
 
         def residual(y_, lam_):
-            w_ = y_ * self.s
-            c_ = rows.values(w_)
-            J_ = rows.jacobian(w_) * self.s[None, :] if m else None
-            g_ = self.s * (p.objective_gradient(w_) / p.f_scale)
-            gl = g_ + J_.T @ lam_ if m else g_
+            c_, J_, gl = kkt_parts(y_, lam_)
             parts = [gl[free_idx]]
             if na:
                 parts.append(c_[act_idx] - target[act_idx])
-            r = np.concatenate(parts)
-            return r, c_, J_, gl
+            return np.concatenate(parts), c_, J_, gl
 
         r, c, Jy, g_lagr = residual(y, lam)
         r_norm = float(np.linalg.norm(r))
-        for _ in range(max_steps):
+        for _ in range(_POLISH_STEPS):
             H = self._hessian(y * self.s, lam)
             K = np.zeros((nf + na, nf + na))
-            K[:nf, :nf] = H[np.ix_(free_idx, free_idx)] + self.reg * np.eye(nf)
+            K[:nf, :nf] = H[np.ix_(free_idx, free_idx)] + _POLISH_REG * np.eye(nf)
             if na:
                 Ja = Jy[np.ix_(act_idx, free_idx)]
                 K[:nf, nf:] = Ja.T
                 K[nf:, :nf] = Ja
-                K[nf:, nf:] = -self.reg * np.eye(na)
+                K[nf:, nf:] = -_POLISH_REG * np.eye(na)
             rhs = np.concatenate([-g_lagr[free_idx],
                                   -(c[act_idx] - target[act_idx]) if na else np.zeros(0)])
             try:
@@ -792,26 +809,26 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     report.  Warm multipliers (scaled-row convention) let continuation
     schemes resume from a related solve.  On callback failure the report
     carries the diagnostic and status "error"; on stagnating
-    infeasibility at the penalty cap the status is "infeasible"; on
-    exhausted budgets the best point found is returned with status
-    "iteration-limit".  Raises ValueError when the problem has no
-    `lagrangian_hessian`.
+    infeasibility at the penalty cap the status is "infeasible"; when
+    the outer iterations run out the best point found is returned with
+    status "iteration-limit".  Raises ValueError when the problem has no
+    `lagrangian_hessian`, or when w0 or a warm multiplier vector does
+    not have one entry per variable or row.
     """
     opts = opts or SolverOptions()
     p = problem
     if p.lagrangian_hessian is None:
         raise ValueError("solve requires NlpProblem.lagrangian_hessian")
+    w0 = np.asarray(w0, dtype=float)
+    if w0.shape != (p.n_vars,):
+        raise ValueError(f"w0 has shape {w0.shape}, expected ({p.n_vars},)")
+    lam = _row_multipliers(p, warm_eq_multipliers, warm_ineq_multipliers)
     t_start = time.perf_counter()
     rows = _Rows(p)
     s = p.x_scale
     y_lo, y_hi = p.lower / s, p.upper / s
-    y = np.clip(np.asarray(w0, dtype=float) / s, y_lo, y_hi)
+    y = np.clip(w0 / s, y_lo, y_hi)
 
-    lam = np.zeros(rows.m)
-    if warm_eq_multipliers is not None and p.n_eq:
-        lam[:p.n_eq] = np.asarray(warm_eq_multipliers, dtype=float)
-    if warm_ineq_multipliers is not None and p.n_ineq:
-        lam[p.n_eq:] = np.asarray(warm_ineq_multipliers, dtype=float)
     rho = float(opts.initial_penalty)
     # first subproblems stay loose regardless of the starting penalty
     omega = max(min(0.1, 1.0 / rho), min(0.01, 10.0 * opts.optimality_tol))
@@ -900,7 +917,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
                     break
 
             feas_history.append(feas)
-            if (rho >= opts.penalty_max and feas > 1e3 * opts.feasibility_tol
+            if (rho >= _PENALTY_MAX and feas > 1e3 * opts.feasibility_tol
                     and len(feas_history) >= 4
                     and feas > 0.9 * min(feas_history[-4:-1])):
                 lam = lam_trial
@@ -913,18 +930,15 @@ def solve(problem: NlpProblem, w0: np.ndarray,
                 eta = max(eta / rho ** 0.9, 0.5 * opts.feasibility_tol)
                 omega = max(omega / rho, 0.05 * opts.optimality_tol)
             else:
-                rho = min(rho * opts.penalty_factor, opts.penalty_max)
+                rho = min(rho * _PENALTY_FACTOR, _PENALTY_MAX)
                 eta = max(min(0.5, rho ** -0.1), 0.5 * opts.feasibility_tol)
                 omega = max(min(0.1, 1.0 / rho), 0.05 * opts.optimality_tol,
                             0.2 * omega)
-
-            if total_inner >= opts.max_inner_total:
-                status = "iteration-limit"
-                message = "inner iteration budget exhausted"
-                break
     except (ValueError, ArithmeticError, FloatingPointError) as exc:
         status = "error"
         message = f"callback failure: {exc}"
+    if status == "iteration-limit":
+        message = "outer iteration budget exhausted"
 
     if status in ("iteration-limit", "infeasible", "error") and best is not None:
         _, y_best, lam_best, feas, opt, f_val = best

@@ -5,7 +5,7 @@ source level with spherical spreading, an altitude correction and the
 kinematic (convection + relative motion) corrections.  The equivalent
 continuous level over the descent is the log of the time-averaged
 acoustic energy.  Atmospheric absorption, ground effect and frequency
-corrections are zero-valued plug-in hooks.
+corrections are not modelled.
 
 Functions are complex-step safe for derivative propagation, like the
 flight dynamics module.
@@ -16,17 +16,14 @@ perturbations of the transcription) or observers: `levels_at` scores a
 trajectory at several observers in one kernel call, passing their
 coordinates as (n_obs, 1) columns, so the terms that do not depend on
 the observer (density, jet speed, convection Mach number) are computed
-once.  `levels_along` and `leq` are its one-observer case.  A correction
-hook then receives the slant range R with the leading observer axis,
-(n_obs, N+1), and the height h with the node shape (N+1,), which
-broadcasts against it.
+once.  `levels_along` and `leq` are its one-observer case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,12 +37,6 @@ from .flight_dynamics import (
     air_density,
     fuel_flow_arrays,
 )
-
-# Correction hooks take (R, h) arrays and return a dB contribution that
-# broadcasts against R.  R carries every leading axis of the kernel call
-# (stacked points, or the observer axis of `levels_at`); h has the shape
-# of the flight points' heights and broadcasts against R.
-CorrectionHook = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _NEAR_FIELD_R = 1.0  # m; slant range is clamped here to keep logs finite
 
@@ -61,9 +52,6 @@ TERM_NAMES = (
     "spreading",
     "convection",
     "motion",
-    "absorption_hook",
-    "ground_hook",
-    "frequency_hook",
 )
 
 
@@ -90,9 +78,6 @@ class EngineNoiseParams:
     temp_term_coeff: float = 1.0  # coefficient of the log10(tau1/tau2) term
     directivity_mode: str = "velocity_vector"  # or "track_axis"
     track_axis: tuple[float, float] = (1.0, 0.0)  # horizontal axis for track_axis mode
-    absorption_hook: Optional[CorrectionHook] = field(default=None, compare=False)
-    ground_hook: Optional[CorrectionHook] = field(default=None, compare=False)
-    frequency_hook: Optional[CorrectionHook] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (self.v1 > self.v2 >= 0.0):
@@ -240,13 +225,13 @@ def _doppler_factor_cos(Mc, cos_theta):
     return (1.0 + Mc * cos_theta) ** 2 + 0.04 * Mc * Mc
 
 
-def _primitive_terms(V, rho, c, R, cos_theta, h,
+def _primitive_terms(V, rho, c, R, cos_theta,
                      params: EngineNoiseParams, atm: Atmosphere) -> dict:
     """All level terms from primitive quantities.
 
     The terms that depend on the flight point are arrays; the engine
     constants (baseline, nozzle geometry, coaxial mixing, nozzle area,
-    temperature ratio) and absent correction hooks are plain floats.
+    temperature ratio) are plain floats.
     """
     p = params
     ve = effective_jet_speed(V, p)
@@ -269,7 +254,6 @@ def _primitive_terms(V, rho, c, R, cos_theta, h,
         + 1.2 * (1.0 + p.s2 * p.v2 ** 2 / (p.s1 * p.v1 ** 2)) ** 4 \
         / (1.0 + p.s2 / p.s1) ** 3
 
-    R_arr, h_arr = np.asarray(R), np.asarray(h)
     return {
         "baseline": 141.0,
         "density_ratio": 10.0 * w * np.log10(density_ratio),
@@ -282,9 +266,6 @@ def _primitive_terms(V, rho, c, R, cos_theta, h,
         "spreading": -20.0 * np.log10(R),
         "convection": -15.0 * np.log10(cd),
         "motion": -10.0 * np.log10(motion_arg),
-        "absorption_hook": p.absorption_hook(R_arr, h_arr) if p.absorption_hook else 0.0,
-        "ground_hook": p.ground_hook(R_arr, h_arr) if p.ground_hook else 0.0,
-        "frequency_hook": p.frequency_hook(R_arr, h_arr) if p.frequency_hook else 0.0,
     }
 
 
@@ -294,7 +275,7 @@ def _level_terms(V, gamma, chi, x, y, h, obs: Observer,
     rho = air_density(h, atm)
     R = slant_range_arrays(x, y, h, obs)
     cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R)
-    return _primitive_terms(V, rho, _sound_speed(rho, atm), R, cos_theta, h, params, atm)
+    return _primitive_terms(V, rho, _sound_speed(rho, atm), R, cos_theta, params, atm)
 
 
 def _sum_terms(terms: dict):

@@ -91,12 +91,17 @@ def controls_file(times=(0.0, 50.0, 100.0, 150.0), header=cli.TRAJECTORY_HEADER,
     (["evaluate"], None, controls_file(replace=(0, "V", "inf"))),
     (["evaluate"], None, controls_file(replace=(2, "h", "-inf"))),
     (["evaluate"], None, controls_file(replace=(1, "t", "nan"))),
+    (["solve"], "[solver]\ninitial_penalty = 0\n", None),
+    (["solve"], "[solver]\ninitial_penalty = -1\n", None),
+    (["solve"], "[solver]\nmax_outer = 0\n", None),
+    (["solve"], "[solver]\ninner_maxiter = 0\n", None),
 ], ids=["zero-N", "zero-tol", "negative-tol", "bad-observer", "negative-mass",
         "zero-tol-config", "missing-controls", "controls-not-a-number",
         "controls-without-chi", "controls-not-equidistant", "compare",
         "evaluate-variant", "evaluate-tol", "solve-jobs", "solve-seed", "zero-jobs",
         "negative-jobs", "nan-tol", "nan-observer", "nan-mass", "nan-h0", "nan-tol-config",
-        "nan-alpha", "inf-V", "inf-h", "nan-t"])
+        "nan-alpha", "inf-V", "inf-h", "nan-t", "zero-penalty", "negative-penalty",
+        "zero-outer", "zero-inner"])
 def test_invalid_input_exits_2(argv, config, controls, tmp_path, capsys, monkeypatch):
     # a value that is ignored instead of rejected would start a run: a
     # solve, a sweep, or the flight or the writes of an evaluation, which

@@ -42,9 +42,16 @@ def test_every_scenario_key_sets_a_scenario_field_or_an_engine_setting():
                                           ("aircraft", "mass"), ("scenario", "h0"),
                                           ("bounds", "gamma_min"),
                                           ("solver", "feasibility_tol"),
-                                          ("solver", "verbose")])
+                                          ("solver", "verbose"),
+                                          ("solver", "max_inner_total"),
+                                          ("solver", "penalty_factor"),
+                                          ("solver", "penalty_max"),
+                                          ("solver", "max_line_search")])
 def test_removed_key_or_nan_reports_key_and_line(section, key, tmp_path):
-    value = {"n_starts": "2", "seed": "1", "verbose": "true"}.get(key, "nan")
+    # a removed key gets a value it once took, so only its name is rejected
+    value = {"n_starts": "2", "seed": "1", "verbose": "true", "max_inner_total": "6000",
+             "penalty_factor": "10.0", "penalty_max": "1e10",
+             "max_line_search": "40"}.get(key, "nan")
     path = tmp_path / "run.ini"
     path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError) as err:

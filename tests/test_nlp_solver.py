@@ -25,6 +25,7 @@ from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
 from noisedescent.transcription import assemble
 from noisedescent.nlp_solver import (
     _ARMIJO_SIGMA,
+    _MAX_LINE_SEARCH,
     _TRIAL_BATCH,
     NlpProblem,
     SolverOptions,
@@ -338,7 +339,8 @@ class TestSolverBehavior:
     def test_iteration_limit_status(self):
         opts = SolverOptions(max_outer=1, inner_maxiter=1)
         _, rep = solve(rosenbrock_line(), np.array([-1.5, 2.0]), opts)
-        assert rep.status in ("iteration-limit", "optimal")
+        assert rep.status == "iteration-limit"
+        assert rep.message == "outer iteration budget exhausted"
 
     def test_callback_error_is_reported(self):
         def bad_obj(w):
@@ -405,6 +407,18 @@ class TestSolverBehavior:
         with pytest.raises(ValueError, match="lagrangian_hessian"):
             solve(prob, np.array([1.0]))
 
+    @pytest.mark.parametrize("w0, warm, name", [
+        (3.0, None, "w0"),
+        (np.array([-1.0, -0.5, 0.0]), None, "w0"),
+        (np.array([-1.0, -0.5]), {"warm_eq_multipliers": 0.7}, "eq_multipliers"),
+        (np.array([-1.0, -0.5]), {"warm_eq_multipliers": np.zeros(0)}, "eq_multipliers"),
+        (np.array([-1.0, -0.5]), {"warm_ineq_multipliers": np.zeros(1)}, "ineq_multipliers"),
+    ], ids=["scalar-w0", "long-w0", "scalar-eq", "short-eq", "long-ineq"])
+    def test_start_of_the_wrong_shape_is_rejected(self, w0, warm, name):
+        # a scalar would broadcast to a constant start or fill every row
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            solve(circle_problem(), w0, **(warm or {}))
+
     def test_warm_multipliers_accepted(self):
         prob = circle_problem()
         w1, rep1 = solve(prob, np.array([-1.0, -0.5]))
@@ -426,10 +440,12 @@ class TestSolverBehavior:
         assert "synthetic gradient failure" in rep.message
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(feasibility_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(optimality_tol=float("nan"))
+        for setting in ({"feasibility_tol": 0.0}, {"optimality_tol": float("nan")},
+                        {"initial_penalty": 0.0}, {"initial_penalty": -1.0},
+                        {"initial_penalty": float("inf")}, {"initial_penalty": float("nan")},
+                        {"max_outer": 0}, {"inner_maxiter": 0}):
+            with pytest.raises(ValueError):
+                SolverOptions(**setting)
 
 
 def sequential_line_search(merit, y, f, g, direction, lo, hi, max_trials):
@@ -464,10 +480,9 @@ class TestBatchedLineSearch:
         merit = _Merit(problem, rows, lam, 10.0, Counter())
         f, g, _, _ = merit.value_grad(y)
         direction = direction(g)
-        opts = SolverOptions()
-        batched = _line_search(merit, y, f, g, direction, lo, hi, opts)
+        batched = _line_search(merit, y, f, g, direction, lo, hi)
         reference = sequential_line_search(_Merit(problem, rows, lam, 10.0, Counter()),
-                                           y, f, g, direction, lo, hi, opts.max_line_search)
+                                           y, f, g, direction, lo, hi, _MAX_LINE_SEARCH)
         return batched, reference, dict(merit.trials)
 
     @staticmethod

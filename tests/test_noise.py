@@ -197,8 +197,7 @@ class TestLevel:
 
     def test_doubling_distance_costs_six_db(self):
         from noisedescent.noise import _primitive_terms
-        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=0.3, h=2000.0,
-                  params=PARAMS, atm=ISA)
+        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=0.3, params=PARAMS, atm=ISA)
         t1 = _primitive_terms(R=5000.0, **kw)
         t2 = _primitive_terms(R=10000.0, **kw)
         for name in TERM_NAMES:
@@ -210,8 +209,7 @@ class TestLevel:
 
     def test_strictly_decreasing_in_distance(self):
         from noisedescent.noise import _primitive_terms
-        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=-0.2, h=2000.0,
-                  params=PARAMS, atm=ISA)
+        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=-0.2, params=PARAMS, atm=ISA)
         R = np.linspace(100.0, 50000.0, 200)
         totals = sum(_primitive_terms(R=R, **kw)[n] for n in TERM_NAMES)
         assert np.all(np.diff(totals) < 0)
@@ -312,17 +310,6 @@ class TestLevel:
         assert delta == pytest.approx(9.0 * math.log10(PARAMS.tau1 / PARAMS.tau2),
                                       rel=1e-12)
 
-    def test_correction_hooks_add_in(self):
-        hooked = EngineNoiseParams(
-            absorption_hook=lambda R, h: -0.001 * R / 1000.0,
-            ground_hook=lambda R, h: np.full_like(np.asarray(R, dtype=float), 1.5),
-        )
-        z = (120.0, 0.0, 0.0, 0.0, 0.0, 1000.0)
-        obs = Observer(3000.0, 0.0)
-        R = float(slant_range_arrays(0.0, 0.0, 1000.0, obs))
-        assert level(z, obs, hooked) == pytest.approx(level(z, obs) - 0.001 * R / 1000.0 + 1.5,
-                                                      rel=1e-12)
-
 
 def circular_trajectory(n=64, radius=8000.0, height=1500.0, V=120.0):
     """Level circle around the origin: constant L_P for the centered observer."""
@@ -354,9 +341,7 @@ class TestObserverAxis:
     @pytest.mark.parametrize("params", [
         PARAMS,
         EngineNoiseParams(directivity_mode="track_axis", track_axis=(60000.0, 5000.0)),
-        EngineNoiseParams(absorption_hook=lambda R, h: -0.005 * R / (1.0 + 1e-3 * h),
-                          ground_hook=lambda R, h: 3.0 * np.exp(-h / 500.0) - 1e-5 * R),
-    ], ids=["velocity_vector", "track_axis", "hooks"])
+    ], ids=["velocity_vector", "track_axis"])
     def test_level_matrix_matches_the_per_observer_loop(self, params):
         traj = simulated_trajectory()
         observers = [Observer(x, y) for x, y in SWEEP_OBSERVERS]
@@ -367,15 +352,6 @@ class TestObserverAxis:
         assert np.array_equal(matrix, np.array(loop))
         assert np.array_equal(matrix, np.array([levels_along(traj, obs, params)
                                                 for obs in observers]))
-
-    def test_hooks_get_the_observer_axis(self):
-        shapes = []
-        hooked = EngineNoiseParams(
-            frequency_hook=lambda R, h: shapes.append((R.shape, h.shape)) or 0.0)
-        traj = simulated_trajectory()
-        levels_at(traj, [Observer(0.0, 0.0), Observer(2e4, 2500.0), Observer(4e4, 0.0)],
-                  hooked)
-        assert shapes == [((3, 101), (101,))]
 
     def test_observer_axis_names_the_node(self):
         # the motion term fails only for the observer ahead, at node 3
