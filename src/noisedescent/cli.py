@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import noise
-from .config import _parse_pairs, parse_config
+from .config import _parse_pairs, parse_config, read_sections
 from .errors import ConfigError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
@@ -122,19 +122,17 @@ def _finite_json(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def write_run_outputs(out_dir: Path, traj: Trajectory, scn: Scenario, report: dict,
-                      iteration_log=(), levels: np.ndarray | None = None) -> dict:
+def write_run_outputs(out_dir: Path, traj: Trajectory, scn: Scenario, levels: np.ndarray,
+                      report: dict, iteration_log=()) -> dict:
     """Write trajectory.csv, iterations.log and report.json; verify hashes.
 
     trajectory.csv holds the times, states, node controls and node levels
     at every observer: `levels`, the (n_obs, N+1) matrix of
-    `noise.levels_at`, computed here when not given.  report.json is
-    `report` plus the manifest of the other two files: the sha256 of the
-    bytes meant for each, checked against each file once it is written.
-    The returned dict keeps its non-finite floats.
+    `noise.levels_at`.  report.json is `report` plus the manifest of the
+    other two files: the sha256 of the bytes meant for each, checked
+    against each file once it is written.  The returned dict keeps its
+    non-finite floats.
     """
-    if levels is None:
-        levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
     out_dir.mkdir(parents=True, exist_ok=True)
     header = TRAJECTORY_HEADER + tuple(f"L_P_obs{j}" for j in range(len(scn.observers)))
     data = np.column_stack([traj.times, traj.states, traj.node_controls(), levels.T])
@@ -214,7 +212,8 @@ def run_solve(scn: Scenario, opts: SolverOptions, out_dir: Path,
         "internode_violation": result.internode_violation,
         "config": _scenario_echo(scn),
     }
-    report = write_run_outputs(out_dir, result.trajectory, scn, report, rep.iteration_log)
+    report = write_run_outputs(out_dir, result.trajectory, scn, result.levels, report,
+                               rep.iteration_log)
     if terms_csv:
         for j, obs in enumerate(scn.observers):
             header, rows = noise.breakdown_rows(result.trajectory, obs,
@@ -336,7 +335,7 @@ def _report_flight(scn: Scenario, controls_csv: Path, grid: Grid, traj: Trajecto
         "source": str(controls_csv),
         "final_state": {k: float(v) for k, v in zip(STATE_NAMES, traj.states[-1])},
     }
-    return write_run_outputs(out_dir, traj, scn, report, levels=levels)
+    return write_run_outputs(out_dir, traj, scn, levels, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +387,9 @@ def main(argv=None) -> int:
               f"opt {report['optimality_error']:.2e})")
         return 0 if report["status"] == "optimal" else 1
     if args.command == "sweep":
-        observers = [(o.x, o.y) for o in scn.observers] if args.observers else None
+        # the positions of --observers, else of the file's key, else SWEEP_OBSERVERS
+        from_file = args.config and "observers" in read_sections(args.config).get("scenario", {})
+        observers = [(o.x, o.y) for o in scn.observers] if args.observers or from_file else None
         rows = run_sweep(scn, opts, args.out, observers=observers, jobs=args.jobs)
         for row in rows:
             print(f"({row['x_obs']:.0f},{row['y_obs']:.0f}) J={row['J_db']:.2f} dB "

@@ -18,7 +18,7 @@ import dataclasses
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, SettingError
 from .flight_dynamics import AircraftModel, Atmosphere
 from .noise import EngineNoiseParams, Observer
 from .nlp_solver import SolverOptions
@@ -72,6 +72,13 @@ def _parse_pairs(text: str, key: str, line: int) -> list[tuple[float, float]]:
     return pairs
 
 
+def _parse_pair(text: str, key: str, line: int) -> tuple[float, float]:
+    pairs = _parse_pairs(text, key, line)
+    if len(pairs) != 1:
+        raise ConfigError(f"expected one 'x,y' pair, got {len(pairs)}", key=key, line=line)
+    return pairs[0]
+
+
 def _parse_choice(options):
     def parse(text: str, key: str, line: int) -> str:
         value = text.strip()
@@ -92,7 +99,7 @@ _SCHEMA = {
         "stall_speed": _parse_float,
         "observers": _parse_pairs,
         "directivity": _parse_choice(("velocity_vector", "track_axis")),
-        "track_axis": _parse_pairs,
+        "track_axis": _parse_pair,
     },
     "aircraft": {
         "mass": _parse_float, "S": _parse_float, "Cz_alpha": _parse_float,
@@ -163,9 +170,22 @@ def _typed(sections, name: str) -> dict:
 
 
 def parse_config(path: str | Path) -> tuple[Scenario, SolverOptions]:
-    """Read and validate a config file into (Scenario, SolverOptions)."""
-    sections = read_sections(path)
+    """Read and validate a config file into (Scenario, SolverOptions).
 
+    A value that a settings class rejects is reported with its key and
+    line; for a rule between several keys, with the one the file sets
+    last.
+    """
+    sections = read_sections(path)
+    try:
+        return _build(sections)
+    except SettingError as exc:
+        lines = {key: line for table in sections.values() for key, (_, line) in table.items()}
+        key = max((k for k in exc.keys if k in lines), key=lines.get, default=None)
+        raise ConfigError(str(exc), key=key, line=lines.get(key)) from None
+
+
+def _build(sections) -> tuple[Scenario, SolverOptions]:
     aircraft = AircraftModel(**_typed(sections, "aircraft"))
     atmosphere = Atmosphere(**_typed(sections, "atmosphere"))
 
@@ -184,11 +204,11 @@ def parse_config(path: str | Path) -> tuple[Scenario, SolverOptions]:
 
     if engine_kwargs.get("directivity_mode") == "track_axis":
         # default track axis: the straight route direction
-        engine_kwargs["track_axis"] = (tuple(track[0]) if track is not None else
+        engine_kwargs["track_axis"] = (track if track is not None else
                                        (scenario.xf - scenario.x0, scenario.yf - scenario.y0))
     elif track is not None:
         raise ConfigError("track_axis is only meaningful with directivity = track_axis",
-                          key="track_axis")
+                          key="track_axis", line=sections["scenario"]["track_axis"][1])
 
     b = _typed(sections, "bounds")
     defaults = PathBounds.default(scenario.stall_speed)

@@ -17,7 +17,16 @@ class NoiseTermError(DomainError):
         super().__init__(f"{term}: {message}")
 
 
-class ScenarioError(ValueError):
+class SettingError(ValueError):
+    """A settings class rejects a value.  `keys` are the config-file keys
+    of the settings its rule reads."""
+
+    def __init__(self, message: str, *keys: str):
+        self.keys = keys
+        super().__init__(message)
+
+
+class ScenarioError(SettingError):
     """Inconsistent or infeasible scenario definition."""
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularStateError
+from .errors import DomainError, SettingError, SingularStateError
 
 # State vector component order: (V, gamma, chi, x, y, h).
 IV, IGAMMA, ICHI, IX, IY, IH = range(6)
@@ -67,8 +67,9 @@ class Atmosphere:
     exponent: float = 4.26    # density power-law exponent
 
     def __post_init__(self):
-        if min(self.rho_isa, self.c_isa, self.lapse, self.exponent) <= 0:
-            raise ValueError("atmosphere parameters must be strictly positive")
+        for name in ("rho_isa", "c_isa", "lapse", "exponent"):
+            if getattr(self, name) <= 0:
+                raise SettingError(f"atmosphere parameter {name} must be strictly positive", name)
 
     @property
     def max_height(self) -> float:
@@ -105,7 +106,7 @@ class AircraftModel:
     def __post_init__(self):
         for name in ("mass", "S", "Cz_alpha", "Cx0", "k_i", "T0", "C_SR", "g", "rho0"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"aircraft parameter {name} must be strictly positive")
+                raise SettingError(f"aircraft parameter {name} must be strictly positive", name)
 
 
 def air_density(h, atm: Atmosphere = ISA):

@@ -7,7 +7,7 @@ minimizes the bound-constrained subproblem with a two-metric projected
 Newton method, a Cholesky solve on the free variables of the exact
 merit Hessian or, where that is indefinite, of its damped convexified
 model.  Near feasibility an active-set Newton polish on the KKT system
-certifies the optimum.  `solve` therefore requires the problem's exact
+(`_polish`) certifies the optimum.  `solve` therefore requires the problem's exact
 Lagrangian Hessian and builds the dense Jacobians; `kkt_residuals` needs
 only the gradient and the product J^T lam, which a problem may sum
 without forming J (`NlpProblem.jacobian_transpose_product`).  Linear
@@ -34,8 +34,9 @@ measures are computed on scaled rows and scaled variables, using the
 scaling vectors declared by the problem.
 
 SciPy loads on the first factorisation, not with this module: the
-module-level `cho_factor`, `cho_solve`, `lu_factor` and `lu_solve` import
-`scipy.linalg` when called and pass their arguments on unchanged.  Most
+module-level `cho_factor`, `cho_solve`, `lu_factor` and `lu_solve`, made
+by `_scipy_linalg`, import `scipy.linalg` when called and pass their
+arguments on unchanged.  Most
 uses of the package never factorise a matrix (`evaluate`, Leq scoring,
 model builds, `kkt_residuals`), and importing `scipy.linalg` costs 0.30 s
 on a 2-core host (`python -X importtime`): with it, a fresh
@@ -58,7 +59,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import DomainError
+from .errors import DomainError, SettingError
 
 _COMPLEMENTARITY_CAP = 10.0  # slack distances are capped here in the residual
 _MULTIPLIER_CAP = 1e12
@@ -72,25 +73,18 @@ _POLISH_STEPS = 15    # Newton steps per detection
 _POLISH_REG = 1e-11   # diagonal regularisation of the polish's KKT matrix
 
 
-# scipy.linalg loads on the first call (see the module docstring)
-def cho_factor(*args, **kwargs):
-    from scipy import linalg
-    return linalg.cho_factor(*args, **kwargs)
+def _scipy_linalg(name: str) -> Callable:
+    """A function that imports `scipy.linalg` when called and passes its
+    arguments on to the function `name` there (see the module docstring)."""
+    def call(*args, **kwargs):
+        from scipy import linalg
+        return getattr(linalg, name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
-def cho_solve(*args, **kwargs):
-    from scipy import linalg
-    return linalg.cho_solve(*args, **kwargs)
-
-
-def lu_factor(*args, **kwargs):
-    from scipy import linalg
-    return linalg.lu_factor(*args, **kwargs)
-
-
-def lu_solve(*args, **kwargs):
-    from scipy import linalg
-    return linalg.lu_solve(*args, **kwargs)
+cho_factor, cho_solve, lu_factor, lu_solve = map(
+    _scipy_linalg, ("cho_factor", "cho_solve", "lu_factor", "lu_solve"))
 
 
 @dataclass
@@ -210,13 +204,15 @@ class SolverOptions:
     initial_penalty: float = 10.0
 
     def __post_init__(self):
-        if not (self.feasibility_tol > 0 and self.optimality_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("feasibility_tol", "optimality_tol"):
+            if not getattr(self, name) > 0:
+                raise SettingError(f"{name} must be strictly positive", name)
         for name in ("max_outer", "inner_maxiter"):
             if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise SettingError(f"{name} must be at least 1", name)
         if not (math.isfinite(self.initial_penalty) and self.initial_penalty > 0):
-            raise ValueError("initial_penalty must be finite and strictly positive")
+            raise SettingError("initial_penalty must be finite and strictly positive",
+                               "initial_penalty")
 
 
 @dataclass
@@ -299,6 +295,12 @@ class _Rows:
                       out=J[n_eq:])
         return J
 
+    def physical(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eq_mult, ineq_mult): scaled-row multipliers as the physical-row
+        ones that `lagrangian_hessian` and `jacobian_transpose_product` take."""
+        n_eq = self.p.n_eq
+        return lam[:n_eq] / self.p.eq_scale, lam[n_eq:] / self.p.ineq_scale
+
     def violation(self, c_hat: np.ndarray) -> float:
         if self.m == 0:
             return 0.0
@@ -329,8 +331,7 @@ def _first_order_error(p: NlpProblem, rows: _Rows, w: np.ndarray, y: np.ndarray,
     s = p.x_scale
     g = p.objective_gradient(w) / p.f_scale
     if rows.m:
-        g = g + p.jacobian_transpose_product(w, lam[:p.n_eq] / p.eq_scale,
-                                             lam[p.n_eq:] / p.ineq_scale)
+        g = g + p.jacobian_transpose_product(w, *rows.physical(lam))
     projected = y - np.clip(y - g * s, p.lower / s, p.upper / s)
     stationarity = float(np.max(np.abs(projected), initial=0.0))
     comp = _complementarity(lam[p.n_eq:], c_hat[p.n_eq:],
@@ -448,20 +449,13 @@ class _Merit:
         """
         w = y * self.s
         ss = self.rows.scale_outer
-        zero_eq = np.zeros(self.p.n_eq)
-        zero_in = np.zeros(self.p.n_ineq)
-        if self.rows.m:
-            lam_t = self.lam + self.rho * d
-            eq_mult = lam_t[:self.p.n_eq] / self.p.eq_scale
-            ineq_mult = lam_t[self.p.n_eq:] / self.p.ineq_scale
-        else:
-            eq_mult, ineq_mult = zero_eq, zero_in
+        eq_mult, ineq_mult = self.rows.physical(self.lam + self.rho * d)
         # both are new arrays, so they are scaled and added to in place
         exact = self.p.lagrangian_hessian(
             w, 1.0 / self.p.f_scale, eq_mult, ineq_mult, convexify=False)
         exact *= ss
         modified = self.p.lagrangian_hessian(
-            w, 1.0 / self.p.f_scale, zero_eq,
+            w, 1.0 / self.p.f_scale, np.zeros(self.p.n_eq),
             np.maximum(ineq_mult, 0.0), convexify=True)
         modified *= ss
         if self.rows.m:
@@ -474,10 +468,6 @@ class _Merit:
                 exact += gn
                 modified += gn
         return exact, modified
-
-
-def _projected_gradient(y, g, lo, hi):
-    return y - np.clip(y - g, lo, hi)
 
 
 def _one_at_a_time(merit: _Merit, Y):
@@ -543,7 +533,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     exact_failed = False
     factor_cache = {}  # (model flavor, free-set key) -> cholesky factor
     for n_iter in range(1, opts.inner_maxiter + 1):
-        pg = _projected_gradient(y, g, lo, hi)
+        pg = y - np.clip(y - g, lo, hi)  # projected gradient
         pg_norm = float(np.max(np.abs(pg), initial=0.0))
         if pg_norm <= gtol:
             status = "converged"
@@ -566,20 +556,17 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if free_idx.size:
             key = free_idx.tobytes()
             g_free = g[free_idx]
-            p = None
+            factor = None
             if not exact_failed:
                 factor = factor_cache.get(("exact", key))
                 if factor is None:
                     try:
-                        factor = cho_factor(
+                        factor = factor_cache[("exact", key)] = cho_factor(
                             models[0][np.ix_(free_idx, free_idx)],
                             lower=True, check_finite=False)
-                        factor_cache[("exact", key)] = factor
                     except LinAlgError:
                         exact_failed = True
-                if factor is not None:
-                    p = cho_solve(factor, -g_free, check_finite=False)
-            if p is None:
+            if factor is None:
                 factor = factor_cache.get(("modified", key))
                 if factor is None:
                     H_gn = models[1][np.ix_(free_idx, free_idx)]
@@ -587,14 +574,14 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
                     tau = 1e-8 * diag_mean
                     for _ in range(40):
                         try:
-                            factor = cho_factor(H_gn + tau * np.eye(free_idx.size),
-                                                lower=True, check_finite=False)
-                            factor_cache[("modified", key)] = factor
+                            factor = factor_cache[("modified", key)] = cho_factor(
+                                H_gn + tau * np.eye(free_idx.size),
+                                lower=True, check_finite=False)
                             break
                         except LinAlgError:
                             tau *= 100.0
-                p = (cho_solve(factor, -g_free, check_finite=False)
-                     if factor is not None else -g_free)
+            p = (cho_solve(factor, -g_free, check_finite=False)
+                 if factor is not None else -g_free)
             cap = 10.0 * max(1.0, float(np.max(np.abs(y))))
             p_norm = float(np.max(np.abs(p), initial=0.0))
             if p_norm > cap:
@@ -619,9 +606,32 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     return y, n_iter, status
 
 
-class _Polisher:
-    """Active-set Newton on the KKT system, used to certify optimality
-    once the augmented-Lagrangian phase is near-feasible.
+def _polish(problem: NlpProblem, rows: _Rows, y_lo, y_hi, opts: SolverOptions,
+            y: np.ndarray, lam: np.ndarray):
+    """Return (y, lam, feas, opt) of a certified point, or None.
+
+    Each of `_POLISH_ROUNDS` rounds (`_polish_round`) freezes the active
+    and fixed-variable sets at the current point and runs up to
+    `_POLISH_STEPS` globalized Newton steps on the reduced KKT system; if
+    the sets were misjudged the next round re-detects them at the best
+    point reached.
+    """
+    for _ in range(_POLISH_ROUNDS):
+        out = _polish_round(problem, rows, y_lo, y_hi, opts, y, lam)
+        if out is None:
+            return None
+        y, lam, feas, opt, certified = out
+        if certified:
+            return y, lam, feas, opt
+    return None
+
+
+def _polish_round(problem: NlpProblem, rows: _Rows, y_lo, y_hi, opts: SolverOptions,
+                  y0: np.ndarray, lam0: np.ndarray):
+    """One detection round of the active-set Newton polish on the KKT
+    system, which certifies optimality once the augmented-Lagrangian
+    phase is near-feasible.  Returns (y, lam, feas, opt, certified), or
+    None when the round cannot step.
 
     Inequality rows whose Jacobian has a single nonzero duplicate a
     variable bound; they are absorbed into the variable box and their
@@ -632,171 +642,123 @@ class _Polisher:
     Its steps backtrack on the KKT residual norm; as in the line search,
     a trial point outside the model's domain is a rejected step.
     """
+    p, s, m = problem, problem.x_scale, rows.m
+    y = y0.copy()
 
-    def __init__(self, problem: NlpProblem, rows: _Rows, y_lo, y_hi,
-                 opts: SolverOptions):
-        self.p = problem
-        self.rows = rows
-        self.opts = opts
-        self.s = problem.x_scale
-        self.y_lo, self.y_hi = y_lo, y_hi
+    def kkt_parts(y_, lam_):
+        """Scaled rows, their Jacobian in scaled variables (None without
+        rows) and the scaled Lagrangian gradient."""
+        w_ = y_ * s
+        c_ = rows.values(w_)
+        J_ = rows.jacobian(w_) * s[None, :] if m else None
+        g_ = s * (p.objective_gradient(w_) / p.f_scale)
+        return c_, J_, (g_ + J_.T @ lam_ if m else g_)
 
-    def _hessian(self, w, lam):
-        p = self.p
-        eq_mult = lam[:p.n_eq] / p.eq_scale if p.n_eq else np.zeros(0)
-        ineq_mult = lam[p.n_eq:] / p.ineq_scale if p.n_ineq else np.zeros(0)
-        H = p.lagrangian_hessian(w, 1.0 / p.f_scale, eq_mult, ineq_mult)
-        H *= self.rows.scale_outer
-        return H
+    c, Jy, g_lagr = kkt_parts(y, lam0)
+    # bound-duplicate rows tighten the variable box; their
+    # multipliers stay zero (bound activity is handled by projection)
+    ineq = np.arange(m) >= p.n_eq
+    simple = ineq & ((np.abs(Jy) > 0.0).sum(axis=1) == 1) if m else ineq
+    eff_lo, eff_hi = y_lo.copy(), y_hi.copy()
+    for i in np.flatnonzero(simple):
+        j = int(np.argmax(np.abs(Jy[i])))
+        a = Jy[i, j]
+        off = c[i] - a * y[j]
+        b1 = (rows.lo[i] - off) / a
+        b2 = (rows.hi[i] - off) / a
+        lo_j, hi_j = (b1, b2) if a > 0 else (b2, b1)
+        eff_lo[j] = max(eff_lo[j], lo_j)
+        eff_hi[j] = min(eff_hi[j], hi_j)
 
-    def run(self, y0: np.ndarray, lam0: np.ndarray):
-        """Return (y, lam, feas, opt) of a certified point, or None.
-
-        Each of `_POLISH_ROUNDS` rounds freezes the active and
-        fixed-variable sets at the current point and runs up to
-        `_POLISH_STEPS` globalized Newton steps on the reduced KKT
-        system; if the sets were misjudged the next round re-detects
-        them at the best point reached.
-        """
-        y, lam = y0.copy(), lam0.copy()
-        for _ in range(_POLISH_ROUNDS):
-            out = self._one_round(y, lam)
-            if out is None:
-                return None
-            y, lam, feas, opt, certified = out
-            if certified:
-                return y, lam, feas, opt
+    band = 1e-5
+    at_lo = y <= eff_lo + band
+    at_hi = y >= eff_hi - band
+    fixed = (at_lo & (g_lagr > 0.0)) | (at_hi & (g_lagr < 0.0))
+    y[fixed & at_lo] = eff_lo[fixed & at_lo]
+    y[fixed & at_hi] = eff_hi[fixed & at_hi]
+    free_idx = np.flatnonzero(~fixed)
+    if free_idx.size == 0:
         return None
 
-    def _one_round(self, y0: np.ndarray, lam0: np.ndarray):
-        p, rows, opts = self.p, self.rows, self.opts
-        y = y0.copy()
-        lam = lam0.copy()
-        m = rows.m
+    # the other inequality rows are active at their upper side (tested
+    # first) or lower side when near it or when their multiplier points
+    # there; an infinite side gives inf - inf, masked out by isfinite
+    with np.errstate(invalid="ignore"):
+        up = (ineq & ~simple & np.isfinite(rows.hi)
+              & ((c >= rows.hi - 1e-5 * (1 + np.abs(rows.hi))) | (lam0 > 0)))
+        down = (ineq & ~simple & ~up & np.isfinite(rows.lo)
+                & ((c <= rows.lo + 1e-5 * (1 + np.abs(rows.lo))) | (lam0 < 0)))
+    act_rows = ~ineq | up | down
+    target = np.where(up, rows.hi, rows.lo)  # read on active rows only
+    act_idx = np.flatnonzero(act_rows)
+    lam = np.where(act_rows, lam0, 0.0)
+    one_sided = rows.hi != rows.lo
+    nf, na = free_idx.size, act_idx.size
 
-        def kkt_parts(y_, lam_):
-            """Scaled rows, their Jacobian in scaled variables (None without
-            rows) and the scaled Lagrangian gradient."""
-            w_ = y_ * self.s
-            c_ = rows.values(w_)
-            J_ = rows.jacobian(w_) * self.s[None, :] if m else None
-            g_ = self.s * (p.objective_gradient(w_) / p.f_scale)
-            return c_, J_, (g_ + J_.T @ lam_ if m else g_)
+    def residual(y_, lam_):
+        c_, J_, gl = kkt_parts(y_, lam_)
+        parts = [gl[free_idx]]
+        if na:
+            parts.append(c_[act_idx] - target[act_idx])
+        return np.concatenate(parts), c_, J_, gl
 
-        c, Jy, g_lagr = kkt_parts(y, lam)
-        # bound-duplicate rows tighten the variable box; their
-        # multipliers stay zero (bound activity is handled by projection)
-        simple = np.zeros(m, dtype=bool)
-        eff_lo, eff_hi = self.y_lo.copy(), self.y_hi.copy()
-        nnz = (np.abs(Jy) > 0.0).sum(axis=1) if m else np.zeros(0, dtype=int)
-        for i in np.flatnonzero((nnz == 1) & (np.arange(m) >= p.n_eq)):
-            simple[i] = True
-            j = int(np.argmax(np.abs(Jy[i])))
-            a = Jy[i, j]
-            off = c[i] - a * y[j]
-            b1 = (rows.lo[i] - off) / a
-            b2 = (rows.hi[i] - off) / a
-            lo_j, hi_j = (b1, b2) if a > 0 else (b2, b1)
-            eff_lo[j] = max(eff_lo[j], lo_j)
-            eff_hi[j] = min(eff_hi[j], hi_j)
-
-        band = 1e-5
-        at_lo = y <= eff_lo + band
-        at_hi = y >= eff_hi - band
-        fixed = (at_lo & (g_lagr > 0.0)) | (at_hi & (g_lagr < 0.0))
-        y[fixed & at_lo] = eff_lo[fixed & at_lo]
-        y[fixed & at_hi] = eff_hi[fixed & at_hi]
-        free_idx = np.flatnonzero(~fixed)
-        if free_idx.size == 0:
+    r, c, Jy, g_lagr = residual(y, lam)
+    r_norm = float(np.linalg.norm(r))
+    for _ in range(_POLISH_STEPS):
+        H = p.lagrangian_hessian(y * s, 1.0 / p.f_scale, *rows.physical(lam))
+        H *= rows.scale_outer
+        K = np.zeros((nf + na, nf + na))
+        K[:nf, :nf] = H[np.ix_(free_idx, free_idx)] + _POLISH_REG * np.eye(nf)
+        if na:
+            Ja = Jy[np.ix_(act_idx, free_idx)]
+            K[:nf, nf:] = Ja.T
+            K[nf:, :nf] = Ja
+            K[nf:, nf:] = -_POLISH_REG * np.eye(na)
+        rhs = np.concatenate([-g_lagr[free_idx],
+                              -(c[act_idx] - target[act_idx]) if na else np.zeros(0)])
+        try:
+            sol = lu_solve(lu_factor(K, check_finite=False), rhs,
+                           check_finite=False)
+        except (LinAlgError, ValueError):
             return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        dy = sol[:nf]
+        dlam = sol[nf:]
 
-        act_rows = np.zeros(m, dtype=bool)
-        act_rows[:p.n_eq] = True
-        target = np.zeros(m)
-        for i in range(p.n_eq, m):
-            if simple[i]:
-                continue
-            if np.isfinite(rows.hi[i]) and (
-                    c[i] >= rows.hi[i] - 1e-5 * (1 + abs(rows.hi[i])) or lam[i] > 0):
-                act_rows[i] = True
-                target[i] = rows.hi[i]
-            elif np.isfinite(rows.lo[i]) and (
-                    c[i] <= rows.lo[i] + 1e-5 * (1 + abs(rows.lo[i])) or lam[i] < 0):
-                act_rows[i] = True
-                target[i] = rows.lo[i]
-        act_idx = np.flatnonzero(act_rows)
-        lam = np.where(act_rows, lam, 0.0)
-        nf, na = free_idx.size, act_idx.size
-
-        def residual(y_, lam_):
-            c_, J_, gl = kkt_parts(y_, lam_)
-            parts = [gl[free_idx]]
+        alpha = 1.0
+        improved = False
+        for _ in range(20):
+            y_t = y.copy()
+            y_t[free_idx] += alpha * dy
+            y_t = np.clip(y_t, eff_lo, eff_hi)
+            lam_t = lam.copy()
             if na:
-                parts.append(c_[act_idx] - target[act_idx])
-            return np.concatenate(parts), c_, J_, gl
-
-        r, c, Jy, g_lagr = residual(y, lam)
-        r_norm = float(np.linalg.norm(r))
-        for _ in range(_POLISH_STEPS):
-            H = self._hessian(y * self.s, lam)
-            K = np.zeros((nf + na, nf + na))
-            K[:nf, :nf] = H[np.ix_(free_idx, free_idx)] + _POLISH_REG * np.eye(nf)
-            if na:
-                Ja = Jy[np.ix_(act_idx, free_idx)]
-                K[:nf, nf:] = Ja.T
-                K[nf:, :nf] = Ja
-                K[nf:, nf:] = -_POLISH_REG * np.eye(na)
-            rhs = np.concatenate([-g_lagr[free_idx],
-                                  -(c[act_idx] - target[act_idx]) if na else np.zeros(0)])
+                lam_t[act_idx] = lam[act_idx] + alpha * dlam
             try:
-                sol = lu_solve(lu_factor(K, check_finite=False), rhs,
-                               check_finite=False)
-            except (LinAlgError, ValueError):
-                return None
-            if not np.all(np.isfinite(sol)):
-                return None
-            dy = sol[:nf]
-            dlam = sol[nf:]
-
-            alpha = 1.0
-            improved = False
-            for _ in range(20):
-                y_t = y.copy()
-                y_t[free_idx] += alpha * dy
-                y_t = np.clip(y_t, eff_lo, eff_hi)
-                lam_t = lam.copy()
-                if na:
-                    lam_t[act_idx] = lam[act_idx] + alpha * dlam
-                try:
-                    r_t, c_t, Jy_t, gl_t = residual(y_t, lam_t)
-                except DomainError:  # outside the model domain: rejected
-                    alpha *= 0.5
-                    continue
-                r_t_norm = float(np.linalg.norm(r_t))
-                if r_t_norm <= (1.0 - 1e-4 * alpha) * r_norm:
-                    improved = True
-                    break
+                r_t, c_t, Jy_t, gl_t = residual(y_t, lam_t)
+            except DomainError:  # outside the model domain: rejected
                 alpha *= 0.5
-            if not improved:
+                continue
+            r_t_norm = float(np.linalg.norm(r_t))
+            if r_t_norm <= (1.0 - 1e-4 * alpha) * r_norm:
+                improved = True
                 break
-            y, lam, r_norm = y_t, lam_t, r_t_norm
-            c, Jy, g_lagr = c_t, Jy_t, gl_t
+            alpha *= 0.5
+        if not improved:
+            break
+        y, lam, r_norm = y_t, lam_t, r_t_norm
+        c, Jy, g_lagr = c_t, Jy_t, gl_t
 
-            feas, opt = kkt_residuals(p, y * self.s, lam[:p.n_eq], lam[p.n_eq:])
-            if feas <= opts.feasibility_tol and opt <= opts.optimality_tol:
-                # reject sign-inconsistent multipliers on one-sided rows
-                ok = True
-                for i in act_idx[act_idx >= p.n_eq]:
-                    if rows.hi[i] != rows.lo[i]:
-                        if target[i] == rows.hi[i] and lam[i] < -opts.optimality_tol:
-                            ok = False
-                        if target[i] == rows.lo[i] and lam[i] > opts.optimality_tol:
-                            ok = False
-                if ok:
-                    return y, lam, feas, opt, True
-        # not certified: hand the best point to the next detection round
-        feas, opt = kkt_residuals(p, y * self.s, lam[:p.n_eq], lam[p.n_eq:])
-        return y, lam, feas, opt, False
+        feas, opt = kkt_residuals(p, y * s, lam[:p.n_eq], lam[p.n_eq:])
+        # certified unless a one-sided row's multiplier has the wrong sign
+        tol = opts.optimality_tol
+        if (feas <= opts.feasibility_tol and opt <= tol and not np.any(
+                one_sided & ((up & (lam < -tol)) | (down & (lam > tol))))):
+            return y, lam, feas, opt, True
+    # not certified: hand the best point to the next detection round
+    feas, opt = kkt_residuals(p, y * s, lam[:p.n_eq], lam[p.n_eq:])
+    return y, lam, feas, opt, False
 
 
 def solve(problem: NlpProblem, w0: np.ndarray,
@@ -834,20 +796,11 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     omega = max(min(0.1, 1.0 / rho), min(0.01, 10.0 * opts.optimality_tol))
     eta = max(min(0.5, rho ** -0.1), 0.5 * opts.feasibility_tol)
 
-    def evaluate(y_vec: np.ndarray):
-        """feasibility, optimality with the first-order multiplier estimate."""
-        w = y_vec * s
-        c = rows.values(w)
-        d = c - np.clip(c + lam / rho, rows.lo, rows.hi)
-        lam_trial = np.clip(lam + rho * d, -_MULTIPLIER_CAP, _MULTIPLIER_CAP)
-        return (rows.violation(c), _first_order_error(p, rows, w, y_vec, lam_trial, c),
-                lam_trial, float(p.objective(w)))
-
     def certify(y_at, lam_at, outer, y_prev, tag) -> bool:
         """Newton polish from (y_at, lam_at); on success the polished point,
         logged against y_prev (None logs a zero step), becomes the optimum."""
         nonlocal y, lam, feas, opt, f_val, status
-        polished = _Polisher(p, rows, y_lo, y_hi, opts).run(y_at, lam_at)
+        polished = _polish(p, rows, y_lo, y_hi, opts, y_at, lam_at)
         if polished is None:
             return False
         y, lam, feas, opt = polished
@@ -875,7 +828,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         if warm_eq_multipliers is not None or warm_ineq_multipliers is not None:
             # a warm-started solve is usually already inside the Newton
             # basin: try to certify before any penalty iterations
-            if certify(y, lam.copy(), 0, None, "warm-polish"):
+            if certify(y, lam, 0, None, "warm-polish"):
                 max_outer = 0
 
         for outer in range(1, max_outer + 1):
@@ -888,7 +841,12 @@ def solve(problem: NlpProblem, w0: np.ndarray,
             total_inner += nit
             merit_histories.append(merit_log)
 
-            feas, opt, lam_trial, f_val = evaluate(y)
+            # feasibility, and optimality at the first-order multiplier estimate
+            w = y * s
+            c = rows.values(w)
+            lam_trial = np.clip(lam + rho * merit._shift(c), -_MULTIPLIER_CAP, _MULTIPLIER_CAP)
+            feas, opt, f_val = (rows.violation(c), _first_order_error(p, rows, w, y, lam_trial, c),
+                                float(p.objective(w)))
             step = float(np.max(np.abs(y - y_prev), initial=0.0))
             log.append(IterationRecord(outer, f_val, feas, opt, rho, nit, step, inner_status))
 

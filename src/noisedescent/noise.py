@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, NoiseTermError
+from .errors import DomainError, NoiseTermError, SettingError
 from .flight_dynamics import (
     ISA,
     AircraftModel,
@@ -81,17 +81,18 @@ class EngineNoiseParams:
 
     def __post_init__(self):
         if not (self.v1 > self.v2 >= 0.0):
-            raise ValueError("jet speeds must satisfy v1 > v2 >= 0")
+            raise SettingError("jet speeds must satisfy v1 > v2 >= 0", "v1", "v2")
         for name in ("s1", "s2", "tau1", "tau2", "rho1", "d"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"engine noise parameter {name} must be strictly positive")
+                raise SettingError(f"engine noise parameter {name} must be strictly positive",
+                                   name)
         if self.me is None:
             object.__setattr__(self, "me", 1.1 * math.sqrt(self.s2 / self.s1))
         if self.directivity_mode not in ("velocity_vector", "track_axis"):
             raise ValueError(f"unknown directivity mode {self.directivity_mode!r}")
         ax, ay = self.track_axis
         if math.hypot(ax, ay) <= 0:
-            raise ValueError("track_axis must be a nonzero horizontal vector")
+            raise SettingError("track_axis must be a nonzero horizontal vector", "track_axis")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class Observer:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("observer coordinates must be finite")
+            raise SettingError("observer coordinates must be finite", "observers")
 
 
 @dataclass(frozen=True)

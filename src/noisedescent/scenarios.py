@@ -49,7 +49,8 @@ class PathBounds:
             raise ScenarioError("path bounds must have six components")
         if not np.all(lo < hi):
             bad = PATH_COMPONENTS[int(np.argmax(~(lo < hi)))]
-            raise ScenarioError(f"lower bound must stay below upper bound ({bad})")
+            raise ScenarioError(f"lower bound must stay below upper bound ({bad})",
+                                f"{bad}_min", f"{bad}_max")
 
     @classmethod
     def default(cls, stall_speed: float = 70.0) -> "PathBounds":
@@ -94,25 +95,27 @@ class Scenario:
         for name in ("x0", "y0", "h0", "V0", "xf", "yf", "hf", "tf", "n_intervals",
                      "fuel_cap_factor", "stall_speed"):
             if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name}={getattr(self, name)} must be finite")
+                raise ScenarioError(f"{name}={getattr(self, name)} must be finite", name)
         if not self.tf > 0:
-            raise ScenarioError("final time must be positive")
+            raise ScenarioError("final time must be positive", "tf")
         if self.n_intervals < 2:
-            raise ScenarioError("need at least 2 grid intervals")
+            raise ScenarioError("need at least 2 grid intervals", "N")
         if self.variant != "fuel" and len(self.observers) == 0:
             raise ScenarioError(f"variant {self.variant!r} needs at least one observer")
         if not self.fuel_cap_factor > 0:
-            raise ScenarioError("fuel cap factor must be positive")
+            raise ScenarioError("fuel cap factor must be positive", "fuel_cap_factor")
         v_lo, v_hi = self.bounds.component("V")
         if v_lo < 1.3 * self.stall_speed - 1e-9:
             raise ScenarioError(
                 f"speed floor {v_lo:.1f} m/s is below 1.3*stall speed "
-                f"({1.3 * self.stall_speed:.1f} m/s)")
+                f"({1.3 * self.stall_speed:.1f} m/s)", "V_min", "stall_speed")
         if not (v_lo <= self.V0 <= v_hi):
-            raise ScenarioError(f"initial speed {self.V0} outside bounds [{v_lo}, {v_hi}]")
+            raise ScenarioError(f"initial speed {self.V0} outside bounds [{v_lo}, {v_hi}]",
+                                "V0", "V_min", "V_max")
         for name, val in (("h0", self.h0), ("hf", self.hf)):
             if val < 0 or val >= self.atmosphere.max_height:
-                raise ScenarioError(f"{name}={val} outside the atmosphere domain")
+                raise ScenarioError(f"{name}={val} outside the atmosphere domain",
+                                    name, "lapse")
 
     def grid(self) -> Grid:
         return Grid(0.0, self.tf, self.n_intervals)
@@ -135,6 +138,7 @@ class VariantResult:
     report: SolveReport
     w: np.ndarray
     leq_by_observer: tuple[float, ...]
+    levels: np.ndarray  # (n_obs, N+1) node levels at each observer, dB
     consumption_kg: float
     theta_db: Optional[float] = None
     internode_violation: float = 0.0
@@ -307,8 +311,7 @@ def _result_from_solution(problem: NlpProblem, w: np.ndarray,
     tr = problem.meta["transcription"]
     scn = tr.scn
     traj = transcription.trajectory_from_vector(w, tr.layout, tr.grid)
-    levels = tuple(noise.leq_from_levels(
-        traj.times, noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)).tolist())
+    levels = noise.levels_at(traj, scn.observers, scn.engine, scn.atmosphere)
     consumption = noise.total_consumption(traj, scn.aircraft, scn.atmosphere)
     theta = tr.layout.unpack(w)[2] if tr.layout.has_epigraph else None
     violation = transcription.internode_violation(
@@ -318,7 +321,8 @@ def _result_from_solution(problem: NlpProblem, w: np.ndarray,
         trajectory=traj,
         report=report,
         w=w,
-        leq_by_observer=levels,
+        leq_by_observer=tuple(noise.leq_from_levels(traj.times, levels).tolist()),
+        levels=levels,
         consumption_kg=float(consumption),
         theta_db=theta,
         internode_violation=violation,

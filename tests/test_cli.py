@@ -16,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from noisedescent import cli
-from noisedescent.nlp_solver import SolveReport
+from noisedescent import cli, noise
+from noisedescent.nlp_solver import SolveReport, SolverOptions
 from noisedescent.noise import Observer, Trajectory, leq, levels_along
 from noisedescent.scenarios import _result_from_solution, default_scenario, initial_guess
 from noisedescent.transcription import assemble, simulate
@@ -320,6 +320,22 @@ def iteration_limit_solve(scn, opts):
     return _result_from_solution(problem, w, report)
 
 
+def test_a_solve_is_scored_once(tmp_path, monkeypatch):
+    # trajectory.csv is written with the node levels the result carries
+    unpatched, calls = noise.levels_at, []
+
+    def levels_at(*args, **kwargs):
+        calls.append(args)
+        return unpatched(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "levels_at", levels_at)
+    monkeypatch.setattr(cli, "solve_variant", iteration_limit_solve)
+    scn = default_scenario(n_intervals=12, observers=(Observer(0.0, 0.0),
+                                                      Observer(20000.0, 2500.0)))
+    cli.run_solve(scn, SolverOptions(), tmp_path)
+    assert len(calls) == 1
+
+
 def test_nonfinite_solver_floats_are_written_as_null(tmp_path, monkeypatch):
     # a solve that fails before its first evaluation has no objective value
     def solve_variant(scn, opts):
@@ -355,6 +371,36 @@ def test_sweep_exits_1_unless_both_solves_are_optimal(unfinished, tmp_path, monk
         (csv_row,) = list(csv.DictReader(f))
     assert list(csv_row)[-1] == "fuel_status"
     assert csv_row["fuel_status"] == row["fuel_status"]
+
+
+@pytest.mark.parametrize("config, flag, swept", [
+    ("[scenario]\nobservers = 0,0; 20000,2500\n", [], [(0.0, 0.0), (20000.0, 2500.0)]),
+    ("[scenario]\nobservers = 0,0; 20000,2500\n", ["--observers", "40000,0"],
+     [(40000.0, 0.0)]),
+    ("[solver]\nmax_outer = 1\n", [], list(cli.SWEEP_OBSERVERS))],
+    ids=["config", "flag", "neither"])
+def test_sweep_observers_come_from_the_flag_else_the_config_else_the_table(
+        config, flag, swept, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_variant", iteration_limit_solve)
+    path = tmp_path / "run.ini"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--N", "12", "--out", str(out)]
+                    + flag) == 1
+    assert [(row["x_obs"], row["y_obs"]) for row in read_json(out / "summary.json")] == swept
+
+
+def test_sweep_in_worker_processes_matches_the_serial_sweep(tmp_path):
+    scn = default_scenario(n_intervals=12)
+    opts = SolverOptions(max_outer=1, inner_maxiter=5)
+    observers = [(0.0, 0.0), (20000.0, 2500.0)]
+    rows = {jobs: cli.run_sweep(scn, opts, tmp_path / f"jobs{jobs}", observers, jobs=jobs)
+            for jobs in (1, 2)}
+    for i in range(len(observers)):
+        name = f"obs_{i:03d}/trajectory.csv"
+        assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+    assert [{**row, "cpu_s": None} for row in rows[1]] == [
+        {**row, "cpu_s": None} for row in rows[2]]
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
-"""Config-file parsing: schema errors and NaN values name the key and
-line, the [solver] keys are exactly the SolverOptions fields, and every
-[scenario] key sets a Scenario field or an engine-noise setting."""
+"""Config-file parsing: schema errors, NaN values and values a settings
+class rejects name the key and line, the [solver] keys are exactly the
+SolverOptions fields, and every [scenario] key sets a Scenario field or an
+engine-noise setting."""
 
 import dataclasses
 import math
@@ -73,3 +74,37 @@ def test_infinite_bound_is_accepted(tmp_path):
     path.write_text("[bounds]\nV_max = inf\n")
     scn, _ = parse_config(path)
     assert scn.bounds.component("V")[1] == math.inf
+
+
+@pytest.mark.parametrize("section, key, value", [("solver", "initial_penalty", "0"),
+                                                 ("aircraft", "mass", "-1"),
+                                                 ("atmosphere", "lapse", "0"),
+                                                 ("engine_noise", "v2", "500"),
+                                                 ("bounds", "V_min", "200")])
+def test_value_a_settings_class_rejects_reports_key_and_line(section, key, value, tmp_path):
+    # the parser takes each value; the class rejects it.  v2 breaks v1 > v2
+    # and V_min breaks V_min < V_max: of each pair the file sets only one
+    path = tmp_path / "run.ini"
+    path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == (key, 3)
+
+
+def test_rule_between_two_set_keys_names_the_last_one(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[engine_noise]\nv2 = 350\nv1 = 300\ns1 = 0.4\n")
+    with pytest.raises(ConfigError, match="v1 > v2") as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == ("v1", 3)
+
+
+def test_track_axis_takes_exactly_one_pair(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\ndirectivity = track_axis\ntrack_axis = 0,1\n")
+    scn, _ = parse_config(path)
+    assert scn.engine.track_axis == (0.0, 1.0)
+    path.write_text("[scenario]\ndirectivity = track_axis\ntrack_axis = 1,0; 0,1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == ("track_axis", 3)
