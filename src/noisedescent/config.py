@@ -211,15 +211,20 @@ def _build(sections) -> tuple[Scenario, SolverOptions]:
                           key="track_axis", line=sections["scenario"]["track_axis"][1])
 
     b = _typed(sections, "bounds")
-    defaults = PathBounds.default(scenario.stall_speed)
-    lower = defaults.lower.copy()
-    upper = defaults.upper.copy()
+    lower, upper = PathBounds.default_limits(scenario.stall_speed)
     for i, comp in enumerate(PATH_COMPONENTS):
         if f"{comp}_min" in b:
             lower[i] = b[f"{comp}_min"]
         if f"{comp}_max" in b:
             upper[i] = b[f"{comp}_max"]
-    scenario = dataclasses.replace(scenario, bounds=PathBounds(lower=lower, upper=upper),
+    try:
+        bounds = PathBounds(lower=lower, upper=upper)
+    except SettingError as exc:
+        if "V_min" in exc.keys and "V_min" not in b:
+            # the default speed floor is 1.3 * stall_speed
+            raise SettingError(str(exc), *exc.keys, "stall_speed") from None
+        raise
+    scenario = dataclasses.replace(scenario, bounds=bounds,
                                    engine=EngineNoiseParams(**engine_kwargs))
     scenario.validate()
     solver = SolverOptions(**_typed(sections, "solver"))

@@ -15,7 +15,13 @@ to end, several times faster than on 0-d arrays, with the same bits
 
 The controls are constant over a Runge-Kutta step, so both stages of a
 step share one `control_trig(alpha, mu)`, passed to `rhs_arrays` as
-`trig`.
+`trig`.  Next to it, `rhs_arrays` takes the state trigonometry
+`path_trig(gamma, chi)` as `path` and the density and speed of sound
+`air_at(h)` as `air`, each computed by the kernel itself when left out.
+Each of these factors is a function of one input column, so a caller
+whose stack repeats few distinct values of that column (a Hessian
+stencil) computes them once per distinct value and passes them in; the
+result has the bits of the kernel's own factors.
 
 The routines are complex-step safe: feeding complex inputs propagates
 derivative information through every branch, which the transcription
@@ -128,6 +134,13 @@ def speed_of_sound(h, atm: Atmosphere = ISA):
     return _sound_speed(air_density(h, atm), atm)
 
 
+def air_at(h, atm: Atmosphere = ISA):
+    """(density, speed of sound) at height h, the atmosphere `rhs_arrays`
+    and `noise.levels_arrays` read."""
+    rho = air_density(h, atm)
+    return rho, _sound_speed(rho, atm)
+
+
 def _sound_speed(rho, atm: Atmosphere):
     """Speed of sound from the density the power law gives, m/s."""
     return atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
@@ -170,8 +183,14 @@ def control_trig(alpha, mu):
     return np.sin(alpha), np.cos(alpha), np.sin(mu), np.cos(mu)
 
 
+def path_trig(gamma, chi):
+    """(sin gamma, cos gamma, sin chi, cos chi), the state trigonometry
+    `rhs_arrays` and the level kernel read."""
+    return np.sin(gamma), np.cos(gamma), np.sin(chi), np.cos(chi)
+
+
 def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
-               model: AircraftModel, atm: Atmosphere = ISA, trig=None):
+               model: AircraftModel, atm: Atmosphere = ISA, trig=None, path=None, air=None):
     """Equations of motion evaluated componentwise on arrays.
 
     Returns the six derivative arrays (V_dot, gamma_dot, chi_dot,
@@ -179,31 +198,31 @@ def rhs_arrays(V, gamma, chi, x, y, h, alpha, delta_x, mu,
     cos(gamma) is numerically zero (the chi equation divides by both).
     The atmosphere and forces are evaluated once per call, sharing the
     density between thrust and aerodynamics: this is the innermost loop
-    of the transcription machinery.  `trig` is `control_trig(alpha, mu)`
-    when the caller has it already, and is computed here otherwise.
+    of the transcription machinery.  `trig` is `control_trig(alpha, mu)`,
+    `path` is `path_trig(gamma, chi)` and `air` is `air_at(h, atm)` when
+    the caller has them already; each is computed here otherwise.
     """
     if _any(V.real < _SINGULARITY_EPS):
         raise SingularStateError("airspeed too close to zero for the equations of motion")
-    cos_gamma = np.cos(gamma)
+    sin_gamma, cos_gamma, sin_chi, cos_chi = path or path_trig(gamma, chi)
     if _any(abs(cos_gamma.real) < _SINGULARITY_EPS):
         raise SingularStateError("cos(gamma) too close to zero for the yaw equation")
 
-    rho = air_density(h, atm)
-    T = _thrust(rho, _sound_speed(rho, atm), V, delta_x, model)
+    rho, c = air or air_at(h, atm)
+    T = _thrust(rho, c, V, delta_x, model)
     qS = 0.5 * rho * model.S * V * V
     L = qS * model.Cz_alpha * alpha
     D = qS * (model.Cx0 + model.k_i * model.Cz_alpha ** 2 * alpha * alpha)
     m, g = model.mass, model.g
     sin_alpha, cos_alpha, sin_mu, cos_mu = trig or control_trig(alpha, mu)
 
-    sin_gamma = np.sin(gamma)
     normal_force = (T * sin_alpha + L)
 
     V_dot = (T * cos_alpha - D) / m - g * sin_gamma
     gamma_dot = (normal_force * cos_mu - m * g * cos_gamma) / (m * V)
     chi_dot = normal_force * sin_mu / (m * V * cos_gamma)
-    x_dot = V * cos_gamma * np.cos(chi)
-    y_dot = V * cos_gamma * np.sin(chi)
+    x_dot = V * cos_gamma * cos_chi
+    y_dot = V * cos_gamma * sin_chi
     h_dot = V * sin_gamma
     return V_dot, gamma_dot, chi_dot, x_dot, y_dot, h_dot
 

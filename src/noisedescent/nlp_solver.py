@@ -17,8 +17,9 @@ targets.
 Two-sided rows are treated uniformly through the shifted projection
 t = clip(c + lam/rho, lo, hi), which reduces to the classical multiplier
 update for equalities (lo = hi = 0) and prunes inactive multipliers
-automatically.  Callers set only the five `SolverOptions`; every other
-number of the algorithm is a module constant.
+automatically; every clip here is `_clip`, np.clip's bits without its
+Python-level overhead.  Callers set only the five `SolverOptions`; every
+other number of the algorithm is a module constant.
 
 The line search backtracks by halving the step from 1, and evaluates
 its trial points in batches of `_TRIAL_BATCH`: the value callbacks take
@@ -26,25 +27,33 @@ a stack of points and evaluate it in one call, and the batch is then
 scanned in order with the Armijo test, so the accepted step is the one
 one-at-a-time backtracking finds.  A trial point outside the model's
 domain raises `DomainError`; a batch that raises is evaluated again one
-point at a time, where such a point is a rejected step.
+point at a time, where such a point is a rejected step.  The accepted
+trial's objective and scaled rows come back with it, and the Newton
+iteration's next `value_grad` reuses them instead of scoring the point
+again: `NlpProblem`'s stacked contract makes them the one-point values,
+bit for bit.
 
 Every point claimed optimal is certified by `kkt_residuals`, the same
 function tests use to recheck solver output independently.  All error
 measures are computed on scaled rows and scaled variables, using the
 scaling vectors declared by the problem.
 
-SciPy loads on the first factorisation, not with this module: the
-module-level `cho_factor`, `cho_solve`, `lu_factor` and `lu_solve`, made
-by `_scipy_linalg`, import `scipy.linalg` when called and pass their
-arguments on unchanged.  Most
-uses of the package never factorise a matrix (`evaluate`, Leq scoring,
-model builds, `kkt_residuals`), and importing `scipy.linalg` costs 0.30 s
-on a 2-core host (`python -X importtime`): with it, a fresh
+SciPy loads on the first factorisation, not with this module.  The
+module-level `cho_factor` and `cho_solve` call LAPACK's `dpotrf` and
+`dpotrs` from `scipy.linalg.lapack`, imported when called, as
+`scipy.linalg.cho_factor(a, lower=True, check_finite=False)` and
+`cho_solve` call them, so they have those functions' bits without their
+per-call checks; `lu_factor` and `lu_solve`, made by `_scipy_linalg`,
+import `scipy.linalg` when called and pass their arguments on unchanged.
+Most uses of the package never factorise a matrix (`evaluate`, Leq
+scoring, model builds, `kkt_residuals`), and importing `scipy.linalg`
+costs 0.30 s on a 2-core host (`python -X importtime`): with it, a fresh
 `import noisedescent, noisedescent.cli` takes 0.45 s and leaves the
 process at 58 MB resident; without it, 0.15 s and 34 MB.  The solver
 looks the four up by name on every call, so a wrapper set on the module
 (as the benchmark's tracer sets one to count factorisations) sees each
-call.  `LinAlgError` is numpy's, the class `scipy.linalg` raises.
+call.  `LinAlgError` is numpy's, the class `scipy.linalg` raises and
+`cho_factor` raises where its matrix is not positive definite.
 """
 
 from __future__ import annotations
@@ -83,8 +92,36 @@ def _scipy_linalg(name: str) -> Callable:
     return call
 
 
-cho_factor, cho_solve, lu_factor, lu_solve = map(
-    _scipy_linalg, ("cho_factor", "cho_solve", "lu_factor", "lu_solve"))
+lu_factor, lu_solve = map(_scipy_linalg, ("lu_factor", "lu_solve"))
+
+
+def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(c, True): the lower Cholesky factor of a symmetric float64 matrix
+    in the lower triangle of c, as `scipy.linalg.cho_factor(a, lower=True,
+    check_finite=False)` returns it, from LAPACK `dpotrf`.  Raises
+    LinAlgError where `a` is not positive definite."""
+    from scipy.linalg.lapack import dpotrf
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return c, True
+
+
+def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
+    """x with a x = b, from `cho_factor(a)`, through LAPACK `dpotrs`."""
+    from scipy.linalg.lapack import dpotrs
+    x, info = dpotrs(factor[0], b, lower=int(factor[1]))
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return x
+
+
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi), bit for bit (signed zeros and NaN included),
+    without its Python-level argument handling."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 @dataclass
@@ -313,8 +350,8 @@ def _complementarity(lam: np.ndarray, c_hat: np.ndarray,
                      lo: np.ndarray, hi: np.ndarray) -> float:
     if lam.size == 0:
         return 0.0
-    up_slack = np.clip(hi - c_hat, 0.0, _COMPLEMENTARITY_CAP)
-    lo_slack = np.clip(c_hat - lo, 0.0, _COMPLEMENTARITY_CAP)
+    up_slack = _clip(hi - c_hat, 0.0, _COMPLEMENTARITY_CAP)
+    lo_slack = _clip(c_hat - lo, 0.0, _COMPLEMENTARITY_CAP)
     comp = np.maximum(lam, 0.0) * up_slack + np.maximum(-lam, 0.0) * lo_slack
     return float(np.max(comp, initial=0.0))
 
@@ -332,7 +369,7 @@ def _first_order_error(p: NlpProblem, rows: _Rows, w: np.ndarray, y: np.ndarray,
     g = p.objective_gradient(w) / p.f_scale
     if rows.m:
         g = g + p.jacobian_transpose_product(w, *rows.physical(lam))
-    projected = y - np.clip(y - g * s, p.lower / s, p.upper / s)
+    projected = y - _clip(y - g * s, p.lower / s, p.upper / s)
     stationarity = float(np.max(np.abs(projected), initial=0.0))
     comp = _complementarity(lam[p.n_eq:], c_hat[p.n_eq:],
                             rows.lo[p.n_eq:], rows.hi[p.n_eq:])
@@ -398,29 +435,35 @@ class _Merit:
         self.trials = trials
 
     def _shift(self, c: np.ndarray) -> np.ndarray:
-        return c - np.clip(c + self.lam / self.rho, self.rows.lo, self.rows.hi)
+        return c - _clip(c + self.lam / self.rho, self.rows.lo, self.rows.hi)
 
     def value(self, y: np.ndarray):
-        """Merit at one point (n,), or per point of a stack (K, n).  Each
-        stacked row is reduced by the 1-D dot products of one point, so
-        it keeps that point's bits."""
+        """(merit, objective / f_scale, scaled rows) at one point (n,), or
+        per point of a stack (K, n).  Each stacked row is reduced by the 1-D
+        dot products of one point, so it keeps that point's bits; without
+        rows, the merit is the objective and the rows are empty."""
         self.trials["batches"] += 1
         self.trials["points"] += math.prod(y.shape[:-1])
         w = y * self.s
         f = self.p.objective(w) / self.p.f_scale
         if self.rows.m == 0:
-            return f
-        d = self._shift(self.rows.values(w))
-        return f + np.vecdot(self.lam, d) + 0.5 * self.rho * np.vecdot(d, d)
+            return f, f, np.zeros(y.shape[:-1] + (0,))
+        c = self.rows.values(w)
+        d = self._shift(c)
+        return f + np.vecdot(self.lam, d) + 0.5 * self.rho * np.vecdot(d, d), f, c
 
-    def value_grad(self, y: np.ndarray):
-        """(phi, gradient, shifted residual d, scaled-row Jacobian or None)."""
+    def value_grad(self, y: np.ndarray, scored=None):
+        """(phi, gradient, shifted residual d, scaled-row Jacobian or None).
+
+        `scored` is (objective / f_scale, scaled rows) at y when the caller
+        has them, as `value` returns them; they are not computed again."""
         w = y * self.s
-        f = self.p.objective(w) / self.p.f_scale
+        f, c = scored or (self.p.objective(w) / self.p.f_scale, None)
         g = self.p.objective_gradient(w) / self.p.f_scale
         if self.rows.m == 0:
             return float(f), g * self.s, np.zeros(0), None
-        c = self.rows.values(w)
+        if c is None:
+            c = self.rows.values(w)
         J = self.rows.jacobian(w)
         d = self._shift(c)
         phi = f + self.lam @ d + 0.5 * self.rho * (d @ d)
@@ -470,13 +513,22 @@ class _Merit:
         return exact, modified
 
 
+def _scored(merit: _Merit, Y):
+    """(merit, objective, scaled rows) at each row of Y, from one stacked
+    `value` call; after a DomainError, from one call per row, lazily, with
+    an infinite merit outside the model's domain."""
+    try:
+        return zip(*merit.value(Y))
+    except DomainError:
+        return _one_at_a_time(merit, Y)
+
+
 def _one_at_a_time(merit: _Merit, Y):
-    """Merit at each row of Y in turn, +inf outside the model's domain."""
     for y_trial in Y:
         try:
             yield merit.value(y_trial)
         except DomainError:
-            yield np.inf
+            yield np.inf, None, None
 
 
 def _line_search(merit: _Merit, y, f, g, direction, lo, hi):
@@ -490,22 +542,19 @@ def _line_search(merit: _Merit, y, f, g, direction, lo, hi):
     `DomainError`, its points are evaluated one at a time, up to the
     accepted one, and a point outside the model's domain counts as a
     rejected step.  So the result is that of one-at-a-time backtracking.
-    Returns (alpha, trial point) of the accepted step, or None.
+    Returns (alpha, trial point, (objective / f_scale, scaled rows) at the
+    trial point) of the accepted step, or None.
     """
     alphas = 0.5 ** np.arange(_MAX_LINE_SEARCH)
     for start in range(0, alphas.size, _TRIAL_BATCH):
         batch = alphas[start:start + _TRIAL_BATCH]
-        Y = np.clip(y + batch[:, None] * direction, lo, hi)
-        try:
-            values = merit.value(Y)
-        except DomainError:
-            values = _one_at_a_time(merit, Y)
-        for alpha, y_trial, f_trial in zip(batch, Y, values):
+        Y = _clip(y + batch[:, None] * direction, lo, hi)
+        for alpha, y_trial, (f_trial, obj, c) in zip(batch, Y, _scored(merit, Y)):
             step = y_trial - y
             decrease = float(g @ step)
             if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
                     and f_trial < f + 1e-16 * abs(f) + 1e-300):
-                return float(alpha), y_trial
+                return float(alpha), y_trial, (obj, c)
             if not np.any(step):
                 return None
     return None
@@ -523,7 +572,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     factorization dominate the step cost.  Returns (y, Newton steps
     taken, stop reason: converged | maxiter | linesearch).
     """
-    y = np.clip(y0, lo, hi)
+    y = _clip(y0, lo, hi)
     f, g, d, J = merit.value_grad(y)
     merit_log.append(f)
     status = "maxiter"
@@ -533,7 +582,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     exact_failed = False
     factor_cache = {}  # (model flavor, free-set key) -> cholesky factor
     for n_iter in range(1, opts.inner_maxiter + 1):
-        pg = y - np.clip(y - g, lo, hi)  # projected gradient
+        pg = y - _clip(y - g, lo, hi)  # projected gradient
         pg_norm = float(np.max(np.abs(pg), initial=0.0))
         if pg_norm <= gtol:
             status = "converged"
@@ -562,8 +611,7 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
                 if factor is None:
                     try:
                         factor = factor_cache[("exact", key)] = cho_factor(
-                            models[0][np.ix_(free_idx, free_idx)],
-                            lower=True, check_finite=False)
+                            models[0][np.ix_(free_idx, free_idx)])
                     except LinAlgError:
                         exact_failed = True
             if factor is None:
@@ -575,13 +623,11 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
                     for _ in range(40):
                         try:
                             factor = factor_cache[("modified", key)] = cho_factor(
-                                H_gn + tau * np.eye(free_idx.size),
-                                lower=True, check_finite=False)
+                                H_gn + tau * np.eye(free_idx.size))
                             break
                         except LinAlgError:
                             tau *= 100.0
-            p = (cho_solve(factor, -g_free, check_finite=False)
-                 if factor is not None else -g_free)
+            p = cho_solve(factor, -g_free) if factor is not None else -g_free
             cap = 10.0 * max(1.0, float(np.max(np.abs(y))))
             p_norm = float(np.max(np.abs(p), initial=0.0))
             if p_norm > cap:
@@ -596,12 +642,11 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if accepted is None:
             status = "linesearch"
             break
-        alpha, y_trial = accepted
+        alpha, y, scored = accepted
         model_age += 1
         if alpha < 0.25:
             refresh = True  # model mistrusted: rebuild at the new point
-        y = y_trial
-        f, g, d, J = merit.value_grad(y)
+        f, g, d, J = merit.value_grad(y, scored)
         merit_log.append(f)
     return y, n_iter, status
 
@@ -731,7 +776,7 @@ def _polish_round(problem: NlpProblem, rows: _Rows, y_lo, y_hi, opts: SolverOpti
         for _ in range(20):
             y_t = y.copy()
             y_t[free_idx] += alpha * dy
-            y_t = np.clip(y_t, eff_lo, eff_hi)
+            y_t = _clip(y_t, eff_lo, eff_hi)
             lam_t = lam.copy()
             if na:
                 lam_t[act_idx] = lam[act_idx] + alpha * dlam
@@ -789,7 +834,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     rows = _Rows(p)
     s = p.x_scale
     y_lo, y_hi = p.lower / s, p.upper / s
-    y = np.clip(w0 / s, y_lo, y_hi)
+    y = _clip(w0 / s, y_lo, y_hi)
 
     rho = float(opts.initial_penalty)
     # first subproblems stay loose regardless of the starting penalty
@@ -844,7 +889,7 @@ def solve(problem: NlpProblem, w0: np.ndarray,
             # feasibility, and optimality at the first-order multiplier estimate
             w = y * s
             c = rows.values(w)
-            lam_trial = np.clip(lam + rho * merit._shift(c), -_MULTIPLIER_CAP, _MULTIPLIER_CAP)
+            lam_trial = _clip(lam + rho * merit._shift(c), -_MULTIPLIER_CAP, _MULTIPLIER_CAP)
             feas, opt, f_val = (rows.violation(c), _first_order_error(p, rows, w, y, lam_trial, c),
                                 float(p.objective(w)))
             step = float(np.max(np.abs(y - y_prev), initial=0.0))

@@ -17,6 +17,12 @@ trajectory at several observers in one kernel call, passing their
 coordinates as (n_obs, 1) columns, so the terms that do not depend on
 the observer (density, jet speed, convection Mach number) are computed
 once.  `levels_along` and `leq` are its one-observer case.
+
+Like `flight_dynamics.rhs_arrays` next to its `trig`, `levels_arrays`
+takes the state trigonometry `path_trig(gamma, chi)` as `path` (read in
+velocity_vector mode only) and the density and speed of sound `air_at(h)`
+as `air`, and computes each itself when left out: the transcription's
+Hessian stencil passes them in, computed once per distinct input.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from .flight_dynamics import (
     AircraftModel,
     Atmosphere,
     _any,
-    _sound_speed,
-    air_density,
+    air_at,
     fuel_flow_arrays,
+    path_trig,
 )
 
 _NEAR_FIELD_R = 1.0  # m; slant range is clamped here to keep logs finite
@@ -178,13 +184,13 @@ def slant_range_arrays(x, y, h, obs: Observer):
 
 
 def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                           params: EngineNoiseParams, r=None):
+                           params: EngineNoiseParams, r=None, path=None):
     """cos(theta) between the emission axis and the line to the observer.
 
     velocity_vector mode uses the instantaneous velocity direction;
     track_axis mode uses a fixed horizontal axis, which removes the
-    gamma/chi dependence of the level.  `r` is the slant range when the
-    caller already has it.
+    gamma/chi dependence of the level.  `r` is the slant range and `path`
+    is `path_trig(gamma, chi)` when the caller already has them.
     """
     dx = obs.x - np.asarray(x)
     dy = obs.y - np.asarray(y)
@@ -192,10 +198,9 @@ def directivity_cos_arrays(V, gamma, chi, x, y, h, obs: Observer,
     if r is None:
         r = slant_range_arrays(x, y, h, obs)
     if params.directivity_mode == "velocity_vector":
-        cg = np.cos(np.asarray(gamma))
-        ex = cg * np.cos(np.asarray(chi))
-        ey = cg * np.sin(np.asarray(chi))
-        ez = np.sin(np.asarray(gamma))
+        ez, cg, sin_chi, cos_chi = path or path_trig(np.asarray(gamma), np.asarray(chi))
+        ex = cg * cos_chi
+        ey = cg * sin_chi
     else:
         ax, ay = params.track_axis
         norm = math.hypot(ax, ay)
@@ -271,12 +276,12 @@ def _primitive_terms(V, rho, c, R, cos_theta,
 
 
 def _level_terms(V, gamma, chi, x, y, h, obs: Observer,
-                 params: EngineNoiseParams, atm: Atmosphere) -> dict:
+                 params: EngineNoiseParams, atm: Atmosphere, path=None, air=None) -> dict:
     """All level terms at the observer from the node states."""
-    rho = air_density(h, atm)
+    rho, c = air or air_at(h, atm)
     R = slant_range_arrays(x, y, h, obs)
-    cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R)
-    return _primitive_terms(V, rho, _sound_speed(rho, atm), R, cos_theta, params, atm)
+    cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R, path)
+    return _primitive_terms(V, rho, c, R, cos_theta, params, atm)
 
 
 def _sum_terms(terms: dict):
@@ -287,13 +292,15 @@ def _sum_terms(terms: dict):
 
 
 def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                  params: EngineNoiseParams, atm: Atmosphere = ISA):
+                  params: EngineNoiseParams, atm: Atmosphere = ISA, path=None, air=None):
     """Overall sound pressure level at the observer, dB, vectorized over nodes.
 
     `obs` is one Observer, or the (n_obs, 1) coordinate columns of
-    several, which add a leading observer axis to the result.
+    several, which add a leading observer axis to the result.  `path` is
+    `path_trig(gamma, chi)` and `air` is `air_at(h, atm)` when the caller
+    has them already; each is computed here otherwise.
     """
-    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm))
+    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm, path, air))
 
 
 def levels_at(traj: Trajectory, observers, params: EngineNoiseParams,

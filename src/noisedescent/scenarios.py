@@ -52,15 +52,19 @@ class PathBounds:
             raise ScenarioError(f"lower bound must stay below upper bound ({bad})",
                                 f"{bad}_min", f"{bad}_max")
 
+    @staticmethod
+    def default_limits(stall_speed: float = 70.0) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) of the representative civil-descent envelope,
+        unchecked; every value overridable."""
+        return (np.array([-8.0 * _DEG, 1.3 * stall_speed, -30.0 * _DEG,
+                          -2.0 * _DEG, 0.2, -25.0 * _DEG]),
+                np.array([3.0 * _DEG, 180.0, 30.0 * _DEG,
+                          12.0 * _DEG, 1.0, 25.0 * _DEG]))
+
     @classmethod
     def default(cls, stall_speed: float = 70.0) -> "PathBounds":
-        """Representative civil-descent envelope; every value overridable."""
-        return cls(
-            lower=np.array([-8.0 * _DEG, 1.3 * stall_speed, -30.0 * _DEG,
-                            -2.0 * _DEG, 0.2, -25.0 * _DEG]),
-            upper=np.array([3.0 * _DEG, 180.0, 30.0 * _DEG,
-                            12.0 * _DEG, 1.0, 25.0 * _DEG]),
-        )
+        """The envelope of `default_limits`, checked."""
+        return cls(*cls.default_limits(stall_speed))
 
     def component(self, name: str) -> tuple[float, float]:
         i = PATH_COMPONENTS.index(name)

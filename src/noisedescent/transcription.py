@@ -50,6 +50,23 @@ last axis: 98*N values for the step stencil, 72*(N+1) for the level
 stencil) and a half's lie on the same side of 16384.  The step stencil
 therefore runs whole for 168 <= N <= 334.
 
+The exact Hessian's two stencils, the step map's and the Leq term's,
+compute their kernel's single-column factors once per distinct input
+(`_factor_stacks`): sin/cos of alpha and mu (step map only), sin/cos of
+gamma and chi (the Leq term's in velocity_vector mode only), and the
+density and speed of sound at h.  In each row of such a stencil a column
+takes 6 distinct values, 3 real shifts times 2 imaginary parts, among
+its 98 copies (step map) or 72 (Leq term), so the factors run on those 6
+copies and are gathered into stacks that `_run_stack` splits with the
+points; `rk_step_arrays` (first stage only), `rhs_arrays` and
+`noise.levels_arrays` take them next to `trig`.  Every other caller, the
+Jacobian and gradient stencils, the value calls, one-node steps and fuel
+flows, lets the kernels compute their own.  The blocks have the bits of
+a per-copy evaluation while the whole stack's factor temporaries stay
+below the elision size: up to N=167 for the step map, N=226 for the Leq
+term.  Above, numpy may elide those temporaries in a per-copy evaluation
+and the bits may move (the model builds at N=168, 227 and 300 kept them).
+
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
 observer, the consumption, or the epigraph variable theta) and the extra
@@ -71,6 +88,7 @@ that mirrors the same bounds.  The last node reuses control N-1.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -83,7 +101,8 @@ from . import noise
 from .errors import ScenarioError
 from .flight_dynamics import (
     IALPHA, IDELTA_X, IMU, IV, IGAMMA, ICHI, IX, IY, IH,
-    AircraftModel, Atmosphere, ISA, control_trig, fuel_flow_arrays, rhs_arrays,
+    AircraftModel, Atmosphere, ISA, air_at, control_trig, fuel_flow_arrays, path_trig,
+    rhs_arrays,
 )
 from .nlp_solver import NlpProblem
 
@@ -154,35 +173,45 @@ class Grid:
         return self.t0 + self.h_step * np.arange(self.n_intervals + 1)
 
 
-def heun_step(z, u, h_step, rhs):
+def heun_step(z, u, h_step, rhs, k1=None):
     """Explicit Heun update z + (h/2)*(f(z,u) + f(z + h*f(z,u), u)).
 
-    `rhs(z, u)` may operate on scalars or on whole arrays of nodes.
+    `rhs(z, u)` may operate on scalars or on whole arrays of nodes.  `k1`
+    is the first stage's rhs(z, u) when the caller has it already.
     """
-    k1 = rhs(z, u)
+    if k1 is None:
+        k1 = rhs(z, u)
     k2 = rhs(z + h_step * k1, u)
     return z + 0.5 * h_step * k1 + 0.5 * h_step * k2
 
 
-def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere):
+def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere,
+                   trig=None, path=None, air=None):
     """Heun update applied to whole arrays of nodes at once.
 
     The controls are constant over the step, so both stages share one
-    `control_trig`.  One node (a 1-D z and u) runs on Python floats: its
-    controls are read once and each stage's state once with `tolist()`,
-    so the kernel runs on scalars throughout.
+    `control_trig`, `trig` when the caller has it.  `path` and `air` are
+    the first stage's `path_trig` and `air_at` at Z when the caller has
+    them (see `rhs_arrays`); the second stage computes its own.  A stage
+    writes its six rates into one array.  One node (a 1-D z and u) runs
+    on Python floats: its controls are read once and each stage's state
+    once with `tolist()`, so the kernel runs on scalars throughout.
     """
     one_node = Z.ndim == 1
     u = U.tolist() if one_node else (U[..., IALPHA], U[..., IDELTA_X], U[..., IMU])
-    trig = control_trig(u[IALPHA], u[IMU])
+    trig = trig or control_trig(u[IALPHA], u[IMU])
+    if one_node:
+        return heun_step(Z, U, h_step,
+                         lambda z, _: np.array(rhs_arrays(*z.tolist(), *u, model, atm, trig)))
 
-    def rhs(z, _):
-        if one_node:
-            return np.array(rhs_arrays(*z.tolist(), *u, model, atm, trig=trig))
+    def rates(z, path=None, air=None):
         out = rhs_arrays(z[..., 0], z[..., 1], z[..., 2], z[..., 3], z[..., 4], z[..., 5],
-                         *u, model, atm, trig=trig)
-        return np.stack(out, axis=-1)
-    return heun_step(Z, U, h_step, rhs)
+                         *u, model, atm, trig, path, air)
+        k = np.empty(out[0].shape + (6,), np.result_type(*out))
+        for i, rate in enumerate(out):
+            k[..., i] = rate
+        return k
+    return heun_step(Z, U, h_step, lambda z, _: rates(z), rates(Z, path, air))
 
 
 def simulate(z0, controls, grid: Grid, model: AircraftModel,
@@ -308,7 +337,7 @@ def _node_controls(U: np.ndarray) -> np.ndarray:
 
 
 def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
-                   along: np.ndarray | None = None) -> np.ndarray:
+                   along: np.ndarray | None = None, factors=()) -> np.ndarray:
     """Complex-step derivatives of a row-local function for every local variable.
 
     `fn` maps an (..., M, d) array, one row of local variables per node or
@@ -322,16 +351,21 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
     imaginary parts before the division by the step.  `along` restricts
     the derivative to those local variables, and the variable axis then
-    has len(along) entries in that order.
+    has len(along) entries in that order.  `factors`, when given, are the
+    stack's single-column factors (`_factor_stacks`), arrays
+    (len(along), ..., M) that `fn` then takes, as a tuple, as its second
+    argument.
     """
     j = np.arange(X.shape[-1]) if along is None else along
     Xc = np.repeat(X.astype(complex)[None], j.size, axis=0)
     Xc[np.arange(j.size), ..., j] += 1j * _CS
 
-    def imaginary_parts(Xp):
-        F = fn(Xp).imag
+    def imaginary_parts(Xp, *factors_p):
+        F = (fn(Xp, factors_p) if factors_p else fn(Xp)).imag
         return F if mult is None else np.sum(mult * F, axis=-1)
-    return np.moveaxis(_run_stack(imaginary_parts, Xc), 0, -1) / _CS
+    D = _run_stack(imaginary_parts, Xc, *factors)
+    # the perturbation axis last: a view, as np.moveaxis(D, 0, -1) gives
+    return D.transpose(*range(1, D.ndim), 0) / _CS
 
 
 def _cpus() -> int:
@@ -341,12 +375,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_stack(fn, Xc: np.ndarray) -> np.ndarray:
-    """fn(Xc) of a contiguous complex stack (..., M, d), large ones in two pieces.
+def _run_stack(fn, Xc: np.ndarray, *extra: np.ndarray) -> np.ndarray:
+    """fn(Xc, *extra) of a contiguous complex stack (..., M, d), large ones in two pieces.
 
-    A stack of at least _SPLIT_VALUES values has its leading axes
-    flattened and split in two contiguous halves, if its column
-    temporaries (..., M) and a half's fall on the same side of
+    `extra` are contiguous arrays (..., M) with the stack's leading axes,
+    split with it.  A stack of at least _SPLIT_VALUES values has its
+    leading axes flattened and split in two contiguous halves, if its
+    column temporaries (..., M) and a half's fall on the same side of
     _ELIDE_VALUES; the results are concatenated in order.  The second half
     runs on a thread of its own when this process may use more than one
     CPU, and after the first otherwise, so the bits never depend on the
@@ -362,34 +397,86 @@ def _run_stack(fn, Xc: np.ndarray) -> np.ndarray:
     rows = math.prod(lead)
     half = rows // 2
     if Xc.size < _SPLIT_VALUES or (rows * m < _ELIDE_VALUES) != (half * m < _ELIDE_VALUES):
-        return fn(Xc)
-    flat = Xc.reshape((rows,) + Xc.shape[-2:])
+        return fn(Xc, *extra)
+    flat = [Xc.reshape((rows,) + Xc.shape[-2:])] + [e.reshape(rows, m) for e in extra]
+    pieces = [[a[:half] for a in flat], [a[half:] for a in flat]]
     parts = [None, None]
 
-    def run(i, piece):
+    def run(i):
         try:
-            parts[i] = fn(piece)
+            parts[i] = fn(*pieces[i])
         except Exception:
             pass  # the unsplit evaluation below raises it again
 
     if _cpus() > 1:
-        second = threading.Thread(target=run, args=(1, flat[half:]))
+        second = threading.Thread(target=run, args=(1,))
         second.start()
         try:
-            run(0, flat[:half])
+            run(0)
         finally:
             second.join()
     else:
-        run(0, flat[:half])
-        run(1, flat[half:])
+        run(0)
+        run(1)
     if parts[0] is None or parts[1] is None:
-        return fn(Xc)
+        return fn(Xc, *extra)
     return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
+
+
+class _Factors(NamedTuple):
+    """Single-column factors of a stencil's kernel.
+
+    `compute` maps local variables (..., M, d) to a tuple of arrays
+    (..., M), array i a function of column `columns[i]` alone, with the
+    bits the kernel would compute; the kernel takes that tuple as its
+    second argument."""
+
+    columns: tuple
+    compute: Callable
+
+
+def _factor_stacks(factors: _Factors, X: np.ndarray, eps: np.ndarray,
+                   j: np.ndarray) -> np.ndarray:
+    """`factors.compute` of `_cs_hessian_blocks`' stack (s, 2s, M, d), one
+    array (s, 2s, M) per factor, from one evaluation per distinct input.
+
+    In each row a column of that stack takes one of 3 real parts (its
+    value, value + eps or value - eps) and one of 2 imaginary parts (0 or
+    _CS), computed as the stencil computes them; so `compute` runs on
+    those 6 copies of X and each factor is gathered into the stack from
+    the copies of its column.
+    """
+    Xd = np.empty((3, 2) + X.shape, dtype=complex)
+    Xd[...] = X
+    Xd[1][..., j] += eps
+    Xd[2][..., j] -= eps
+    Xd[:, 1][..., j] += 1j * _CS
+    values = np.array(factors.compute(Xd.reshape((6,) + X.shape)))
+    return values.reshape(-1, X.shape[0])[_factor_index(tuple(j.tolist()), factors.columns)]
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_index(along: tuple, columns: tuple) -> np.ndarray:
+    """(len(columns), s, 2s) rows of the stacked distinct inputs of
+    `_factor_stacks`, 6 per factor, that each copy (a, b) of the stencil
+    reads for factor f: its column has the real shift +eps at b = p, -eps
+    at b = s + p and the imaginary step at a = p, p its place in `along`
+    (every factor column must be in `along`)."""
+    s = len(along)
+    a, b = np.arange(s)[:, None], np.arange(2 * s)
+    index = np.empty((len(columns), s, 2 * s), dtype=np.intp)
+    for f, column in enumerate(columns):
+        p = along.index(column)
+        real = np.where(b == p, 1, np.where(b == s + p, 2, 0))
+        index[f] = 6 * f + 2 * real + (a == p)
+    index.flags.writeable = False  # shared by every call
+    return index
 
 
 def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
                        mult: np.ndarray | None = None,
-                       along: np.ndarray | None = None) -> np.ndarray:
+                       along: np.ndarray | None = None,
+                       factors: _Factors | None = None) -> np.ndarray:
     """Per-row Hessian blocks (M, d, d) of a row-local scalar function.
 
     Symmetrised central differences, with steps _FD*scale, of the
@@ -397,7 +484,9 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
     shifted copies of X are stacked and differentiated in one call.  With
     `along`, only those local variables are shifted and differentiated;
     the rows and columns of the others are exact zeros, which is right
-    when `fn` is linear in them.
+    when `fn` is linear in them.  With `factors`, the kernel's
+    single-column factors are computed once per distinct input
+    (`_factor_stacks`) and passed to `fn` with the stack.
     """
     d = X.shape[-1]
     j = np.arange(d) if along is None else along
@@ -407,8 +496,9 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
     k = np.arange(s)
     Xs[k, :, j] += eps[:, None]
     Xs[s + k, :, j] -= eps[:, None]
-    G = _cs_derivative(fn, Xs, mult, j)
-    sub = np.moveaxis((G[:s] - G[s:]) / (2.0 * eps)[:, None, None], 0, -1)
+    stacks = () if factors is None else _factor_stacks(factors, X, eps, j)
+    G = _cs_derivative(fn, Xs, mult, j, stacks)
+    sub = ((G[:s] - G[s:]) / (2.0 * eps)[:, None, None]).transpose(1, 2, 0)
     blocks = np.zeros(X.shape[:-1] + (d, d))
     blocks[:, j[:, None], j] = 0.5 * (sub + np.swapaxes(sub, 1, 2))
     return blocks
@@ -473,15 +563,28 @@ class _Term(NamedTuple):
 # closures that held the transcription itself would make it a reference
 # cycle, which outlives its problem until a garbage-collector pass.
 
+def _level_factors(params: noise.EngineNoiseParams, atm: Atmosphere) -> _Factors:
+    """The single-column factors of the level kernel at node states
+    (..., 6): `path_trig` of gamma and chi where the directivity reads
+    them (velocity_vector mode), then `air_at` of h."""
+    if params.directivity_mode != "velocity_vector":
+        return _Factors((IH, IH), lambda X: air_at(X[..., IH], atm))
+    return _Factors((IGAMMA, IGAMMA, ICHI, ICHI, IH, IH),
+                    lambda X: path_trig(X[..., IGAMMA], X[..., ICHI]) + air_at(X[..., IH], atm))
+
+
 def _leq_term(tr: "_Transcription", obs) -> _Term:
     """Equivalent continuous level at one observer."""
     params, atm, weights, duration = tr.params, tr.atm, tr.weights, tr.grid.duration
     idx = tr.node_idx
     n_state = idx.size
+    factors = _level_factors(params, atm)
 
-    def levels(X):
+    def levels(X, factors=()):
+        # factors: path_trig's four arrays (velocity_vector mode), then air_at's two
         return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3],
-                                   X[..., 4], X[..., 5], obs, params, atm)
+                                   X[..., 4], X[..., 5], obs, params, atm,
+                                   factors[:-2] or None, factors[-2:] or None)
 
     def leq_and_node_weights(Z):
         energy = 10.0 ** (0.1 * levels(Z))
@@ -491,7 +594,8 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
 
     memo = _PointMemo(leq=leq_and_node_weights,
                       dlev=lambda Z: _cs_derivative(levels, Z),
-                      blocks=lambda Z: _cs_hessian_blocks(levels, Z, STATE_SCALE))
+                      blocks=lambda Z: _cs_hessian_blocks(levels, Z, STATE_SCALE,
+                                                          factors=factors))
 
     def gradient(grad, Z, U):
         _, p = memo.get(Z, "leq")
@@ -635,9 +739,22 @@ class _Transcription:
 
     # ----- equalities -------------------------------------------------
 
-    def _step(self, X):
-        """Phi(z_k, u_k) of every interval from its local variables (..., N, 9)."""
-        return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model, self.atm)
+    def _step(self, X, factors=()):
+        """Phi(z_k, u_k) of every interval from its local variables (..., N, 9).
+
+        `factors`, when given, are the first stage's `_step_factors` at X."""
+        trig, path, air = (factors[:4], factors[4:8], factors[8:]) if factors else (None,) * 3
+        return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model, self.atm,
+                              trig, path, air)
+
+    def _step_factors(self) -> _Factors:
+        """The single-column factors of `_step`: `control_trig` of alpha and
+        mu, `path_trig` of gamma and chi and `air_at` of h."""
+        atm = self.atm
+        return _Factors(
+            (6 + IALPHA,) * 2 + (6 + IMU,) * 2 + (IGAMMA,) * 2 + (ICHI,) * 2 + (IH,) * 2,
+            lambda X: (control_trig(X[..., 6 + IALPHA], X[..., 6 + IMU])
+                       + path_trig(X[..., IGAMMA], X[..., ICHI]) + air_at(X[..., IH], atm)))
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
@@ -764,6 +881,12 @@ class _Transcription:
         """
         Z, U, _ = self.layout.unpack(w)
         n = self.grid.n_intervals
+        mu = np.asarray(eq_mult[:6 * n]).reshape(n, 6)
+        # the defect blocks come first, so the step stencil's complex
+        # working set is freed before H is allocated
+        defect = (_cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), _INTERVAL_SCALE,
+                                     mu, _STEP_NONLINEAR, self._step_factors())
+                  if np.any(mu) else None)
         H = np.zeros((self.layout.n_vars, self.layout.n_vars))
         weighted = [(self.objective_term, sigma_f)] + [
             (term, float(ineq_mult[self.n_path + i]))
@@ -771,11 +894,8 @@ class _Transcription:
         # blocks overlap, so this order (objective, defects, extra rows)
         # fixes the rounding of the sums
         self.objective_term.add_hessian(H, Z, U, sigma_f, convexify)
-        mu = np.asarray(eq_mult[:6 * n]).reshape(n, 6)
-        if np.any(mu):
-            blocks = _cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), _INTERVAL_SCALE,
-                                        mu, _STEP_NONLINEAR)
-            _add_blocks(H, self.interval_idx, -blocks)
+        if defect is not None:
+            _add_blocks(H, self.interval_idx, -defect)
         for term, weight in weighted[1:]:
             term.add_hessian(H, Z, U, weight, convexify)
         if convexify:

@@ -80,10 +80,12 @@ def test_infinite_bound_is_accepted(tmp_path):
                                                  ("aircraft", "mass", "-1"),
                                                  ("atmosphere", "lapse", "0"),
                                                  ("engine_noise", "v2", "500"),
-                                                 ("bounds", "V_min", "200")])
+                                                 ("bounds", "V_min", "200"),
+                                                 ("scenario", "stall_speed", "200")])
 def test_value_a_settings_class_rejects_reports_key_and_line(section, key, value, tmp_path):
     # the parser takes each value; the class rejects it.  v2 breaks v1 > v2
-    # and V_min breaks V_min < V_max: of each pair the file sets only one
+    # and V_min breaks V_min < V_max: of each pair the file sets only one.
+    # stall_speed sets the default V_min, 1.3 * 200 m/s, above V_max
     path = tmp_path / "run.ini"
     path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError) as err:
@@ -108,3 +110,10 @@ def test_track_axis_takes_exactly_one_pair(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert (err.value.key, err.value.line) == ("track_axis", 3)
+
+
+def test_stall_speed_moves_the_default_speed_floor(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\nstall_speed = 200\nV0 = 270\n[bounds]\nV_max = 300\n")
+    scn, _ = parse_config(path)
+    assert scn.bounds.component("V") == (260.0, 300.0)

@@ -135,6 +135,20 @@ def exp_minus_linear():
                       lagrangian_hessian=hess)
 
 
+def circle_with_domain():
+    """`circle_problem` whose model raises beyond w0 = -3, for any point of a stack."""
+    problem = circle_problem()
+    objective = problem.objective
+
+    def f(w):
+        if np.any(w[..., 0] < -3.0):
+            raise DomainError("w beyond the model domain")
+        return objective(w)
+
+    problem.objective = f
+    return problem
+
+
 def grid_refinement_minimum():
     """Brute-force reference for the constrained Rosenbrock: substitute
     w2 = 1 - w1 and refine a 1-d grid."""
@@ -456,7 +470,7 @@ def sequential_line_search(merit, y, f, g, direction, lo, hi, max_trials):
         step = y_trial - y
         decrease = float(g @ step)
         try:
-            f_trial = merit.value(y_trial)
+            f_trial = merit.value(y_trial)[0]
         except DomainError:
             f_trial = np.inf
         if (f_trial <= f + _ARMIJO_SIGMA * min(decrease, 0.0)
@@ -487,7 +501,7 @@ class TestBatchedLineSearch:
 
     @staticmethod
     def assert_same(batched, reference):
-        alpha, y_trial = batched
+        alpha, y_trial, _ = batched
         assert alpha == reference[0]
         assert y_trial.tobytes() == reference[1].tobytes()
 
@@ -521,8 +535,36 @@ class TestBatchedLineSearch:
         Y = y + np.outer(0.5 ** np.arange(8), batched[1] - y)
         for lam_rho in ((1e4 * lam, 1e-6), (0.0 * lam, 1e6)):
             merit = _Merit(problem, _Rows(problem), *lam_rho, Counter())
-            one_by_one = np.array([merit.value(y_k) for y_k in Y])
-            assert merit.value(Y).tobytes() == one_by_one.tobytes()
+            one_by_one = np.array([merit.value(y_k)[0] for y_k in Y])
+            assert merit.value(Y)[0].tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("case", ["stacked", "one-at-a-time"])
+    def test_accepted_trial_brings_its_fresh_values(self, case):
+        # value_grad reuses the accepted trial's objective and scaled rows
+        # in place of scoring the point again; they must be its one-point
+        # values, from the stacked call or from the one-at-a-time fallback
+        if case == "stacked":
+            scn = default_scenario(n_intervals=6)
+            problem = assemble(scn)
+            lam = np.random.default_rng(4).normal(size=problem.n_eq + problem.n_ineq) * 0.1
+            y, direction = initial_guess(scn) / problem.x_scale, lambda g: -1e-3 * g
+        else:
+            problem = circle_with_domain()
+            lam, y, direction = np.array([0.3]), [2.0, 1.0], lambda g: np.array([-9.0, 0.0])
+        batched, reference, trials = self.search(problem, y, direction, lam)
+        self.assert_same(batched, reference)
+        if case == "one-at-a-time":
+            # alpha = 1 leaves the domain; the third trial is accepted
+            assert (batched[0], trials) == (0.25, {"batches": 4, "points": _TRIAL_BATCH + 3})
+        _, y_trial, (objective, rows) = batched
+        w = y_trial * problem.x_scale
+        assert np.float64(objective).tobytes() == \
+            np.float64(problem.objective(w) / problem.f_scale).tobytes()
+        assert rows.tobytes() == _Rows(problem).values(w).tobytes()
+        merit = _Merit(problem, _Rows(problem), lam, 10.0, Counter())
+        reused, fresh = merit.value_grad(y_trial, (objective, rows)), merit.value_grad(y_trial)
+        for a, b in zip(reused, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_zero_projected_step_ends_the_search(self):
         # at the upper bound and pointing out of the box: every trial projects back
@@ -563,6 +605,30 @@ class TestFactorisations:
         assert rep.status == rep_ref.status == "optimal"
         assert w.tobytes() == w_ref.tobytes()
         assert (rep.objective, rep.iterations) == (rep_ref.objective, rep_ref.iterations)
+
+    def test_cholesky_has_the_bits_of_scipys(self):
+        # cho_factor and cho_solve call LAPACK directly, as SciPy's do
+        from scipy import linalg
+        rng = np.random.default_rng(7)
+        for n in (1, 6, 40):
+            A = rng.normal(size=(n, n))
+            M = A @ A.T + n * np.eye(n)
+            idx = np.sort(rng.choice(n, max(1, n // 2), replace=False))
+            for H in (M, M[np.ix_(idx, idx)]):
+                b = rng.normal(size=H.shape[0])
+                c, lower = nlp_solver.cho_factor(H)
+                c_ref, lower_ref = linalg.cho_factor(H, lower=True, check_finite=False)
+                assert lower is lower_ref is True
+                assert (c.shape, c.strides) == (c_ref.shape, c_ref.strides)
+                assert c.tobytes() == c_ref.tobytes()
+                x = nlp_solver.cho_solve((c, lower), b)
+                x_ref = linalg.cho_solve((c_ref, lower_ref), b, check_finite=False)
+                assert x.tobytes() == x_ref.tobytes()
+
+    def test_cholesky_of_an_indefinite_matrix_raises_numpys_error(self):
+        # the error the solver catches, and the benchmark's tracer counts
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            nlp_solver.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 SCIPY_PROBE = """

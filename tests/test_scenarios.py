@@ -18,6 +18,9 @@ REFERENCE = {"noise": 46.46725601748521, "fuel": 190.87551245699288}
 # (inner, outer) iterations: the same at one and two BLAS threads, so a
 # change that moves them moves the solve, whatever the thread count
 ITERATIONS = {"noise": (400, 8), "fuel": (650, 13)}
+# (trial_points, trial_batches) of the line search, also the same at one
+# and two BLAS threads: the fuel solve takes the one-at-a-time fallback
+TRIALS = {"noise": (5120, 640), "fuel": (10591, 1330)}
 
 
 def reference_scenario(variant):
@@ -34,6 +37,7 @@ def test_reference_variant_is_certified(variant):
     assert rep.status == "optimal", rep.message
     assert rep.objective == pytest.approx(REFERENCE[variant], rel=1e-9)
     assert (rep.iterations, rep.outer_iterations) == ITERATIONS[variant]
+    assert (rep.trial_points, rep.trial_batches) == TRIALS[variant]
     feas, opt = kkt_residuals(assemble(scn), result.w, rep.eq_multipliers,
                               rep.ineq_multipliers)
     assert feas <= opts.feasibility_tol

@@ -626,11 +626,13 @@ class TestAssemblyMemory:
     initial guess.  The Hessians' are multiples of the 6.57 MB array each
     call returns: an assembly that makes a full-size copy to symmetrise
     and to apply the rank-one Leq update peaks at 2.35 (exact) and 2.01
-    (convexified), this one at 1.89 and 1.03, and the bounds sit between.
-    The exact Hessian's remainder is the defect kernel's complex working
-    set, not an assembly temporary.  `kkt_residuals` builds no Jacobian:
-    it sums J^T lam from the defect blocks and peaks near 0.6 MB, where
-    the 1213x906 stacked Jacobian alone is 8.79 MB (13.4 MB peak).
+    (convexified), this one at 1.53 and 1.03, and the bounds sit between.
+    The exact Hessian differences the step map before it allocates its
+    result, so the defect kernel's complex working set does not add to
+    it; allocated first, the result peaked at 1.91.  `kkt_residuals`
+    builds no Jacobian: it sums J^T lam from the defect blocks and peaks
+    near 0.6 MB, where the 1213x906 stacked Jacobian alone is 8.79 MB
+    (13.4 MB peak).
     """
 
     def test_assembled_problem_retains_little(self):
@@ -659,7 +661,7 @@ class TestAssemblyMemory:
         # cold memos: the exact Hessian pays for every kernel evaluation
         exact, peak = traced_peak(lambda: prob.lagrangian_hessian(
             w, sigma, lam_eq / prob.eq_scale, lam_in, convexify=False))
-        assert peak < 2.1 * exact.nbytes
+        assert peak < 1.75 * exact.nbytes
         convex, peak = traced_peak(lambda: prob.lagrangian_hessian(
             w, sigma, np.zeros(prob.n_eq), lam_in, convexify=True))
         assert peak < 1.5 * convex.nbytes
@@ -812,6 +814,46 @@ def count_kernel_calls(monkeypatch) -> list:
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+class TestFactorReuse:
+    """The exact Hessian's step-map and Leq stencils compute their
+    single-column factors (control and state trigonometry, density and
+    speed of sound) once per distinct input and gather them into the
+    stack; their blocks must have the bits of a per-copy evaluation, in
+    which the kernels compute their own factors.  At N=12 the stacks run
+    whole; at N=100 and 167 they split, with the factors split alongside.
+    """
+
+    @pytest.mark.parametrize("mode", ["velocity_vector", "track_axis"])
+    @pytest.mark.parametrize("n", [12, 100, 167])
+    def test_blocks_have_the_bits_of_a_per_copy_evaluation(self, n, mode, monkeypatch):
+        scn = small_scenario(n=n, engine=noise.EngineNoiseParams(directivity_mode=mode))
+        prob = assemble(scn)
+        rng = np.random.default_rng(n)
+        w = random_feasible_point(prob, initial_guess(scn), rng)
+        stencil = transcription._cs_hessian_blocks
+        seen = []
+
+        def counted(fn, calls):
+            def kernel(X, *factors):
+                calls.append(X.shape)
+                return fn(X, *factors)
+            return kernel
+
+        def both(fn, X, scale, mult=None, along=None, factors=None):
+            reused_calls, per_copy_calls = [], []
+            reused = stencil(counted(fn, reused_calls), X, scale, mult, along, factors)
+            per_copy = stencil(counted(fn, per_copy_calls), X, scale, mult, along)
+            seen.append((factors is not None, len(reused_calls), len(per_copy_calls),
+                         reused.tobytes() == per_copy.tobytes()))
+            return reused
+
+        monkeypatch.setattr(transcription, "_cs_hessian_blocks", both)
+        prob.lagrangian_hessian(w, 1.0, rng.normal(size=prob.n_eq), np.zeros(prob.n_ineq))
+        pieces = 1 if n == 12 else 2
+        # the step map's stencil, then the Leq term's
+        assert seen == [(True, pieces, pieces, True)] * 2
 
 
 class TestStackedPoints:
