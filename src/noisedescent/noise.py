@@ -18,11 +18,19 @@ coordinates as (n_obs, 1) columns, so the terms that do not depend on
 the observer (density, jet speed, convection Mach number) are computed
 once.  `levels_along` and `leq` are its one-observer case.
 
-Like `flight_dynamics.rhs_arrays` next to its `trig`, `levels_arrays`
-takes the state trigonometry `path_trig(gamma, chi)` as `path` (read in
-velocity_vector mode only) and the density and speed of sound `air_at(h)`
-as `air`, and computes each itself when left out: the transcription's
-Hessian stencil passes them in, computed once per distinct input.
+The kernel has three parts.  The (V, h) part (`speed_height_terms`)
+holds the jet speed, the density exponent, the convection and flight
+Mach numbers and the density-ratio, jet-velocity and altitude terms; the
+(x, y, h) part (`range_terms`) the slant range and the spreading term;
+the per-copy rest (`_terms`) the directivity, the convection and motion
+terms and the sum in TERM_NAMES order.  The log arguments are checked in
+that order too: density ratio, jet velocity, spreading, convection,
+motion.  Like `flight_dynamics.rhs_arrays` next to its `trig`,
+`levels_arrays` takes the state trigonometry `path_trig(gamma, chi)` as
+`path` (read in velocity_vector mode only) and the two parts as `parts`,
+and computes each itself when left out: the transcription's Leq Hessian
+stencil passes them in, each computed once per distinct input of its
+columns and gathered where the kernel unpacks it.
 """
 
 from __future__ import annotations
@@ -231,26 +239,37 @@ def _doppler_factor_cos(Mc, cos_theta):
     return (1.0 + Mc * cos_theta) ** 2 + 0.04 * Mc * Mc
 
 
-def _primitive_terms(V, rho, c, R, cos_theta,
-                     params: EngineNoiseParams, atm: Atmosphere) -> dict:
-    """All level terms from primitive quantities.
-
-    The terms that depend on the flight point are arrays; the engine
-    constants (baseline, nozzle geometry, coaxial mixing, nozzle area,
-    temperature ratio) are plain floats.
-    """
+def speed_height_terms(V, rho, c, params: EngineNoiseParams, atm: Atmosphere):
+    """The level's (V, h) part from the airspeed and the air at the flight
+    point: the density-ratio, jet-velocity and altitude terms, then the
+    convection and flight Mach numbers the per-copy rest reads."""
     p = params
     ve = effective_jet_speed(V, p)
     w = density_exponent_w(ve, c)
-    mc = convection_mach(p.v1, V, c)
-    cd = _doppler_factor_cos(mc, cos_theta)
-    m_flight = np.asarray(V) / np.asarray(c)
-
     density_ratio = p.rho1 / rho
     _check_log_arg("density_ratio", density_ratio)
     velocity_ratio = ve / c
     _check_log_arg("jet_velocity", velocity_ratio)
+    return (10.0 * w * np.log10(density_ratio),
+            75.0 * np.log10(velocity_ratio),
+            10.0 * np.log10((rho / atm.rho_isa) ** 2 * (c / atm.c_isa) ** 4),
+            convection_mach(p.v1, V, c),
+            np.asarray(V) / np.asarray(c))
+
+
+def range_terms(R):
+    """The level's (x, y, h) part from the slant range: the range itself,
+    which the directivity reads, and the spreading term."""
     _check_log_arg("spreading", R)
+    return R, -20.0 * np.log10(R)
+
+
+def _terms(speed_height, spreading, cos_theta, params: EngineNoiseParams) -> dict:
+    """All level terms from the (V, h) part, the spreading term and the
+    directivity: the per-copy rest of the kernel."""
+    p = params
+    density_term, jet_term, altitude_term, mc, m_flight = speed_height
+    cd = _doppler_factor_cos(mc, cos_theta)
     _check_log_arg("convection", cd)
     motion_arg = 1.0 - m_flight * cos_theta
     _check_log_arg("motion", motion_arg)
@@ -262,26 +281,44 @@ def _primitive_terms(V, rho, c, R, cos_theta,
 
     return {
         "baseline": 141.0,
-        "density_ratio": 10.0 * w * np.log10(density_ratio),
-        "jet_velocity": 75.0 * np.log10(velocity_ratio),
+        "density_ratio": density_term,
+        "jet_velocity": jet_term,
         "nozzle_geometry": 3.0 * math.log10(2.0 * p.s1 / (math.pi * p.d ** 2) + 0.5),
         "coaxial_mixing": 10.0 * math.log10(mixing),
         "nozzle_area": 10.0 * math.log10(p.s1),
         "temperature_ratio": p.temp_term_coeff * math.log10(p.tau1 / p.tau2),
-        "altitude": 10.0 * np.log10((rho / atm.rho_isa) ** 2 * (c / atm.c_isa) ** 4),
-        "spreading": -20.0 * np.log10(R),
+        "altitude": altitude_term,
+        "spreading": spreading,
         "convection": -15.0 * np.log10(cd),
         "motion": -10.0 * np.log10(motion_arg),
     }
 
 
+def _primitive_terms(V, rho, c, R, cos_theta,
+                     params: EngineNoiseParams, atm: Atmosphere) -> dict:
+    """All level terms from primitive quantities.
+
+    The terms that depend on the flight point are arrays; the engine
+    constants (baseline, nozzle geometry, coaxial mixing, nozzle area,
+    temperature ratio) are plain floats.
+    """
+    return _terms(speed_height_terms(V, rho, c, params, atm), range_terms(R)[1], cos_theta,
+                  params)
+
+
 def _level_terms(V, gamma, chi, x, y, h, obs: Observer,
-                 params: EngineNoiseParams, atm: Atmosphere, path=None, air=None) -> dict:
-    """All level terms at the observer from the node states."""
-    rho, c = air or air_at(h, atm)
-    R = slant_range_arrays(x, y, h, obs)
+                 params: EngineNoiseParams, atm: Atmosphere, path=None, parts=None) -> dict:
+    """All level terms at the observer from the node states.
+
+    `parts` is the (V, h) part `speed_height_terms` and the (x, y, h) part
+    `range_terms` of these states when the caller has them; each is an
+    iterable of arrays, unpacked where the kernel reads it."""
+    if parts is None:
+        parts = (speed_height_terms(V, *air_at(h, atm), params, atm),
+                 range_terms(slant_range_arrays(x, y, h, obs)))
+    speed_height, (R, spreading) = parts
     cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R, path)
-    return _primitive_terms(V, rho, c, R, cos_theta, params, atm)
+    return _terms(speed_height, spreading, cos_theta, params)
 
 
 def _sum_terms(terms: dict):
@@ -292,15 +329,16 @@ def _sum_terms(terms: dict):
 
 
 def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                  params: EngineNoiseParams, atm: Atmosphere = ISA, path=None, air=None):
+                  params: EngineNoiseParams, atm: Atmosphere = ISA, path=None, parts=None):
     """Overall sound pressure level at the observer, dB, vectorized over nodes.
 
     `obs` is one Observer, or the (n_obs, 1) coordinate columns of
     several, which add a leading observer axis to the result.  `path` is
-    `path_trig(gamma, chi)` and `air` is `air_at(h, atm)` when the caller
-    has them already; each is computed here otherwise.
+    `path_trig(gamma, chi)` and `parts` the kernel's (V, h) and (x, y, h)
+    parts (`_level_terms`) when the caller has them already; each is
+    computed here otherwise.
     """
-    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm, path, air))
+    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm, path, parts))
 
 
 def levels_at(traj: Trajectory, observers, params: EngineNoiseParams,

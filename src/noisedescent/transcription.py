@@ -51,21 +51,31 @@ stencil) and a half's lie on the same side of 16384.  The step stencil
 therefore runs whole for 168 <= N <= 334.
 
 The exact Hessian's two stencils, the step map's and the Leq term's,
-compute their kernel's single-column factors once per distinct input
-(`_factor_stacks`): sin/cos of alpha and mu (step map only), sin/cos of
-gamma and chi (the Leq term's in velocity_vector mode only), and the
-density and speed of sound at h.  In each row of such a stencil a column
-takes 6 distinct values, 3 real shifts times 2 imaginary parts, among
-its 98 copies (step map) or 72 (Leq term), so the factors run on those 6
-copies and are gathered into stacks that `_run_stack` splits with the
-points; `rk_step_arrays` (first stage only), `rhs_arrays` and
-`noise.levels_arrays` take them next to `trig`.  Every other caller, the
+evaluate their kernel's column groups once per distinct input (`_Group`).
+A group is a set S of local variables and the arrays the kernel reads
+that depend on S alone.  In each row of the stencil, S takes
+(|S|+1)(2|S|+1) distinct inputs among the copies (98 for the step map,
+72 for the Leq term): 6 for one column, 15 for two, 28 for three.  Each
+group runs on one representative copy per distinct input, taken in copy
+order from the stencil's own complex stack (`_group_index`), and travels
+to the kernel as those values and a cached gather index, which
+`_run_stack` splits with the stack; the kernel gathers where it reads
+(`_Gathered`), so no gathered stack outlives the kernel call that reads
+it.  The step map's groups are single columns: sin/cos of alpha, mu,
+gamma and chi, and the density and speed of sound at h (`_step_groups`;
+the control trigonometry serves both Heun stages, the rest the first).
+The Leq term's are sin/cos of gamma and chi (velocity_vector mode only),
+the level's (V, h) part and its (x, y, h) part (`_level_groups`,
+`noise.levels_arrays`).  Every other caller, the overhead-bound
 Jacobian and gradient stencils, the value calls, one-node steps and fuel
-flows, lets the kernels compute their own.  The blocks have the bits of
-a per-copy evaluation while the whole stack's factor temporaries stay
-below the elision size: up to N=167 for the step map, N=226 for the Leq
-term.  Above, numpy may elide those temporaries in a per-copy evaluation
-and the bits may move (the model builds at N=168, 227 and 300 kept them).
+flows, lets the kernels compute everything per copy.  A group's checks
+run on its representatives in copy order, so a nonpositive log argument
+raises the error, node included, of a per-copy evaluation.  The blocks
+have the bits of a per-copy evaluation while the whole stack's column
+temporaries stay below the elision size: up to N=167 for the step map,
+N=226 for the Leq term.  Above, numpy may elide those temporaries in a
+per-copy evaluation and the bits may move (the model builds at N=168,
+227 and 300 kept them).
 
 The variant decides only which terms enter the problem: a table in
 `_Transcription.__init__` names the objective term (Leq at the first
@@ -77,8 +87,12 @@ The value callbacks (`objective`, `equalities`, `inequalities`) also take
 a stack of decision vectors (K, n_vars), the solver's line-search trial
 points, and evaluate it with one kernel call per term: the kernels take
 leading axes, each sum over nodes is a per-row 1-D dot product
-(`np.vecdot`), so every row has the bits of a one-point call, and a stack
-bypasses the one-point memos.
+(`np.vecdot`), so every row has the bits of a one-point call.  A stack
+leaves the one-point memos as they were; each term's memo keeps its
+last stack beside them, and a one-point call whose local variables have
+the bytes of one of its rows takes that row's level energies and
+weights, or fuel flows.  So the gradient at an accepted line-search
+trial scores no level again.
 
 The path rows select decision variables: `path_idx`, one row of six
 indices per node in the order (gamma, V, chi, alpha, delta_x, mu), gives
@@ -101,8 +115,7 @@ from . import noise
 from .errors import ScenarioError
 from .flight_dynamics import (
     IALPHA, IDELTA_X, IMU, IV, IGAMMA, ICHI, IX, IY, IH,
-    AircraftModel, Atmosphere, ISA, air_at, control_trig, fuel_flow_arrays, path_trig,
-    rhs_arrays,
+    AircraftModel, Atmosphere, ISA, air_at, control_trig, fuel_flow_arrays, rhs_arrays,
 )
 from .nlp_solver import NlpProblem
 
@@ -192,7 +205,9 @@ def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere,
     The controls are constant over the step, so both stages share one
     `control_trig`, `trig` when the caller has it.  `path` and `air` are
     the first stage's `path_trig` and `air_at` at Z when the caller has
-    them (see `rhs_arrays`); the second stage computes its own.  A stage
+    them (see `rhs_arrays`); the second stage computes its own.  Each may
+    be any iterable of arrays: `rhs_arrays` unpacks it, so a stencil's
+    `_Gathered` is gathered in the stage that reads it.  A stage
     writes its six rates into one array.  One node (a 1-D z and u) runs
     on Python floats: its controls are read once and each stage's state
     once with `tolist()`, so the kernel runs on scalars throughout.
@@ -337,7 +352,7 @@ def _node_controls(U: np.ndarray) -> np.ndarray:
 
 
 def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
-                   along: np.ndarray | None = None, factors=()) -> np.ndarray:
+                   along: np.ndarray | None = None, groups=()) -> np.ndarray:
     """Complex-step derivatives of a row-local function for every local variable.
 
     `fn` maps an (..., M, d) array, one row of local variables per node or
@@ -351,19 +366,26 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
     imaginary parts before the division by the step.  `along` restricts
     the derivative to those local variables, and the variable axis then
-    has len(along) entries in that order.  `factors`, when given, are the
-    stack's single-column factors (`_factor_stacks`), arrays
-    (len(along), ..., M) that `fn` then takes, as a tuple, as its second
-    argument.
+    has len(along) entries in that order.  `groups`, when given, are
+    column groups of `fn` (`_Group`) and X is `_cs_hessian_blocks`' stack
+    of shifted copies: each group is evaluated on one copy per distinct
+    input (`_group_index`), and `fn` takes their arrays, as a `_Gathered`,
+    as its second argument.
     """
     j = np.arange(X.shape[-1]) if along is None else along
     Xc = np.repeat(X.astype(complex)[None], j.size, axis=0)
     Xc[np.arange(j.size), ..., j] += 1j * _CS
+    values, index = [], []
+    for group in groups:
+        first, index_g = _group_index(tuple(j.tolist()), group.columns)
+        arrays = group.compute(Xc.reshape((-1,) + Xc.shape[2:])[first])
+        values += arrays
+        index += [index_g] * len(arrays)
 
-    def imaginary_parts(Xp, *factors_p):
-        F = (fn(Xp, factors_p) if factors_p else fn(Xp)).imag
+    def imaginary_parts(Xp, *index_p):
+        F = (fn(Xp, _Gathered(values, index_p)) if groups else fn(Xp)).imag
         return F if mult is None else np.sum(mult * F, axis=-1)
-    D = _run_stack(imaginary_parts, Xc, *factors)
+    D = _run_stack(imaginary_parts, Xc, *index)
     # the perturbation axis last: a view, as np.moveaxis(D, 0, -1) gives
     return D.transpose(*range(1, D.ndim), 0) / _CS
 
@@ -378,11 +400,12 @@ def _cpus() -> int:
 def _run_stack(fn, Xc: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     """fn(Xc, *extra) of a contiguous complex stack (..., M, d), large ones in two pieces.
 
-    `extra` are contiguous arrays (..., M) with the stack's leading axes,
-    split with it.  A stack of at least _SPLIT_VALUES values has its
-    leading axes flattened and split in two contiguous halves, if its
-    column temporaries (..., M) and a half's fall on the same side of
-    _ELIDE_VALUES; the results are concatenated in order.  The second half
+    `extra` are arrays with the stack's leading axes, one entry per copy
+    (a group's gather index), split with it.  A stack of at least
+    _SPLIT_VALUES values has its leading axes flattened and split in two
+    contiguous halves, if its column temporaries (..., M) and a half's
+    fall on the same side of _ELIDE_VALUES; the results are concatenated
+    in order.  The second half
     runs on a thread of its own when this process may use more than one
     CPU, and after the first otherwise, so the bits never depend on the
     machine.  If either half raises, the whole stack is evaluated once
@@ -398,7 +421,7 @@ def _run_stack(fn, Xc: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     half = rows // 2
     if Xc.size < _SPLIT_VALUES or (rows * m < _ELIDE_VALUES) != (half * m < _ELIDE_VALUES):
         return fn(Xc, *extra)
-    flat = [Xc.reshape((rows,) + Xc.shape[-2:])] + [e.reshape(rows, m) for e in extra]
+    flat = [Xc.reshape((rows,) + Xc.shape[-2:])] + [e.reshape(rows) for e in extra]
     pieces = [[a[:half] for a in flat], [a[half:] for a in flat]]
     parts = [None, None]
 
@@ -423,60 +446,74 @@ def _run_stack(fn, Xc: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
 
 
-class _Factors(NamedTuple):
-    """Single-column factors of a stencil's kernel.
+class _Group(NamedTuple):
+    """Arrays a stencil's kernel reads that depend on a few of its local
+    variables.
 
     `compute` maps local variables (..., M, d) to a tuple of arrays
-    (..., M), array i a function of column `columns[i]` alone, with the
-    bits the kernel would compute; the kernel takes that tuple as its
-    second argument."""
+    (..., M), each a function of the columns `columns` alone, with the
+    bits the kernel would compute; the kernel reads them through the
+    `_Gathered` it takes as its second argument."""
 
     columns: tuple
     compute: Callable
 
 
-def _factor_stacks(factors: _Factors, X: np.ndarray, eps: np.ndarray,
-                   j: np.ndarray) -> np.ndarray:
-    """`factors.compute` of `_cs_hessian_blocks`' stack (s, 2s, M, d), one
-    array (s, 2s, M) per factor, from one evaluation per distinct input.
+class _Gathered:
+    """Arrays of a stack given on a few representative copies: array k is
+    values[k][index[k]], (..., M) for an index with the stack's leading
+    axes.  Unpacking gathers them, so a kernel gathers where it reads,
+    and a gathered array lives no longer than the kernel call that reads
+    it; a slice is the `_Gathered` of those arrays."""
 
-    In each row a column of that stack takes one of 3 real parts (its
-    value, value + eps or value - eps) and one of 2 imaginary parts (0 or
-    _CS), computed as the stencil computes them; so `compute` runs on
-    those 6 copies of X and each factor is gathered into the stack from
-    the copies of its column.
-    """
-    Xd = np.empty((3, 2) + X.shape, dtype=complex)
-    Xd[...] = X
-    Xd[1][..., j] += eps
-    Xd[2][..., j] -= eps
-    Xd[:, 1][..., j] += 1j * _CS
-    values = np.array(factors.compute(Xd.reshape((6,) + X.shape)))
-    return values.reshape(-1, X.shape[0])[_factor_index(tuple(j.tolist()), factors.columns)]
+    __slots__ = ("values", "index")
+
+    def __init__(self, values, index):
+        self.values, self.index = values, index
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, k: slice) -> "_Gathered":
+        return _Gathered(self.values[k], self.index[k])
+
+    def __iter__(self):
+        return (v[i] for v, i in zip(self.values, self.index))
+
+
+def _trig_group(column: int) -> _Group:
+    """sin and cos of one column, as `control_trig` and `path_trig` compute them."""
+    return _Group((column,), lambda X: (np.sin(X[..., column]), np.cos(X[..., column])))
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_index(along: tuple, columns: tuple) -> np.ndarray:
-    """(len(columns), s, 2s) rows of the stacked distinct inputs of
-    `_factor_stacks`, 6 per factor, that each copy (a, b) of the stencil
-    reads for factor f: its column has the real shift +eps at b = p, -eps
-    at b = s + p and the imaginary step at a = p, p its place in `along`
-    (every factor column must be in `along`)."""
+def _group_index(along: tuple, columns: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index) of a column group in `_cs_hessian_blocks`' stack.
+
+    Copy (a, b) of the stack (s, 2s, M, d), s = len(along), has the
+    imaginary step on column along[a] and the real shift +eps on
+    along[b] (b < s) or -eps on along[b - s].  Restricted to `columns`,
+    it is one of (|S|+1)(2|S|+1) distinct inputs, S the group's columns
+    in `along`: the imaginary step on none or one of S, times the real
+    shift on none, or up or down on one of S.  `first` lists, in copy
+    order, the flat copy a*2s + b that first takes each distinct input,
+    and `index` (s, 2s) the distinct input of every copy."""
     s = len(along)
-    a, b = np.arange(s)[:, None], np.arange(2 * s)
-    index = np.empty((len(columns), s, 2 * s), dtype=np.intp)
-    for f, column in enumerate(columns):
-        p = along.index(column)
-        real = np.where(b == p, 1, np.where(b == s + p, 2, 0))
-        index[f] = 6 * f + 2 * real + (a == p)
-    index.flags.writeable = False  # shared by every call
-    return index
+    keys = {}
+    index = np.empty((s, 2 * s), dtype=np.intp)
+    for a in range(s):
+        for b in range(2 * s):
+            key = (a if along[a] in columns else -1, b if along[b % s] in columns else -1)
+            index[a, b] = keys.setdefault(key, len(keys))
+    first = np.array([np.flatnonzero(index.ravel() == k)[0] for k in range(len(keys))])
+    first.flags.writeable = index.flags.writeable = False  # shared by every call
+    return first, index
 
 
 def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
                        mult: np.ndarray | None = None,
                        along: np.ndarray | None = None,
-                       factors: _Factors | None = None) -> np.ndarray:
+                       groups: tuple = ()) -> np.ndarray:
     """Per-row Hessian blocks (M, d, d) of a row-local scalar function.
 
     Symmetrised central differences, with steps _FD*scale, of the
@@ -484,9 +521,9 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
     shifted copies of X are stacked and differentiated in one call.  With
     `along`, only those local variables are shifted and differentiated;
     the rows and columns of the others are exact zeros, which is right
-    when `fn` is linear in them.  With `factors`, the kernel's
-    single-column factors are computed once per distinct input
-    (`_factor_stacks`) and passed to `fn` with the stack.
+    when `fn` is linear in them.  With `groups`, the kernel's column
+    groups are computed once per distinct input and passed to `fn` with
+    the stack (`_cs_derivative`).
     """
     d = X.shape[-1]
     j = np.arange(d) if along is None else along
@@ -496,8 +533,7 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
     k = np.arange(s)
     Xs[k, :, j] += eps[:, None]
     Xs[s + k, :, j] -= eps[:, None]
-    stacks = () if factors is None else _factor_stacks(factors, X, eps, j)
-    G = _cs_derivative(fn, Xs, mult, j, stacks)
+    G = _cs_derivative(fn, Xs, mult, j, groups)
     sub = ((G[:s] - G[s:]) / (2.0 * eps)[:, None, None]).transpose(1, 2, 0)
     blocks = np.zeros(X.shape[:-1] + (d, d))
     blocks[:, j[:, None], j] = 0.5 * (sub + np.swapaxes(sub, 1, 2))
@@ -522,30 +558,44 @@ def _symmetrise_blocks(H: np.ndarray, idx: np.ndarray) -> None:
 
 
 class _PointMemo:
-    """What one term derived at its last point.
+    """What one term derived at its last point, and at its last stack.
 
     `derive` maps an item name to its function of the term's local-variable
     array; an item is computed on first use and kept until the point
     changes.  The key is the bytes of that array, so equal values rebuilt
     from a new decision vector hit and a vector changed in place misses.
-    One point's array is (rows, d); a stack of them (K, rows, d) is
-    computed and returned without touching the kept point.
+    One point's array is (rows, d).  A stack of them (K, rows, d) is
+    computed and kept apart from the point, with each row's bytes: a point
+    whose bytes equal a row of the last stack takes that row of the stack's
+    items, which `NlpProblem`'s stacked contract makes the point's own.
     """
 
     def __init__(self, **derive: Callable):
         self._derive = derive
         self._key = None
         self._items: dict = {}
+        self._rows: dict = {}   # row bytes -> row of the last stack
+        self._stacked = None    # (name, item) of the last stack
 
     def get(self, X: np.ndarray, name: str):
         if X.ndim > 2:
-            return self._derive[name](X)
+            item = self._derive[name](X)
+            self._rows = {x.tobytes(): k for k, x in enumerate(X)}
+            self._stacked = name, item
+            return item
         key = X.tobytes()
         if key != self._key:
-            self._key, self._items = key, {}
+            k = self._rows.get(key)
+            self._key = key
+            self._items = {} if k is None else {self._stacked[0]: _row(self._stacked[1], k)}
         if name not in self._items:
             self._items[name] = self._derive[name](X)
         return self._items[name]
+
+
+def _row(item, k: int):
+    """Row k of a stacked item: of an array, or of each array of a tuple."""
+    return tuple(part[k] for part in item) if isinstance(item, tuple) else item[k]
 
 
 class _Term(NamedTuple):
@@ -563,14 +613,20 @@ class _Term(NamedTuple):
 # closures that held the transcription itself would make it a reference
 # cycle, which outlives its problem until a garbage-collector pass.
 
-def _level_factors(params: noise.EngineNoiseParams, atm: Atmosphere) -> _Factors:
-    """The single-column factors of the level kernel at node states
-    (..., 6): `path_trig` of gamma and chi where the directivity reads
-    them (velocity_vector mode), then `air_at` of h."""
+def _level_groups(params: noise.EngineNoiseParams, atm: Atmosphere, obs) -> tuple:
+    """The column groups of the level kernel at node states (..., 6):
+    sin/cos gamma and sin/cos chi where the directivity reads them
+    (velocity_vector mode), then the (V, h) part `noise.speed_height_terms`
+    and the (x, y, h) part `noise.range_terms`, in the kernel's order."""
+    groups = (
+        _Group((IV, IH), lambda X: noise.speed_height_terms(
+            X[..., IV], *air_at(X[..., IH], atm), params, atm)),
+        _Group((IX, IY, IH), lambda X: noise.range_terms(
+            noise.slant_range_arrays(X[..., IX], X[..., IY], X[..., IH], obs))),
+    )
     if params.directivity_mode != "velocity_vector":
-        return _Factors((IH, IH), lambda X: air_at(X[..., IH], atm))
-    return _Factors((IGAMMA, IGAMMA, ICHI, ICHI, IH, IH),
-                    lambda X: path_trig(X[..., IGAMMA], X[..., ICHI]) + air_at(X[..., IH], atm))
+        return groups
+    return (_trig_group(IGAMMA), _trig_group(ICHI)) + groups
 
 
 def _leq_term(tr: "_Transcription", obs) -> _Term:
@@ -578,13 +634,15 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
     params, atm, weights, duration = tr.params, tr.atm, tr.weights, tr.grid.duration
     idx = tr.node_idx
     n_state = idx.size
-    factors = _level_factors(params, atm)
+    groups = _level_groups(params, atm, obs)
 
-    def levels(X, factors=()):
-        # factors: path_trig's four arrays (velocity_vector mode), then air_at's two
+    def levels(X, groups=None):
+        # groups: sin/cos gamma and chi (velocity_vector mode), then the
+        # (V, h) part's five arrays and the (x, y, h) part's two
+        path, parts = (groups[:-7] or None, (groups[-7:-2], groups[-2:])) if groups \
+            else (None, None)
         return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3],
-                                   X[..., 4], X[..., 5], obs, params, atm,
-                                   factors[:-2] or None, factors[-2:] or None)
+                                   X[..., 4], X[..., 5], obs, params, atm, path, parts)
 
     def leq_and_node_weights(Z):
         energy = 10.0 ** (0.1 * levels(Z))
@@ -595,7 +653,7 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
     memo = _PointMemo(leq=leq_and_node_weights,
                       dlev=lambda Z: _cs_derivative(levels, Z),
                       blocks=lambda Z: _cs_hessian_blocks(levels, Z, STATE_SCALE,
-                                                          factors=factors))
+                                                          groups=groups))
 
     def gradient(grad, Z, U):
         _, p = memo.get(Z, "leq")
@@ -739,22 +797,22 @@ class _Transcription:
 
     # ----- equalities -------------------------------------------------
 
-    def _step(self, X, factors=()):
+    def _step(self, X, groups=None):
         """Phi(z_k, u_k) of every interval from its local variables (..., N, 9).
 
-        `factors`, when given, are the first stage's `_step_factors` at X."""
-        trig, path, air = (factors[:4], factors[4:8], factors[8:]) if factors else (None,) * 3
+        `groups`, when given, are the arrays of `_step_groups` at X: the
+        control trigonometry of both stages, and the first stage's state
+        trigonometry and air."""
+        trig, path, air = (groups[:4], groups[4:8], groups[8:]) if groups else (None,) * 3
         return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model, self.atm,
                               trig, path, air)
 
-    def _step_factors(self) -> _Factors:
-        """The single-column factors of `_step`: `control_trig` of alpha and
-        mu, `path_trig` of gamma and chi and `air_at` of h."""
+    def _step_groups(self) -> tuple:
+        """The single-column groups of `_step`: sin/cos of alpha, mu, gamma
+        and chi, and `air_at` of h, in the order `_step` reads them."""
         atm = self.atm
-        return _Factors(
-            (6 + IALPHA,) * 2 + (6 + IMU,) * 2 + (IGAMMA,) * 2 + (ICHI,) * 2 + (IH,) * 2,
-            lambda X: (control_trig(X[..., 6 + IALPHA], X[..., 6 + IMU])
-                       + path_trig(X[..., IGAMMA], X[..., ICHI]) + air_at(X[..., IH], atm)))
+        return (_trig_group(6 + IALPHA), _trig_group(6 + IMU), _trig_group(IGAMMA),
+                _trig_group(ICHI), _Group((IH,), lambda X: air_at(X[..., IH], atm)))
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
@@ -885,7 +943,7 @@ class _Transcription:
         # the defect blocks come first, so the step stencil's complex
         # working set is freed before H is allocated
         defect = (_cs_hessian_blocks(self._step, np.hstack([Z[:-1], U]), _INTERVAL_SCALE,
-                                     mu, _STEP_NONLINEAR, self._step_factors())
+                                     mu, _STEP_NONLINEAR, self._step_groups())
                   if np.any(mu) else None)
         H = np.zeros((self.layout.n_vars, self.layout.n_vars))
         weighted = [(self.objective_term, sigma_f)] + [

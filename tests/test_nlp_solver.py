@@ -506,10 +506,12 @@ class TestBatchedLineSearch:
         assert y_trial.tobytes() == reference[1].tobytes()
 
     def test_accepted_trial_in_the_second_batch(self):
+        # along -10 g the search accepts alpha = 2**-9; this direction is
+        # 2**7 times longer, so it accepts index 16, the second batch's first
         batched, reference, trials = self.search(
-            circle_problem(), [2.0, 1.0], lambda g: -10.0 * g, np.array([0.3]))
+            circle_problem(), [2.0, 1.0], lambda g: -1280.0 * g, np.array([0.3]))
         self.assert_same(batched, reference)
-        assert batched[0] == 0.5 ** 9
+        assert batched[0] == 0.5 ** 16 == 0.5 ** _TRIAL_BATCH
         assert trials == {"batches": 2, "points": 2 * _TRIAL_BATCH}
 
     def test_batch_with_a_point_outside_the_domain(self):

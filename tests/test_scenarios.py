@@ -2,8 +2,15 @@
 an independent KKT recheck on a freshly assembled problem, and byte-stable
 CLI output; and the wall time of a solve through the continuation ladder."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import noisedescent
 from noisedescent import cli, scenarios
 from noisedescent.nlp_solver import SolverOptions, kkt_residuals
 from noisedescent.noise import Observer
@@ -20,7 +27,7 @@ REFERENCE = {"noise": 46.46725601748521, "fuel": 190.87551245699288}
 ITERATIONS = {"noise": (400, 8), "fuel": (650, 13)}
 # (trial_points, trial_batches) of the line search, also the same at one
 # and two BLAS threads: the fuel solve takes the one-at-a-time fallback
-TRIALS = {"noise": (5120, 640), "fuel": (10591, 1330)}
+TRIALS = {"noise": (7024, 439), "fuel": (13151, 855)}
 
 
 def reference_scenario(variant):
@@ -42,6 +49,42 @@ def test_reference_variant_is_certified(variant):
                               rep.ineq_multipliers)
     assert feas <= opts.feasibility_tol
     assert opt <= opts.optimality_tol
+
+
+# sha256 prefixes of the certified w's bytes with one BLAS thread
+HASHES = {"noise": "c50eb413eb432068", "fuel": "941a6a677ed9d56e"}
+HASH_PROBE = """
+import hashlib, json
+from noisedescent.noise import Observer
+from noisedescent.nlp_solver import SolverOptions
+from noisedescent.scenarios import default_scenario, solve_variant
+hashes = {}
+for variant in %r:
+    scn = default_scenario(n_intervals=12, observers=(Observer(0.0, 0.0),), variant=variant)
+    hashes[variant] = hashlib.sha256(solve_variant(scn, SolverOptions()).w.tobytes()).hexdigest()
+print(json.dumps(hashes))
+"""
+
+
+def test_reference_solves_keep_their_bits():
+    """The reference `noise` and `fuel` solves at N=12 end on the same bytes.
+
+    The AL solve certifies from few starts (ROADMAP item 3), so a change
+    meant to keep results keeps them bit for bit, and this checks it: a
+    child process with one BLAS thread, whose bits do not depend on the
+    machine's cores, solves both and hashes w.  It goes when ROADMAP item 3
+    (a solver that certifies from perturbed starts) or item 12 (golden
+    trajectories rechecked by the certificate) lands.
+    """
+    src = str(Path(noisedescent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    out = subprocess.run([sys.executable, "-c", HASH_PROBE % (tuple(HASHES),)],
+                         capture_output=True, text=True, env=env, timeout=600, check=True)
+    hashes = json.loads(out.stdout.splitlines()[-1])
+    assert {variant: h[:16] for variant, h in hashes.items()} == HASHES
 
 
 def column(path, name):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisedescent import flight_dynamics, nlp_solver, noise, transcription
-from noisedescent.errors import DomainError
+from noisedescent.errors import DomainError, NoiseTermError
 from noisedescent.flight_dynamics import IH, IX, IY, AircraftModel
 from noisedescent.noise import Observer
 from noisedescent.scenarios import VARIANTS, default_scenario, initial_guess
@@ -575,6 +575,49 @@ class TestMemo:
         w[:] = w2
         assert self.outputs(prob, w, eqm, inm, convex_first=True) == fresh(w2)
 
+    @pytest.mark.parametrize("variant", ["noise", "minimax"])
+    def test_a_point_of_the_last_stack_takes_its_row(self, variant, monkeypatch):
+        # after a stacked call the value at one of its rows comes from the
+        # stack: the gradient there runs the level kernel once, for its own
+        # stencil, and returns the bytes a fresh problem returns
+        scn, prob = variant_problem(variant)
+        rng = np.random.default_rng(12)
+        w0 = initial_guess(scn)
+        W = np.array([random_feasible_point(prob, w0, rng) for _ in range(4)])
+        zero = scn.layout().state_index(3, IY)
+        W[1, zero] = 0.0
+        stacked = prob.objective(W) if variant == "noise" else prob.inequalities(W)
+        calls = count_kernel_calls(monkeypatch)
+
+        def gradient(w):
+            return prob.objective_gradient(w) if variant == "noise" \
+                else prob.inequalities_jacobian(w)
+
+        def fresh(w):
+            other = variant_problem(variant)[1]
+            return (other.objective_gradient(w) if variant == "noise"
+                    else other.inequalities_jacobian(w)).tobytes()
+
+        n_terms = len(scn.observers) if variant == "minimax" else 1
+        row = W[2].copy()
+        expected = fresh(row)
+        calls.clear()
+        assert gradient(row).tobytes() == expected
+        assert calls == ["levels_arrays"] * n_terms
+        value = prob.objective(row) if variant == "noise" else prob.inequalities(row)
+        assert np.asarray(value).tobytes() == np.asarray(stacked[2]).tobytes()
+        assert calls == ["levels_arrays"] * n_terms
+        # a point in no row is derived afresh: the value, then the gradient
+        # stencil, per term; so is one that differs from a row only in the
+        # sign of a zero
+        signed = W[1].copy()
+        signed[zero] = -0.0
+        for w in (random_feasible_point(prob, w0, rng), signed):
+            expected = fresh(w)
+            calls.clear()
+            assert gradient(w).tobytes() == expected
+            assert calls == ["levels_arrays"] * (2 * n_terms)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_hessian_is_a_new_array_on_every_call(self, variant):
         # the solver scales the Hessian in place, so a memo that handed out
@@ -626,10 +669,12 @@ class TestAssemblyMemory:
     initial guess.  The Hessians' are multiples of the 6.57 MB array each
     call returns: an assembly that makes a full-size copy to symmetrise
     and to apply the rank-one Leq update peaks at 2.35 (exact) and 2.01
-    (convexified), this one at 1.53 and 1.03, and the bounds sit between.
+    (convexified), this one at 1.42 and 1.03, and the bounds sit between.
     The exact Hessian differences the step map before it allocates its
     result, so the defect kernel's complex working set does not add to
-    it; allocated first, the result peaked at 1.91.  `kkt_residuals`
+    it; allocated first, the result peaked at 1.91.  The stencils gather
+    their column groups where the kernel reads them; gathered up front
+    for the whole stack, the exact Hessian peaked at 1.53.  `kkt_residuals`
     builds no Jacobian: it sums J^T lam from the defect blocks and peaks
     near 0.6 MB, where the 1213x906 stacked Jacobian alone is 8.79 MB
     (13.4 MB peak).
@@ -817,16 +862,20 @@ def count_kernel_calls(monkeypatch) -> list:
 
 
 class TestFactorReuse:
-    """The exact Hessian's step-map and Leq stencils compute their
-    single-column factors (control and state trigonometry, density and
-    speed of sound) once per distinct input and gather them into the
-    stack; their blocks must have the bits of a per-copy evaluation, in
-    which the kernels compute their own factors.  At N=12 the stacks run
-    whole; at N=100 and 167 they split, with the factors split alongside.
+    """The exact Hessian's step-map and Leq stencils evaluate their kernels'
+    column groups once per distinct input and gather them where the kernel
+    reads them: sin/cos of single columns and the air at h (step map), and
+    the level's (V, h) and (x, y, h) parts (Leq term).  Their blocks must
+    have the bits of a per-copy evaluation, in which the kernels compute
+    everything themselves.  At N=12 the stacks run whole; at N=100 and 167
+    they split, with the gather indexes split alongside; at N=226 the step
+    stencil runs whole again (TestSplitStencil) and the Leq stencil splits,
+    at the last N where its per-copy column temporaries stay below numpy's
+    elision size.
     """
 
     @pytest.mark.parametrize("mode", ["velocity_vector", "track_axis"])
-    @pytest.mark.parametrize("n", [12, 100, 167])
+    @pytest.mark.parametrize("n", [12, 100, 167, 226])
     def test_blocks_have_the_bits_of_a_per_copy_evaluation(self, n, mode, monkeypatch):
         scn = small_scenario(n=n, engine=noise.EngineNoiseParams(directivity_mode=mode))
         prob = assemble(scn)
@@ -836,29 +885,65 @@ class TestFactorReuse:
         seen = []
 
         def counted(fn, calls):
-            def kernel(X, *factors):
+            def kernel(X, *groups):
                 calls.append(X.shape)
-                return fn(X, *factors)
+                return fn(X, *groups)
             return kernel
 
-        def both(fn, X, scale, mult=None, along=None, factors=None):
-            reused_calls, per_copy_calls = [], []
-            reused = stencil(counted(fn, reused_calls), X, scale, mult, along, factors)
+        def both(fn, X, scale, mult=None, along=None, groups=()):
+            grouped_calls, per_copy_calls = [], []
+            grouped = stencil(counted(fn, grouped_calls), X, scale, mult, along, groups)
             per_copy = stencil(counted(fn, per_copy_calls), X, scale, mult, along)
-            seen.append((factors is not None, len(reused_calls), len(per_copy_calls),
-                         reused.tobytes() == per_copy.tobytes()))
-            return reused
+            seen.append((bool(groups), len(grouped_calls), len(per_copy_calls),
+                         grouped.tobytes() == per_copy.tobytes()))
+            return grouped
 
         monkeypatch.setattr(transcription, "_cs_hessian_blocks", both)
         prob.lagrangian_hessian(w, 1.0, rng.normal(size=prob.n_eq), np.zeros(prob.n_ineq))
-        pieces = 1 if n == 12 else 2
         # the step map's stencil, then the Leq term's
-        assert seen == [(True, pieces, pieces, True)] * 2
+        step_pieces, level_pieces = 2 if n in (100, 167) else 1, 1 if n == 12 else 2
+        assert seen == [(True, step_pieces, step_pieces, True),
+                        (True, level_pieces, level_pieces, True)]
+
+    @pytest.mark.parametrize("mode", ["velocity_vector", "track_axis"])
+    def test_a_nonpositive_log_argument_raises_the_per_copy_error(self, mode):
+        # Level flight towards the observer at Mach 1 - 5e-7 over cos(theta)
+        # at node 7: the motion term's argument 1 - M cos(theta) is positive
+        # at the point and in every copy but those whose airspeed is shifted
+        # up, where the (V, h) part's flight Mach number makes it negative
+        scn = small_scenario(engine=noise.EngineNoiseParams(
+            v1=2000.0, v2=250.0, directivity_mode=mode))
+        layout, obs = scn.layout(), scn.observers[0]
+        Z, U, _ = layout.unpack(initial_guess(scn))
+        Z[:, 1:3] = 0.0
+        Z[:, IX] = obs.x - 1e5 + 1e3 * np.arange(Z.shape[0])
+        Z[:, IY] = obs.y
+        Z[:, IH] = 10.0
+        cos_theta = noise.directivity_cos_arrays(*Z[7], obs, scn.engine)
+        Z[7, 0] = (1.0 - 5e-7) * flight_dynamics.air_at(10.0)[1] / cos_theta
+        w = layout.pack(Z, U)
+        stencil = transcription._cs_hessian_blocks
+
+        def per_copy(fn, X, scale, mult=None, along=None, groups=()):
+            return stencil(fn, X, scale, mult, along)
+
+        errors = []
+        for blocks in (stencil, per_copy):
+            prob = assemble(scn)
+            prob.objective_gradient(w)  # the point itself is in the domain
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(transcription, "_cs_hessian_blocks", blocks)
+                with pytest.raises(NoiseTermError) as raised:
+                    prob.lagrangian_hessian(w, 1.0, np.zeros(prob.n_eq), np.zeros(prob.n_ineq))
+            errors.append(str(raised.value))
+        assert errors == ["motion: nonpositive log argument at node 7"] * 2
 
 
 class TestStackedPoints:
     """The value callbacks take a stack of points: row k has the bits of the
-    one-point call at point k, and the one-point memos are left as they were."""
+    one-point call at point k, and the one-point memos are left as they
+    were.  Each term keeps its last stack, so a one-point call at one of its
+    rows takes that row's values and reaches no kernel."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_stack_matches_point_by_point_calls(self, variant, monkeypatch):
@@ -879,6 +964,12 @@ class TestStackedPoints:
             one_by_one = np.array([callback(w) for w in W])
             assert values.shape == one_by_one.shape
             assert values.tobytes() == one_by_one.tobytes()
+        assert calls == []
+        # and a fresh problem, which derives every point, gives the same bits
+        fresh = variant_problem(variant)[1]
+        for callback, values in zip((fresh.objective, fresh.equalities, fresh.inequalities),
+                                    stacked):
+            assert values.tobytes() == np.array([callback(w) for w in W]).tobytes()
         assert calls
 
 
