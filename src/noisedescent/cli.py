@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -229,8 +228,7 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
 
     The reference is one fuel solve scored at every position; each row
     carries the status of its noise solve and of the reference.  With
-    `jobs` > 1 the noise solves run in that many worker processes, each
-    pinned to its share of the CPUs (`_pin_worker`).
+    `jobs` > 1 the noise solves run in that many worker processes.
     """
     observers = tuple(Observer(x, y) for x, y in observers or SWEEP_OBSERVERS)
     fuel = run_solve(dataclasses.replace(scn, variant="fuel", observers=observers),
@@ -239,12 +237,9 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
               [opts] * len(observers),
               [out_dir / f"obs_{i:03d}" for i in range(len(observers))])
     if jobs > 1:
-        # imported here: they load `logging` too, which no other run needs
+        # imported here: it loads `logging` too, which no other run needs
         import concurrent.futures
-        import multiprocessing
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_pin_worker,
-                initargs=(multiprocessing.Value("i", 0), jobs)) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(run_solve, *solves))
     else:
         reports = list(map(run_solve, *solves))
@@ -274,26 +269,6 @@ def run_sweep(scn: Scenario, opts: SolverOptions, out_dir: Path,
     _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
     _atomic_write(out_dir / "summary.json", _json_text(rows))
     return rows
-
-
-def _pin_worker(started, jobs: int) -> None:
-    """Pin a new sweep worker to its share of the CPUs this process may use.
-
-    `started` counts the workers started so far.  With m the lesser of
-    `jobs` and the CPU count, the k-th worker takes every m-th CPU from the
-    (k mod m)-th on, so workers share CPUs only when there are more of them
-    than CPUs.  A worker alone on one CPU runs its stencils in one piece
-    (`transcription._run_stack`), instead of starting threads that contend
-    with the other workers for the same cores.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    with started.get_lock():
-        k = started.value
-        started.value += 1
-    cpus = sorted(os.sched_getaffinity(0))
-    m = min(jobs, len(cpus))
-    os.sched_setaffinity(0, cpus[k % m::m])
 
 
 def run_evaluate(scn: Scenario, controls_csv: Path, out_dir: Path) -> dict:

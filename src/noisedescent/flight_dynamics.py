@@ -30,6 +30,7 @@ layer uses to build machine-precision Jacobians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,9 @@ class Atmosphere:
 
     def __post_init__(self):
         for name in ("rho_isa", "c_isa", "lapse", "exponent"):
-            if getattr(self, name) <= 0:
-                raise SettingError(f"atmosphere parameter {name} must be strictly positive", name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise SettingError(
+                    f"atmosphere parameter {name} must be finite and strictly positive", name)
 
     @property
     def max_height(self) -> float:
@@ -111,8 +113,9 @@ class AircraftModel:
 
     def __post_init__(self):
         for name in ("mass", "S", "Cz_alpha", "Cx0", "k_i", "T0", "C_SR", "g", "rho0"):
-            if getattr(self, name) <= 0:
-                raise SettingError(f"aircraft parameter {name} must be strictly positive", name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise SettingError(
+                    f"aircraft parameter {name} must be finite and strictly positive", name)
 
 
 def air_density(h, atm: Atmosphere = ISA):

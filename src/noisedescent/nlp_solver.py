@@ -249,8 +249,8 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("feasibility_tol", "optimality_tol"):
-            if not getattr(self, name) > 0:
-                raise SettingError(f"{name} must be strictly positive", name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise SettingError(f"{name} must be finite and strictly positive", name)
         for name in ("max_outer", "inner_maxiter"):
             if not getattr(self, name) >= 1:
                 raise SettingError(f"{name} must be at least 1", name)

@@ -94,19 +94,24 @@ class EngineNoiseParams:
     track_axis: tuple[float, float] = (1.0, 0.0)  # horizontal axis for track_axis mode
 
     def __post_init__(self):
+        for name in ("v1", "v2", "me", "temp_term_coeff"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SettingError(f"engine noise parameter {name} must be finite", name)
         if not (self.v1 > self.v2 >= 0.0):
             raise SettingError("jet speeds must satisfy v1 > v2 >= 0", "v1", "v2")
         for name in ("s1", "s2", "tau1", "tau2", "rho1", "d"):
-            if getattr(self, name) <= 0:
-                raise SettingError(f"engine noise parameter {name} must be strictly positive",
-                                   name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise SettingError(
+                    f"engine noise parameter {name} must be finite and strictly positive", name)
         if self.me is None:
             object.__setattr__(self, "me", 1.1 * math.sqrt(self.s2 / self.s1))
         if self.directivity_mode not in ("velocity_vector", "track_axis"):
             raise ValueError(f"unknown directivity mode {self.directivity_mode!r}")
         ax, ay = self.track_axis
-        if math.hypot(ax, ay) <= 0:
-            raise SettingError("track_axis must be a nonzero horizontal vector", "track_axis")
+        if not 0 < math.hypot(ax, ay) < math.inf:
+            raise SettingError("track_axis must be a finite nonzero horizontal vector",
+                               "track_axis")
 
 
 @dataclass(frozen=True)

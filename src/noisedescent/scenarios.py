@@ -208,6 +208,8 @@ def initial_guess(scn: Scenario) -> np.ndarray:
 
 _COARSEST_GRID = 12     # starting resolution of the continuation ladder
 _CONTINUATION_TOL = 1e-4  # relaxed tolerances on intermediate grids
+# SolveReport counts that `_solve_problem` sums over the ladder's rungs
+_LADDER_TOTALS = ("iterations", "outer_iterations", "trial_points", "trial_batches")
 
 
 def _refine_vector(w, coarse_tr: transcription._Transcription,
@@ -275,7 +277,8 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
     assembled and solved with relaxed tolerances, and its solution and
     multipliers, refined, warm-start the next rung; the last rung is
     `problem`.  The returned report is the last rung's, except that its
-    `wall_time` covers every rung.
+    `wall_time` and its iteration and trial counts (`_LADDER_TOTALS`)
+    cover every rung.
     """
     t_start = time.perf_counter()
     tr = problem.meta["transcription"]
@@ -284,6 +287,7 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
         opts, feasibility_tol=max(opts.feasibility_tol, _CONTINUATION_TOL),
         optimality_tol=max(opts.optimality_tol, _CONTINUATION_TOL))
     w = report = prev_tr = None
+    totals = dict.fromkeys(_LADDER_TOTALS, 0)
     ladder = _continuation_grids(tr.grid.n_intervals)
     for n_level in ladder:
         if n_level == ladder[-1]:
@@ -306,8 +310,10 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
                                  opts.initial_penalty, 1e3))
         w, report = solve(prob, w_start, dataclasses.replace(level_opts, initial_penalty=rho0),
                           warm_eq_multipliers=warm[0], warm_ineq_multipliers=warm[1])
+        for name in totals:
+            totals[name] += getattr(report, name)
         prev_tr = level_tr
-    return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start)
+    return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start, **totals)
 
 
 def _result_from_solution(problem: NlpProblem, w: np.ndarray,

@@ -33,23 +33,6 @@ and their Hessian rows and columns are exact zeros.  The same defect
 blocks give J^T lam block by block (`jacobian_transpose_product`), so
 the KKT certificate costs O(N) and builds no dense Jacobian.
 
-Every stencil runs its kernel through `_run_stack`.  A stack of at least
-_SPLIT_VALUES complex values (the exact Hessian's step stencil from N=38
-on, 98 step maps per interval) has its leading axes flattened and split
-in two contiguous halves; the second half runs on a thread started for
-the call and joined before it returns, since numpy's loops release the
-GIL on arrays of this size.  No thread is started where the process may
-use only one CPU, but the halves are the same, so the bits never depend
-on the machine.  Reshaping or slicing a complex stack can change
-derivative bits: numpy elides a chained temporary of 256 KiB or more
-(16384 complex values) by computing in place, and an elided complex
-product may round differently, as may a contiguous against a strided
-one.  So the halves are contiguous slices with the strides of the whole,
-and a stack splits only if its column temporaries (its size over its
-last axis: 98*N values for the step stencil, 72*(N+1) for the level
-stencil) and a half's lie on the same side of 16384.  The step stencil
-therefore runs whole for 168 <= N <= 334.
-
 The exact Hessian's two stencils, the step map's and the Leq term's,
 evaluate their kernel's column groups once per distinct input (`_Group`).
 A group is a set S of local variables and the arrays the kernel reads
@@ -58,12 +41,12 @@ that depend on S alone.  In each row of the stencil, S takes
 72 for the Leq term): 6 for one column, 15 for two, 28 for three.  Each
 group runs on one representative copy per distinct input, taken in copy
 order from the stencil's own complex stack (`_group_index`), and travels
-to the kernel as those values and a cached gather index, which
-`_run_stack` splits with the stack; the kernel gathers where it reads
-(`_Gathered`), so no gathered stack outlives the kernel call that reads
-it.  The step map's groups are single columns: sin/cos of alpha, mu,
-gamma and chi, and the density and speed of sound at h (`_step_groups`;
-the control trigonometry serves both Heun stages, the rest the first).
+to the kernel as those values and a cached gather index; the kernel
+gathers where it reads (`_Gathered`), so no gathered stack outlives the
+kernel call that reads it.  The step map's groups are single columns:
+sin/cos of alpha, mu, gamma and chi, and the density and speed of sound
+at h (`_step_groups`; the control trigonometry serves both Heun stages,
+the rest the first).
 The Leq term's are sin/cos of gamma and chi (velocity_vector mode only),
 the level's (V, h) part and its (x, y, h) part (`_level_groups`,
 `noise.levels_arrays`).  Every other caller, the overhead-bound
@@ -103,9 +86,6 @@ that mirrors the same bounds.  The last node reuses control N-1.
 from __future__ import annotations
 
 import functools
-import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -146,18 +126,6 @@ _STEP_NONLINEAR = np.array([IV, IGAMMA, ICHI, IH, 6 + IALPHA, 6 + IDELTA_X, 6 + 
 _INTERVAL_SCALE = np.concatenate([STATE_SCALE, CONTROL_SCALE])
 
 _RANK_ONE_ROWS = 32  # rows per block of the Leq term's rank-one Hessian update
-
-# A complex-step stack of at least _SPLIT_VALUES values runs in two pieces:
-# on two cores the split loses below ~18000 values and saves 16-44% from
-# ~35000 (table in ROADMAP item 4).  numpy elides a temporary of at least
-# _ELIDE_VALUES complex128 values (256 KiB): this mirrors numpy's private
-# NPY_MIN_ELIDE_BYTES of numpy 2.x, and whether elision runs at all depends
-# on the numpy build.  The guard is in tests/test_transcription.py:
-# test_numpy_elides_where_the_split_rule_assumes fails if the numpy in use
-# elides at another size, and the N=167 and N=168 byte-equality cases of
-# TestSplitStencil fail if the rule is off.
-_SPLIT_VALUES = 32768
-_ELIDE_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -358,15 +326,14 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     `fn` maps an (..., M, d) array, one row of local variables per node or
     interval, to (..., M) values or (..., M, r) vectors, where output row k
     depends on input row k only.  The perturbations are stacked on a new
-    leading axis, so `fn` runs once on all of them (a large stack in two
-    pieces, `_run_stack`, each of which also takes its imaginary parts and
-    contracts them).  Returns d(fn)/dX with
-    the variable index last: (..., M, d) or (..., M, r, d).  With `mult` of
-    shape (M, r) the r outputs are first contracted against it, giving
-    d(mult . fn)/dX of shape (..., M, d); the contraction acts on the
-    imaginary parts before the division by the step.  `along` restricts
-    the derivative to those local variables, and the variable axis then
-    has len(along) entries in that order.  `groups`, when given, are
+    leading axis, so `fn` runs once on all of them, in one call on the
+    calling thread.  Returns d(fn)/dX with the variable index last:
+    (..., M, d) or (..., M, r, d).  With `mult` of shape (M, r) the r
+    outputs are first contracted against it, giving d(mult . fn)/dX of
+    shape (..., M, d); the contraction acts on the imaginary parts before
+    the division by the step.  `along` restricts the derivative to those
+    local variables, and the variable axis then has len(along) entries in
+    that order.  `groups`, when given, are
     column groups of `fn` (`_Group`) and X is `_cs_hessian_blocks`' stack
     of shifted copies: each group is evaluated on one copy per distinct
     input (`_group_index`), and `fn` takes their arrays, as a `_Gathered`,
@@ -382,68 +349,10 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
         values += arrays
         index += [index_g] * len(arrays)
 
-    def imaginary_parts(Xp, *index_p):
-        F = (fn(Xp, _Gathered(values, index_p)) if groups else fn(Xp)).imag
-        return F if mult is None else np.sum(mult * F, axis=-1)
-    D = _run_stack(imaginary_parts, Xc, *index)
+    F = (fn(Xc, _Gathered(values, index)) if groups else fn(Xc)).imag
+    D = F if mult is None else np.sum(mult * F, axis=-1)
     # the perturbation axis last: a view, as np.moveaxis(D, 0, -1) gives
     return D.transpose(*range(1, D.ndim), 0) / _CS
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_stack(fn, Xc: np.ndarray, *extra: np.ndarray) -> np.ndarray:
-    """fn(Xc, *extra) of a contiguous complex stack (..., M, d), large ones in two pieces.
-
-    `extra` are arrays with the stack's leading axes, one entry per copy
-    (a group's gather index), split with it.  A stack of at least
-    _SPLIT_VALUES values has its leading axes flattened and split in two
-    contiguous halves, if its column temporaries (..., M) and a half's
-    fall on the same side of _ELIDE_VALUES; the results are concatenated
-    in order.  The second half
-    runs on a thread of its own when this process may use more than one
-    CPU, and after the first otherwise, so the bits never depend on the
-    machine.  If either half raises, the whole stack is evaluated once
-    more, unsplit, and that call raises.  So `fn` must be safe to run on
-    two threads at once, as the pure kernels and their callers' closures
-    are; a wrapper put around a kernel's module-level name (a profiler's,
-    say) is called from both threads too.  `run_sweep` pins each worker
-    process to its share of the CPUs, so two workers on two CPUs run
-    their stacks unsplit.
-    """
-    lead, m = Xc.shape[:-2], Xc.shape[-2]
-    rows = math.prod(lead)
-    half = rows // 2
-    if Xc.size < _SPLIT_VALUES or (rows * m < _ELIDE_VALUES) != (half * m < _ELIDE_VALUES):
-        return fn(Xc, *extra)
-    flat = [Xc.reshape((rows,) + Xc.shape[-2:])] + [e.reshape(rows) for e in extra]
-    pieces = [[a[:half] for a in flat], [a[half:] for a in flat]]
-    parts = [None, None]
-
-    def run(i):
-        try:
-            parts[i] = fn(*pieces[i])
-        except Exception:
-            pass  # the unsplit evaluation below raises it again
-
-    if _cpus() > 1:
-        second = threading.Thread(target=run, args=(1,))
-        second.start()
-        try:
-            run(0)
-        finally:
-            second.join()
-    else:
-        run(0)
-        run(1)
-    if parts[0] is None or parts[1] is None:
-        return fn(Xc, *extra)
-    return np.concatenate(parts).reshape(lead + parts[0].shape[1:])
 
 
 class _Group(NamedTuple):

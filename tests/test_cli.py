@@ -10,8 +10,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -205,28 +203,6 @@ def test_evaluate_blames_the_controls_file_only_for_its_flight(tmp_path, monkeyp
     argv = ["evaluate", "--controls", str(controls_csv), "--out", str(tmp_path / "out")]
     with pytest.raises(ValueError, match="broken writer"):
         cli.main(argv)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-@pytest.mark.parametrize("jobs", [1, 2, 3, 64])
-def test_sweep_workers_take_disjoint_shares_of_the_cpus(jobs):
-    allowed = os.sched_getaffinity(0)
-    cpus = sorted(allowed)
-    m = min(jobs, len(cpus))
-    started = multiprocessing.Value("i", 0)
-    pinned = []
-    try:
-        for _ in range(jobs):
-            cli._pin_worker(started, jobs)
-            pinned.append(os.sched_getaffinity(0))
-            os.sched_setaffinity(0, allowed)
-    finally:
-        os.sched_setaffinity(0, allowed)
-    assert started.value == jobs
-    assert pinned == [set(cpus[k % m::m]) for k in range(jobs)]
-    # the first m workers split the CPUs between them
-    assert set().union(*pinned[:m]) == allowed
-    assert sum(map(len, pinned[:m])) == len(cpus)
 
 
 def test_evaluate_reads_its_controls_once(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ import pytest
 
 from noisedescent.cli import _scenario_echo
 from noisedescent.config import _SCHEMA, parse_config
-from noisedescent.errors import ConfigError
+from noisedescent.errors import ConfigError, SettingError
+from noisedescent.flight_dynamics import AircraftModel, Atmosphere
 from noisedescent.nlp_solver import SolverOptions
 from noisedescent.noise import EngineNoiseParams
 from noisedescent.scenarios import Scenario, default_scenario
@@ -77,20 +78,47 @@ def test_infinite_bound_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [("solver", "initial_penalty", "0"),
+                                                 ("solver", "feasibility_tol", "inf"),
+                                                 ("solver", "optimality_tol", "inf"),
                                                  ("aircraft", "mass", "-1"),
+                                                 ("aircraft", "mass", "inf"),
                                                  ("atmosphere", "lapse", "0"),
+                                                 ("atmosphere", "c_isa", "inf"),
                                                  ("engine_noise", "v2", "500"),
+                                                 ("engine_noise", "v1", "inf"),
+                                                 ("engine_noise", "me", "inf"),
+                                                 ("engine_noise", "d", "inf"),
+                                                 ("scenario", "track_axis", "inf,0"),
                                                  ("bounds", "V_min", "200"),
                                                  ("scenario", "stall_speed", "200")])
 def test_value_a_settings_class_rejects_reports_key_and_line(section, key, value, tmp_path):
-    # the parser takes each value; the class rejects it.  v2 breaks v1 > v2
-    # and V_min breaks V_min < V_max: of each pair the file sets only one.
-    # stall_speed sets the default V_min, 1.3 * 200 m/s, above V_max
+    # the parser takes each value, infinities included; the class rejects
+    # it.  v2 breaks v1 > v2 and V_min breaks V_min < V_max: of each pair
+    # the file sets only one.  stall_speed sets the default V_min,
+    # 1.3 * 200 m/s, above V_max.  track_axis needs its mode, set after it
     path = tmp_path / "run.ini"
-    path.write_text(f"# run\n[{section}]\n{key} = {value}\n")
+    mode = "directivity = track_axis\n" if key == "track_axis" else ""
+    path.write_text(f"# run\n[{section}]\n{key} = {value}\n{mode}")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert (err.value.key, err.value.line) == (key, 3)
+
+
+def test_settings_classes_reject_every_non_finite_value():
+    # every number a config file sets, under the key it is reported with
+    settings = [(cls, f.name) for cls in (AircraftModel, Atmosphere)
+                for f in dataclasses.fields(cls)]
+    settings += [(EngineNoiseParams, name) for name in (
+        "v1", "v2", "s1", "s2", "tau1", "tau2", "rho1", "d", "me", "temp_term_coeff",
+        "track_axis")]
+    settings += [(SolverOptions, name)
+                 for name in ("feasibility_tol", "optimality_tol", "initial_penalty")]
+    for cls, name in settings:
+        for bad in (math.inf, -math.inf, math.nan):
+            value = (bad, 0.0) if name == "track_axis" else bad
+            with pytest.raises(SettingError) as err:
+                cls(**{name: value})
+            assert err.value.keys == (name,)
 
 
 def test_rule_between_two_set_keys_names_the_last_one(tmp_path):

@@ -643,12 +643,12 @@ from noisedescent.transcription import assemble
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
                 or m in ("concurrent.futures", "logging"))
 threads = [threading.active_count()]
-# the N=100 exact Hessian runs its step stencil in two pieces
+# the N=100 exact Hessian, the largest complex-step stacks of a model build
 scn = default_scenario(n_intervals=100)
 big = assemble(scn)
 big.lagrangian_hessian(initial_guess(scn), 1.0, np.full(big.n_eq, 0.1), np.zeros(big.n_ineq))
 threads.append(threading.active_count())
-futures_after_split = "concurrent.futures" in sys.modules
+futures_after_hessian = "concurrent.futures" in sys.modules
 problem = NlpProblem(
     n_vars=1, objective=lambda w: (w[..., 0] - 3.0) ** 2,
     objective_gradient=lambda w: np.array([2.0 * (w[0] - 3.0)]),
@@ -657,7 +657,7 @@ problem = NlpProblem(
 w, report = solve(problem, np.array([0.5]))
 threads.append(threading.active_count())
 print(json.dumps([loaded, report.status, "scipy.linalg" in sys.modules, threads,
-                  futures_after_split]))
+                  futures_after_hessian]))
 """
 
 
@@ -665,16 +665,16 @@ def test_importing_the_package_loads_no_scipy():
     # SciPy loads on the first factorisation, not with the package; and
     # concurrent.futures, which loads logging, on a sweep's first worker
     # pool (scipy.linalg imports it too, so it is checked before the
-    # solve).  No thread runs after import, after a callback that split
-    # its stencil, or after a solve.
+    # solve).  No thread runs after import, after an N=100 exact Hessian,
+    # or after a solve.
     src = str(Path(nlp_solver.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
-    loaded, status, linalg_after_solve, threads, futures_after_split = json.loads(
+    loaded, status, linalg_after_solve, threads, futures_after_hessian = json.loads(
         out.stdout.splitlines()[-1])
     assert loaded == []
     assert status == "optimal"
     assert linalg_after_solve
     assert threads == [1, 1, 1]
-    assert not futures_after_split
+    assert not futures_after_hessian

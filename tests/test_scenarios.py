@@ -107,7 +107,8 @@ def test_solve_writes_byte_identical_trajectory(tmp_path):
 
 
 def test_ladder_wall_time_covers_every_rung(monkeypatch):
-    # N=25 climbs the ladder 13 -> 25: two solves
+    # N=25 climbs the ladder 13 -> 25: two solves, and the report's wall
+    # time covers both
     reports = []
 
     def recorded(*args, **kwargs):
@@ -120,3 +121,7 @@ def test_ladder_wall_time_covers_every_rung(monkeypatch):
     result = solve_variant(default_scenario(n_intervals=25), SolverOptions(max_outer=1))
     assert len(reports) == 2
     assert result.report.wall_time >= sum(report.wall_time for report in reports)
+    # and so do its iteration and trial counts
+    for name in ("iterations", "outer_iterations", "trial_points", "trial_batches"):
+        assert getattr(result.report, name) == sum(getattr(r, name) for r in reports)
+    assert reports[0].iterations > 0
