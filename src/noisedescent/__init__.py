@@ -22,8 +22,6 @@ from .flight_dynamics import (
     ISA,
     air_density,
     drag,
-    lift,
-    speed_of_sound,
     thrust,
 )
 from .noise import (

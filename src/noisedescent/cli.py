@@ -177,7 +177,6 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
         solver_overrides["optimality_tol"] = args.tol_opt
     if solver_overrides:
         opts = dataclasses.replace(opts, **solver_overrides)
-    scn.validate()
     if flag("jobs") is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if flag("controls") is not None and not args.controls.is_file():

@@ -10,6 +10,9 @@ Grammar:
   e.g. ``observers = 0,0; 20000,2500``.
 
 Unknown sections or keys are rejected with the offending line number.
+The number keys of a section are the number fields of its settings class
+(`[scenario]` names `n_intervals` N), and the `[bounds]` keys are
+``<component>_min`` and ``<component>_max`` of each path component.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError, SettingError
 from .flight_dynamics import AircraftModel, Atmosphere
-from .noise import EngineNoiseParams, Observer
+from .noise import DIRECTIVITY_MODES, EngineNoiseParams, Observer
 from .nlp_solver import SolverOptions
 from .scenarios import PATH_COMPONENTS, PathBounds, Scenario, VARIANTS
 
@@ -88,77 +91,61 @@ def _parse_choice(options):
     return parse
 
 
+# the parser of a number field, by its annotation (a string: the settings
+# modules defer the evaluation of annotations)
+_NUMBER_PARSERS = {"float": _parse_float, "Optional[float]": _parse_float, "int": _parse_int}
+
+
+def _number_keys(cls) -> dict:
+    """key -> parser of every number field of a settings class."""
+    return {f.name: _NUMBER_PARSERS[f.type] for f in dataclasses.fields(cls)
+            if f.type in _NUMBER_PARSERS}
+
+
 # section -> key -> parser
 _SCHEMA = {
     "scenario": {
-        "x0": _parse_float, "y0": _parse_float, "h0": _parse_float,
-        "V0": _parse_float, "xf": _parse_float, "yf": _parse_float,
-        "hf": _parse_float, "tf": _parse_float, "N": _parse_int,
+        **{"N" if name == "n_intervals" else name: parse
+           for name, parse in _number_keys(Scenario).items()},
         "variant": _parse_choice(VARIANTS),
-        "fuel_cap_factor": _parse_float,
-        "stall_speed": _parse_float,
         "observers": _parse_pairs,
-        "directivity": _parse_choice(("velocity_vector", "track_axis")),
+        "directivity": _parse_choice(DIRECTIVITY_MODES),
         "track_axis": _parse_pair,
     },
-    "aircraft": {
-        "mass": _parse_float, "S": _parse_float, "Cz_alpha": _parse_float,
-        "Cx0": _parse_float, "k_i": _parse_float, "T0": _parse_float,
-        "C_SR": _parse_float, "g": _parse_float, "rho0": _parse_float,
-    },
-    "engine_noise": {
-        "v1": _parse_float, "v2": _parse_float, "s1": _parse_float,
-        "s2": _parse_float, "tau1": _parse_float, "tau2": _parse_float,
-        "rho1": _parse_float, "d": _parse_float, "me": _parse_float,
-        "temp_term_coeff": _parse_float,
-    },
-    "atmosphere": {
-        "rho_isa": _parse_float, "c_isa": _parse_float,
-        "lapse": _parse_float, "exponent": _parse_float,
-    },
-    "bounds": {
-        "gamma_min": _parse_angle, "gamma_max": _parse_angle,
-        "V_min": _parse_float, "V_max": _parse_float,
-        "chi_min": _parse_angle, "chi_max": _parse_angle,
-        "alpha_min": _parse_angle, "alpha_max": _parse_angle,
-        "delta_x_min": _parse_float, "delta_x_max": _parse_float,
-        "mu_min": _parse_angle, "mu_max": _parse_angle,
-    },
-    "solver": {
-        "max_outer": _parse_int,
-        "inner_maxiter": _parse_int,
-        "feasibility_tol": _parse_float,
-        "optimality_tol": _parse_float,
-        "initial_penalty": _parse_float,
-    },
+    "aircraft": _number_keys(AircraftModel),
+    "engine_noise": _number_keys(EngineNoiseParams),
+    "atmosphere": _number_keys(Atmosphere),
+    # a speed and a throttle setting; the other path components are angles
+    "bounds": {f"{comp}_{end}": _parse_float if comp in ("V", "delta_x") else _parse_angle
+               for comp in PATH_COMPONENTS for end in ("min", "max")},
+    "solver": _number_keys(SolverOptions),
 }
 
 
 def read_sections(path: str | Path) -> dict[str, dict[str, tuple[str, int]]]:
     """Raw (value, line) table per section, schema-checked for unknown names."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current = None
+    section = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in _SCHEMA:
-                raise ConfigError(f"unknown section [{name}]", key=name, line=lineno)
-            current = sections.setdefault(name, {})
+            section = line[1:-1].strip()
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown section [{section}]", key=section, line=lineno)
+            sections.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        if current is None:
-            raise ConfigError("assignment before any [section] header", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        section_name = next(n for n, s in sections.items() if s is current)
-        if key not in _SCHEMA[section_name]:
-            raise ConfigError(f"unknown key in [{section_name}]", key=key, line=lineno)
-        if key in current:
-            raise ConfigError(f"duplicate key in [{section_name}]", key=key, line=lineno)
-        current[key] = (value, lineno)
+        if section is None:
+            raise ConfigError("assignment before any [section] header", key=key, line=lineno)
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key in [{section}]", key=key, line=lineno)
+        if key in sections[section]:
+            raise ConfigError(f"duplicate key in [{section}]", key=key, line=lineno)
+        sections[section][key] = (value, lineno)
     return sections
 
 
@@ -198,20 +185,23 @@ def _build(sections) -> tuple[Scenario, SolverOptions]:
         sc["n_intervals"] = sc.pop("N")
     if "observers" in sc:
         sc["observers"] = tuple(Observer(x, y) for x, y in sc["observers"])
-    # the file's keys over the Scenario defaults; the bounds and the track
-    # axis below default from the result
-    scenario = Scenario(aircraft=aircraft, atmosphere=atmosphere, **sc)
+
+    def setting(name):
+        """The file's value of a Scenario field, else the field's default."""
+        return sc.get(name, getattr(Scenario, name))
 
     if engine_kwargs.get("directivity_mode") == "track_axis":
         # default track axis: the straight route direction
         engine_kwargs["track_axis"] = (track if track is not None else
-                                       (scenario.xf - scenario.x0, scenario.yf - scenario.y0))
+                                       (setting("xf") - setting("x0"),
+                                        setting("yf") - setting("y0")))
     elif track is not None:
         raise ConfigError("track_axis is only meaningful with directivity = track_axis",
                           key="track_axis", line=sections["scenario"]["track_axis"][1])
+    engine = EngineNoiseParams(**engine_kwargs)
 
     b = _typed(sections, "bounds")
-    lower, upper = PathBounds.default_limits(scenario.stall_speed)
+    lower, upper = PathBounds.default_limits(setting("stall_speed"))
     for i, comp in enumerate(PATH_COMPONENTS):
         if f"{comp}_min" in b:
             lower[i] = b[f"{comp}_min"]
@@ -224,8 +214,7 @@ def _build(sections) -> tuple[Scenario, SolverOptions]:
             # the default speed floor is 1.3 * stall_speed
             raise SettingError(str(exc), *exc.keys, "stall_speed") from None
         raise
-    scenario = dataclasses.replace(scenario, bounds=bounds,
-                                   engine=EngineNoiseParams(**engine_kwargs))
-    scenario.validate()
+    scenario = Scenario(aircraft=aircraft, atmosphere=atmosphere, engine=engine,
+                        bounds=bounds, **sc)
     solver = SolverOptions(**_typed(sections, "solver"))
     return scenario, solver

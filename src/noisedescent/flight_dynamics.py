@@ -14,14 +14,14 @@ to end, several times faster than on 0-d arrays, with the same bits
 `np.float64` does, and `np.sin`/`np.cos` of a float run numpy's loop).
 
 The controls are constant over a Runge-Kutta step, so both stages of a
-step share one `control_trig(alpha, mu)`, passed to `rhs_arrays` as
-`trig`.  Next to it, `rhs_arrays` takes the state trigonometry
+step share one `control_trig(alpha, mu)`, passed to `rhs_arrays` as the
+keyword `trig`.  Next to it, `rhs_arrays` takes the state trigonometry
 `path_trig(gamma, chi)` as `path` and the density and speed of sound
 `air_at(h)` as `air`, each computed by the kernel itself when left out.
 Each of these factors is a function of one input column, so a caller
 whose stack repeats few distinct values of that column (a Hessian
-stencil) computes them once per distinct value and passes them in; the
-result has the bits of the kernel's own factors.
+stencil) computes them once per distinct value and passes them in by
+keyword; the result has the bits of the kernel's own factors.
 
 The routines are complex-step safe: feeding complex inputs propagates
 derivative information through every branch, which the transcription
@@ -127,16 +127,6 @@ def air_density(h, atm: Atmosphere = ISA):
     return atm.rho_isa * base ** atm.exponent
 
 
-def speed_of_sound(h, atm: Atmosphere = ISA):
-    """Speed of sound at height h, m/s.
-
-    Closes the density power law consistently: temperature varies as
-    rho**(1/exponent) along the law, and c ~ sqrt(temperature), so
-    c = c_isa * (rho/rho_isa)**(1/(2*exponent)).
-    """
-    return _sound_speed(air_density(h, atm), atm)
-
-
 def air_at(h, atm: Atmosphere = ISA):
     """(density, speed of sound) at height h, the atmosphere `rhs_arrays`
     and `noise.levels_arrays` read."""
@@ -145,7 +135,12 @@ def air_at(h, atm: Atmosphere = ISA):
 
 
 def _sound_speed(rho, atm: Atmosphere):
-    """Speed of sound from the density the power law gives, m/s."""
+    """Speed of sound from the density the power law gives, m/s.
+
+    Closes the density power law consistently: temperature varies as
+    rho**(1/exponent) along the law, and c ~ sqrt(temperature), so
+    c = c_isa * (rho/rho_isa)**(1/(2*exponent)).
+    """
     return atm.c_isa * (rho / atm.rho_isa) ** (1.0 / (2.0 * atm.exponent))
 
 
@@ -165,12 +160,6 @@ def _thrust(rho, c, V, delta_x, model: AircraftModel):
     if _any(M.real >= 1.0):
         raise DomainError("thrust model is valid for M < 1 only")
     return model.T0 * delta_x * (rho / model.rho0) * (1.0 - M + 0.5 * M * M)
-
-
-def lift(h, V, alpha, model: AircraftModel, atm: Atmosphere = ISA):
-    """Lift 0.5*rho*S*V^2*Cz_alpha*alpha, N. Sign follows alpha."""
-    q = 0.5 * air_density(h, atm) * np.asarray(V) ** 2
-    return q * model.S * model.Cz_alpha * np.asarray(alpha)
 
 
 def drag(h, V, alpha, model: AircraftModel, atm: Atmosphere = ISA):

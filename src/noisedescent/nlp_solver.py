@@ -292,7 +292,6 @@ class SolveReport:
     ineq_multipliers: np.ndarray
     message: str = ""
     iteration_log: list = field(default_factory=list)
-    merit_histories: list = field(default_factory=list)
     trial_points: int = 0           # points the line-search merit was evaluated at
     trial_batches: int = 0          # merit calls: stacked, or single in a fallback
 
@@ -567,8 +566,7 @@ def _line_search(merit: _Merit, y, f, g, direction, lo, hi):
     return None
 
 
-def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
-                  merit_log: list):
+def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions):
     """Two-metric projected Newton on cached dense Hessian models.
 
     Free variables take the exact Newton step when the exact model is
@@ -581,7 +579,6 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
     """
     y = _clip(y0, lo, hi)
     f, g, d, J = merit.value_grad(y)
-    merit_log.append(f)
     status = "maxiter"
     models = None
     model_age = 0
@@ -654,7 +651,6 @@ def _inner_newton(merit: _Merit, y0, lo, hi, gtol, opts: SolverOptions,
         if alpha < 0.25:
             refresh = True  # model mistrusted: rebuild at the new point
         f, g, d, J = merit.value_grad(y, scored)
-        merit_log.append(f)
     return y, n_iter, status
 
 
@@ -866,7 +862,6 @@ def solve(problem: NlpProblem, w0: np.ndarray,
     message = ""
     total_inner = 0
     log: list[IterationRecord] = []
-    merit_histories: list[list[float]] = []
     best = None  # (priority, y, lam, feas, opt, f)
     feas_history: list[float] = []
     feas = opt = np.inf
@@ -885,13 +880,10 @@ def solve(problem: NlpProblem, w0: np.ndarray,
 
         for outer in range(1, max_outer + 1):
             merit = _Merit(p, rows, lam, rho, trials)
-            merit_log: list[float] = []
             gtol = max(omega, 0.05 * opts.optimality_tol)
             y_prev = y
-            y, nit, inner_status = _inner_newton(
-                merit, y, y_lo, y_hi, gtol, opts, merit_log)
+            y, nit, inner_status = _inner_newton(merit, y, y_lo, y_hi, gtol, opts)
             total_inner += nit
-            merit_histories.append(merit_log)
 
             # feasibility, and optimality at the first-order multiplier estimate
             w = y * s
@@ -967,7 +959,6 @@ def solve(problem: NlpProblem, w0: np.ndarray,
         ineq_multipliers=lam[p.n_eq:].copy(),
         message=message,
         iteration_log=log,
-        merit_histories=merit_histories,
         trial_points=trials["points"],
         trial_batches=trials["batches"],
     )

@@ -16,7 +16,7 @@ perturbations of the transcription) or observers: `levels_at` scores a
 trajectory at several observers in one kernel call, passing their
 coordinates as (n_obs, 1) columns, so the terms that do not depend on
 the observer (density, jet speed, convection Mach number) are computed
-once.  `levels_along` and `leq` are its one-observer case.
+once.  `leq` is its one-observer case.
 
 The kernel has three parts.  The (V, h) part (`speed_height_terms`)
 holds the jet speed, the density exponent, the convection and flight
@@ -27,10 +27,11 @@ terms and the sum in TERM_NAMES order.  The log arguments are checked in
 that order too: density ratio, jet velocity, spreading, convection,
 motion.  Like `flight_dynamics.rhs_arrays` next to its `trig`,
 `levels_arrays` takes the state trigonometry `path_trig(gamma, chi)` as
-`path` (read in velocity_vector mode only) and the two parts as `parts`,
-and computes each itself when left out: the transcription's Leq Hessian
-stencil passes them in, each computed once per distinct input of its
-columns and gathered where the kernel unpacks it.
+`path` (read in velocity_vector mode only), the (V, h) part as
+`speed_height` and the (x, y, h) part as `ranges`, and computes each
+itself when left out: the transcription's Leq Hessian stencil passes
+them in, each computed once per distinct input of its columns and
+gathered where the kernel unpacks it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ from .flight_dynamics import (
 )
 
 _NEAR_FIELD_R = 1.0  # m; slant range is clamped here to keep logs finite
+
+DIRECTIVITY_MODES = ("velocity_vector", "track_axis")
 
 TERM_NAMES = (
     "baseline",
@@ -106,7 +109,7 @@ class EngineNoiseParams:
                     f"engine noise parameter {name} must be finite and strictly positive", name)
         if self.me is None:
             object.__setattr__(self, "me", 1.1 * math.sqrt(self.s2 / self.s1))
-        if self.directivity_mode not in ("velocity_vector", "track_axis"):
+        if self.directivity_mode not in DIRECTIVITY_MODES:
             raise ValueError(f"unknown directivity mode {self.directivity_mode!r}")
         ax, ay = self.track_axis
         if not 0 < math.hypot(ax, ay) < math.inf:
@@ -161,10 +164,6 @@ class Trajectory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
 
     def node_controls(self) -> np.ndarray:
         """Controls sampled at every node, the last interval's repeated at t_N."""
@@ -299,29 +298,20 @@ def _terms(speed_height, spreading, cos_theta, params: EngineNoiseParams) -> dic
     }
 
 
-def _primitive_terms(V, rho, c, R, cos_theta,
-                     params: EngineNoiseParams, atm: Atmosphere) -> dict:
-    """All level terms from primitive quantities.
-
-    The terms that depend on the flight point are arrays; the engine
-    constants (baseline, nozzle geometry, coaxial mixing, nozzle area,
-    temperature ratio) are plain floats.
-    """
-    return _terms(speed_height_terms(V, rho, c, params, atm), range_terms(R)[1], cos_theta,
-                  params)
-
-
-def _level_terms(V, gamma, chi, x, y, h, obs: Observer,
-                 params: EngineNoiseParams, atm: Atmosphere, path=None, parts=None) -> dict:
+def _level_terms(V, gamma, chi, x, y, h, obs: Observer, params: EngineNoiseParams,
+                 atm: Atmosphere, path=None, speed_height=None, ranges=None) -> dict:
     """All level terms at the observer from the node states.
 
-    `parts` is the (V, h) part `speed_height_terms` and the (x, y, h) part
-    `range_terms` of these states when the caller has them; each is an
-    iterable of arrays, unpacked where the kernel reads it."""
-    if parts is None:
-        parts = (speed_height_terms(V, *air_at(h, atm), params, atm),
-                 range_terms(slant_range_arrays(x, y, h, obs)))
-    speed_height, (R, spreading) = parts
+    `speed_height` is `speed_height_terms` and `ranges` is `range_terms`
+    of these states when the caller has them; each is an iterable of
+    arrays, unpacked where the kernel reads it.  The engine constants
+    (baseline, nozzle geometry, coaxial mixing, nozzle area, temperature
+    ratio) are plain floats."""
+    if speed_height is None:
+        speed_height = speed_height_terms(V, *air_at(h, atm), params, atm)
+    if ranges is None:
+        ranges = range_terms(slant_range_arrays(x, y, h, obs))
+    R, spreading = ranges
     cos_theta = directivity_cos_arrays(V, gamma, chi, x, y, h, obs, params, R, path)
     return _terms(speed_height, spreading, cos_theta, params)
 
@@ -333,17 +323,18 @@ def _sum_terms(terms: dict):
     return total
 
 
-def levels_arrays(V, gamma, chi, x, y, h, obs: Observer,
-                  params: EngineNoiseParams, atm: Atmosphere = ISA, path=None, parts=None):
+def levels_arrays(V, gamma, chi, x, y, h, obs: Observer, params: EngineNoiseParams,
+                  atm: Atmosphere = ISA, path=None, speed_height=None, ranges=None):
     """Overall sound pressure level at the observer, dB, vectorized over nodes.
 
     `obs` is one Observer, or the (n_obs, 1) coordinate columns of
     several, which add a leading observer axis to the result.  `path` is
-    `path_trig(gamma, chi)` and `parts` the kernel's (V, h) and (x, y, h)
-    parts (`_level_terms`) when the caller has them already; each is
-    computed here otherwise.
+    `path_trig(gamma, chi)`, `speed_height` the kernel's (V, h) part and
+    `ranges` its (x, y, h) part (`_level_terms`) when the caller has them
+    already; each is computed here otherwise.
     """
-    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm, path, parts))
+    return _sum_terms(_level_terms(V, gamma, chi, x, y, h, obs, params, atm,
+                                   path, speed_height, ranges))
 
 
 def levels_at(traj: Trajectory, observers, params: EngineNoiseParams,
@@ -358,12 +349,6 @@ def levels_at(traj: Trajectory, observers, params: EngineNoiseParams,
                             np.array([o.y for o in observers], dtype=float)[:, None])
     return np.real(levels_arrays(Z[:, 0], Z[:, 1], Z[:, 2], Z[:, 3], Z[:, 4], Z[:, 5],
                                  cols, params, atm))
-
-
-def levels_along(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
-                 atm: Atmosphere = ISA) -> np.ndarray:
-    """L_P at every grid node, dB."""
-    return levels_at(traj, (obs,), params, atm)[0]
 
 
 def leq_from_levels(times, levels):
@@ -383,7 +368,7 @@ def leq_from_levels(times, levels):
 def leq(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
         atm: Atmosphere = ISA) -> float:
     """Equivalent continuous level over the whole trajectory, dB."""
-    return float(leq_from_levels(traj.times, levels_along(traj, obs, params, atm)))
+    return float(leq_from_levels(traj.times, levels_at(traj, (obs,), params, atm)[0]))
 
 
 def total_consumption(traj: Trajectory, model: AircraftModel,
@@ -401,7 +386,7 @@ def breakdown_rows(traj: Trajectory, obs: Observer, params: EngineNoiseParams,
 
     `rows` is an array with one row per node and one column per header
     entry: the time, every term of TERM_NAMES and their total, which
-    equals `levels_along` exactly.
+    equals the `levels_at` row of `obs` exactly.
     """
     header = ("t",) + TERM_NAMES + ("total",)
     Z = traj.states

@@ -73,7 +73,8 @@ class PathBounds:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Boundary data, bounds, observers and variant selection for one run."""
+    """Boundary data, bounds, observers and variant selection for one run,
+    checked once, on construction (the class is frozen)."""
 
     x0: float = 0.0
     y0: float = 0.0
@@ -93,7 +94,7 @@ class Scenario:
     engine: EngineNoiseParams = field(default_factory=EngineNoiseParams)
     atmosphere: Atmosphere = ISA
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ScenarioError(f"unknown variant {self.variant!r}")
         for name in ("x0", "y0", "h0", "V0", "xf", "yf", "hf", "tf", "n_intervals",
@@ -158,7 +159,6 @@ def initial_guess(scn: Scenario) -> np.ndarray:
     is clipped into its bounds; defect residuals are expected to be
     nonzero.
     """
-    scn.validate()
     grid = scn.grid()
     n = grid.n_intervals
     model, atm, b = scn.aircraft, scn.atmosphere, scn.bounds
@@ -208,7 +208,8 @@ def initial_guess(scn: Scenario) -> np.ndarray:
 
 _COARSEST_GRID = 12     # starting resolution of the continuation ladder
 _CONTINUATION_TOL = 1e-4  # relaxed tolerances on intermediate grids
-# SolveReport counts that `_solve_problem` sums over the ladder's rungs
+# SolveReport counts that `_solve_problem` sums over the ladder's rungs; it
+# joins their iteration logs too
 _LADDER_TOTALS = ("iterations", "outer_iterations", "trial_points", "trial_batches")
 
 
@@ -277,8 +278,8 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
     assembled and solved with relaxed tolerances, and its solution and
     multipliers, refined, warm-start the next rung; the last rung is
     `problem`.  The returned report is the last rung's, except that its
-    `wall_time` and its iteration and trial counts (`_LADDER_TOTALS`)
-    cover every rung.
+    `wall_time`, its iteration and trial counts (`_LADDER_TOTALS`) and its
+    `iteration_log`, the rungs' logs in rung order, cover every rung.
     """
     t_start = time.perf_counter()
     tr = problem.meta["transcription"]
@@ -288,6 +289,7 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
         optimality_tol=max(opts.optimality_tol, _CONTINUATION_TOL))
     w = report = prev_tr = None
     totals = dict.fromkeys(_LADDER_TOTALS, 0)
+    log = []
     ladder = _continuation_grids(tr.grid.n_intervals)
     for n_level in ladder:
         if n_level == ladder[-1]:
@@ -312,8 +314,10 @@ def _solve_problem(problem: NlpProblem, opts: SolverOptions) -> tuple[np.ndarray
                           warm_eq_multipliers=warm[0], warm_ineq_multipliers=warm[1])
         for name in totals:
             totals[name] += getattr(report, name)
+        log += report.iteration_log
         prev_tr = level_tr
-    return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start, **totals)
+    return w, dataclasses.replace(report, wall_time=time.perf_counter() - t_start,
+                                  iteration_log=log, **totals)
 
 
 def _result_from_solution(problem: NlpProblem, w: np.ndarray,
@@ -346,7 +350,6 @@ def solve_variant(scn: Scenario, opts: SolverOptions | None = None) -> VariantRe
     scenario; its cap is `fuel_cap_factor` times that consumption.
     """
     opts = opts or SolverOptions()
-    scn.validate()
     cap = None
     if scn.variant == "noise_fuel_capped":
         fuel = solve_variant(dataclasses.replace(scn, variant="fuel"), opts)

@@ -36,25 +36,26 @@ the KKT certificate costs O(N) and builds no dense Jacobian.
 The exact Hessian's two stencils, the step map's and the Leq term's,
 evaluate their kernel's column groups once per distinct input (`_Group`).
 A group is a set S of local variables and the arrays the kernel reads
-that depend on S alone.  In each row of the stencil, S takes
-(|S|+1)(2|S|+1) distinct inputs among the copies (98 for the step map,
-72 for the Leq term): 6 for one column, 15 for two, 28 for three.  Each
-group runs on one representative copy per distinct input, taken in copy
-order from the stencil's own complex stack (`_group_index`), and travels
-to the kernel as those values and a cached gather index; the kernel
-gathers where it reads (`_Gathered`), so no gathered stack outlives the
-kernel call that reads it.  The step map's groups are single columns:
-sin/cos of alpha, mu, gamma and chi, and the density and speed of sound
-at h (`_step_groups`; the control trigonometry serves both Heun stages,
-the rest the first).
-The Leq term's are sin/cos of gamma and chi (velocity_vector mode only),
-the level's (V, h) part and its (x, y, h) part (`_level_groups`,
-`noise.levels_arrays`).  Every other caller, the overhead-bound
-Jacobian and gradient stencils, the value calls, one-node steps and fuel
-flows, lets the kernels compute everything per copy.  A group's checks
-run on its representatives in copy order, so a nonpositive log argument
-raises the error, node included, of a per-copy evaluation.  The blocks
-have the bits of a per-copy evaluation while the whole stack's column
+that depend on S alone, and it names the kernel keyword those arrays
+fill.  In each row of the stencil, S takes (|S|+1)(2|S|+1) distinct
+inputs among the copies (98 for the step map, 72 for the Leq term): 6
+for one column, 15 for two, 28 for three.  Each group runs on one
+representative copy per distinct input, taken in copy order from the
+stencil's own complex stack (`_group_index`), and travels to the kernel
+as those values and a cached gather index; the kernel gathers where it
+reads (`_Gathered`), so no gathered stack outlives the kernel call that
+reads it.  The step map's groups are single columns (`_step_groups`):
+sin/cos of alpha and mu fill `trig` (both Heun stages read it), sin/cos
+of gamma and chi fill `path` and the density and speed of sound at h
+fill `air` (the first stage reads those two).  The Leq term's
+(`_level_groups`) fill the keywords of `noise.levels_arrays`: sin/cos of
+gamma and chi fill `path` (velocity_vector mode only), the level's
+(V, h) part `speed_height` and its (x, y, h) part `ranges`.  Every
+other caller, the overhead-bound Jacobian and gradient stencils, the
+value calls, one-node steps and fuel flows, lets the kernels compute
+everything per copy.  A group's checks run on its representatives in
+copy order, so a nonpositive log argument raises the error, node
+included, of a per-copy evaluation.  The blocks have the bits of a per-copy evaluation while the whole stack's column
 temporaries stay below the elision size: up to N=167 for the step map,
 N=226 for the Leq term.  Above, numpy may elide those temporaries in a
 per-copy evaluation and the bits may move (the model builds at N=168,
@@ -173,9 +174,9 @@ def rk_step_arrays(Z, U, h_step, model: AircraftModel, atm: Atmosphere,
     The controls are constant over the step, so both stages share one
     `control_trig`, `trig` when the caller has it.  `path` and `air` are
     the first stage's `path_trig` and `air_at` at Z when the caller has
-    them (see `rhs_arrays`); the second stage computes its own.  Each may
-    be any iterable of arrays: `rhs_arrays` unpacks it, so a stencil's
-    `_Gathered` is gathered in the stage that reads it.  A stage
+    them (see `rhs_arrays`); the second stage computes its own.  Each
+    keyword may be any iterable of arrays: `rhs_arrays` unpacks it, so a
+    stencil's `_Gathered` is gathered in the stage that reads it.  A stage
     writes its six rates into one array.  One node (a 1-D z and u) runs
     on Python floats: its controls are read once and each stage's state
     once with `tolist()`, so the kernel runs on scalars throughout.
@@ -242,9 +243,6 @@ class VectorLayout:
     @property
     def n_vars(self) -> int:
         return self.n_state_vars + self.n_control_vars + (1 if self.has_epigraph else 0)
-
-    def state_index(self, k: int, comp: int) -> int:
-        return 6 * k + comp
 
     @property
     def epigraph_index(self) -> int:
@@ -333,23 +331,24 @@ def _cs_derivative(fn, X: np.ndarray, mult: np.ndarray | None = None,
     shape (..., M, d); the contraction acts on the imaginary parts before
     the division by the step.  `along` restricts the derivative to those
     local variables, and the variable axis then has len(along) entries in
-    that order.  `groups`, when given, are
-    column groups of `fn` (`_Group`) and X is `_cs_hessian_blocks`' stack
-    of shifted copies: each group is evaluated on one copy per distinct
-    input (`_group_index`), and `fn` takes their arrays, as a `_Gathered`,
-    as its second argument.
+    that order.  `groups`, when given, are column groups of `fn`
+    (`_Group`) and X is `_cs_hessian_blocks`' stack of shifted copies:
+    each group is evaluated on one copy per distinct input
+    (`_group_index`), and `fn` takes the arrays of the groups that name
+    one keyword, in their order, as a `_Gathered` under that keyword.
     """
     j = np.arange(X.shape[-1]) if along is None else along
     Xc = np.repeat(X.astype(complex)[None], j.size, axis=0)
     Xc[np.arange(j.size), ..., j] += 1j * _CS
-    values, index = [], []
+    factors = {}
     for group in groups:
-        first, index_g = _group_index(tuple(j.tolist()), group.columns)
+        first, index = _group_index(tuple(j.tolist()), group.columns)
         arrays = group.compute(Xc.reshape((-1,) + Xc.shape[2:])[first])
-        values += arrays
-        index += [index_g] * len(arrays)
+        gathered = factors.setdefault(group.keyword, _Gathered([], []))
+        gathered.values += arrays
+        gathered.index += [index] * len(arrays)
 
-    F = (fn(Xc, _Gathered(values, index)) if groups else fn(Xc)).imag
+    F = fn(Xc, **factors).imag
     D = F if mult is None else np.sum(mult * F, axis=-1)
     # the perturbation axis last: a view, as np.moveaxis(D, 0, -1) gives
     return D.transpose(*range(1, D.ndim), 0) / _CS
@@ -362,8 +361,9 @@ class _Group(NamedTuple):
     `compute` maps local variables (..., M, d) to a tuple of arrays
     (..., M), each a function of the columns `columns` alone, with the
     bits the kernel would compute; the kernel reads them through the
-    `_Gathered` it takes as its second argument."""
+    `_Gathered` it takes as its keyword `keyword`."""
 
+    keyword: str
     columns: tuple
     compute: Callable
 
@@ -373,26 +373,21 @@ class _Gathered:
     values[k][index[k]], (..., M) for an index with the stack's leading
     axes.  Unpacking gathers them, so a kernel gathers where it reads,
     and a gathered array lives no longer than the kernel call that reads
-    it; a slice is the `_Gathered` of those arrays."""
+    it."""
 
     __slots__ = ("values", "index")
 
     def __init__(self, values, index):
         self.values, self.index = values, index
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k: slice) -> "_Gathered":
-        return _Gathered(self.values[k], self.index[k])
-
     def __iter__(self):
         return (v[i] for v, i in zip(self.values, self.index))
 
 
-def _trig_group(column: int) -> _Group:
+def _trig_group(keyword: str, column: int) -> _Group:
     """sin and cos of one column, as `control_trig` and `path_trig` compute them."""
-    return _Group((column,), lambda X: (np.sin(X[..., column]), np.cos(X[..., column])))
+    return _Group(keyword, (column,),
+                  lambda X: (np.sin(X[..., column]), np.cos(X[..., column])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,8 +426,8 @@ def _cs_hessian_blocks(fn, X: np.ndarray, scale: np.ndarray,
     `along`, only those local variables are shifted and differentiated;
     the rows and columns of the others are exact zeros, which is right
     when `fn` is linear in them.  With `groups`, the kernel's column
-    groups are computed once per distinct input and passed to `fn` with
-    the stack (`_cs_derivative`).
+    groups are computed once per distinct input and passed to `fn` by
+    keyword with the stack (`_cs_derivative`).
     """
     d = X.shape[-1]
     j = np.arange(d) if along is None else along
@@ -524,18 +519,18 @@ class _Term(NamedTuple):
 
 def _level_groups(params: noise.EngineNoiseParams, atm: Atmosphere, obs) -> tuple:
     """The column groups of the level kernel at node states (..., 6):
-    sin/cos gamma and sin/cos chi where the directivity reads them
-    (velocity_vector mode), then the (V, h) part `noise.speed_height_terms`
-    and the (x, y, h) part `noise.range_terms`, in the kernel's order."""
+    sin/cos gamma and sin/cos chi (`path`) where the directivity reads
+    them (velocity_vector mode), then the (V, h) part `speed_height` and
+    the (x, y, h) part `ranges`, in the kernel's order."""
     groups = (
-        _Group((IV, IH), lambda X: noise.speed_height_terms(
+        _Group("speed_height", (IV, IH), lambda X: noise.speed_height_terms(
             X[..., IV], *air_at(X[..., IH], atm), params, atm)),
-        _Group((IX, IY, IH), lambda X: noise.range_terms(
+        _Group("ranges", (IX, IY, IH), lambda X: noise.range_terms(
             noise.slant_range_arrays(X[..., IX], X[..., IY], X[..., IH], obs))),
     )
     if params.directivity_mode != "velocity_vector":
         return groups
-    return (_trig_group(IGAMMA), _trig_group(ICHI)) + groups
+    return (_trig_group("path", IGAMMA), _trig_group("path", ICHI)) + groups
 
 
 def _leq_term(tr: "_Transcription", obs) -> _Term:
@@ -545,13 +540,9 @@ def _leq_term(tr: "_Transcription", obs) -> _Term:
     n_state = idx.size
     groups = _level_groups(params, atm, obs)
 
-    def levels(X, groups=None):
-        # groups: sin/cos gamma and chi (velocity_vector mode), then the
-        # (V, h) part's five arrays and the (x, y, h) part's two
-        path, parts = (groups[:-7] or None, (groups[-7:-2], groups[-2:])) if groups \
-            else (None, None)
+    def levels(X, **factors):
         return noise.levels_arrays(X[..., 0], X[..., 1], X[..., 2], X[..., 3],
-                                   X[..., 4], X[..., 5], obs, params, atm, path, parts)
+                                   X[..., 4], X[..., 5], obs, params, atm, **factors)
 
     def leq_and_node_weights(Z):
         energy = 10.0 ** (0.1 * levels(Z))
@@ -706,22 +697,21 @@ class _Transcription:
 
     # ----- equalities -------------------------------------------------
 
-    def _step(self, X, groups=None):
+    def _step(self, X, **factors):
         """Phi(z_k, u_k) of every interval from its local variables (..., N, 9).
 
-        `groups`, when given, are the arrays of `_step_groups` at X: the
-        control trigonometry of both stages, and the first stage's state
-        trigonometry and air."""
-        trig, path, air = (groups[:4], groups[4:8], groups[8:]) if groups else (None,) * 3
+        `factors` are the `rk_step_arrays` keywords `trig`, `path` and `air`
+        at X when the caller has them (`_step_groups`)."""
         return rk_step_arrays(X[..., :6], X[..., 6:], self.grid.h_step, self.model, self.atm,
-                              trig, path, air)
+                              **factors)
 
     def _step_groups(self) -> tuple:
-        """The single-column groups of `_step`: sin/cos of alpha, mu, gamma
-        and chi, and `air_at` of h, in the order `_step` reads them."""
+        """The single-column groups of `_step`: sin/cos of alpha and mu
+        (`trig`), of gamma and chi (`path`), and `air_at` of h (`air`)."""
         atm = self.atm
-        return (_trig_group(6 + IALPHA), _trig_group(6 + IMU), _trig_group(IGAMMA),
-                _trig_group(ICHI), _Group((IH,), lambda X: air_at(X[..., IH], atm)))
+        return (_trig_group("trig", 6 + IALPHA), _trig_group("trig", 6 + IMU),
+                _trig_group("path", IGAMMA), _trig_group("path", ICHI),
+                _Group("air", (IH,), lambda X: air_at(X[..., IH], atm)))
 
     def equalities(self, w: np.ndarray) -> np.ndarray:
         Z, U, _ = self.layout.unpack(w)
@@ -896,7 +886,6 @@ def assemble(scn: "Scenario", fuel_cap: float | None = None) -> NlpProblem:
     for the noise_fuel_capped variant (the caller computes it from the
     fuel-reference trajectory).
     """
-    scn.validate()
     tr = _Transcription(scn, fuel_cap)
     lo, hi = tr.variable_bounds()
     ineq_lo, ineq_hi = tr.ineq_bounds()

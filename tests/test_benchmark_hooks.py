@@ -87,3 +87,16 @@ def test_evaluate_scores_every_observer_in_one_kernel_call(tmp_path):
     assert totals[("setup", "noise.levels_arrays.calls")] == 1
     assert totals[("setup", "transcription.simulate.calls")] == 1
     assert totals[("setup", "cli.write_run_outputs.calls")] == 1
+
+
+def test_benchmark_model_builds_pass_their_checks(monkeypatch):
+    # the callbacks workload's models at N=12: its row counts, multiplier
+    # layout and derivative checks hold against the program
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    import checks
+    import workloads
+    rng = np.random.default_rng(21)
+    for variant in workloads.CallbacksN100.VARIANTS:
+        problem, point = workloads.make_model(variant, rng, 12)
+        build = workloads.model_build(problem, point)
+        assert checks.check_model_build(problem, point, build, rng) == [], variant

@@ -16,7 +16,7 @@ import pytest
 
 from noisedescent import cli, noise
 from noisedescent.nlp_solver import SolveReport, SolverOptions
-from noisedescent.noise import Observer, Trajectory, leq, levels_along
+from noisedescent.noise import Observer, Trajectory, leq, levels_at
 from noisedescent.scenarios import _result_from_solution, default_scenario, initial_guess
 from noisedescent.transcription import assemble, simulate
 
@@ -240,7 +240,7 @@ def test_evaluate_reports_simulated_trajectory(tmp_path):
         rows = list(csv.DictReader(f))
     for j, obs in enumerate(scn.observers):
         assert [float(row[f"L_P_obs{j}"]) for row in rows] == list(
-            levels_along(written, obs, scn.engine, scn.atmosphere))
+            levels_at(written, (obs,), scn.engine, scn.atmosphere)[0])
 
 
 def test_evaluate_echoes_the_grid_it_flew(tmp_path):
@@ -310,6 +310,21 @@ def test_a_solve_is_scored_once(tmp_path, monkeypatch):
                                                       Observer(20000.0, 2500.0)))
     cli.run_solve(scn, SolverOptions(), tmp_path)
     assert len(calls) == 1
+
+
+def test_solve_flags_set_the_variant_and_the_optimality_tolerance(tmp_path, monkeypatch):
+    seen = []
+
+    def solve_variant(scn, opts):
+        seen.append((scn.variant, opts))
+        return iteration_limit_solve(scn, opts)
+
+    monkeypatch.setattr(cli, "solve_variant", solve_variant)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--N", "12", "--variant", "fuel", "--tol-opt", "1e-4",
+                     "--out", str(out)]) == 1
+    assert seen == [("fuel", SolverOptions(optimality_tol=1e-4))]
+    assert read_json(out / "report.json")["variant"] == "fuel"
 
 
 def test_nonfinite_solver_floats_are_written_as_null(tmp_path, monkeypatch):

@@ -145,3 +145,23 @@ def test_stall_speed_moves_the_default_speed_floor(tmp_path):
     path.write_text("[scenario]\nstall_speed = 200\nV0 = 270\n[bounds]\nV_max = 300\n")
     scn, _ = parse_config(path)
     assert scn.bounds.component("V") == (260.0, 300.0)
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("[scenery]\nh0 = 1000\n", "scenery", 1),
+    ("[scenario]\nh0 1000\n", None, 2),
+    ("h0 = 1000\n[scenario]\n", "h0", 1),
+    ("[scenario]\nh0 = 1000\n# again\nh0 = 2000\n", "h0", 4),
+    ("[bounds]\ngamma_min = -8 grad\n", "gamma_min", 2),
+    ("[scenario]\nN = 12.5\n", "N", 2),
+    ("[scenario]\nobservers = ;\n", "observers", 2),
+    ("[scenario]\nvariant = quietest\n", "variant", 2),
+], ids=["unknown-section", "no-equals", "before-any-section", "duplicate-key",
+        "angle-unit", "non-integer-N", "no-observer", "unknown-variant"])
+def test_grammar_error_reports_key_and_line(text, key, line, tmp_path):
+    # a line without '=' has no key to report
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == (key, line)

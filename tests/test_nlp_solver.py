@@ -326,12 +326,41 @@ class TestSolverBehavior:
         assert ra.feasibility_error == rb.feasibility_error
         assert ra.optimality_error == rb.optimality_error
 
-    def test_merit_non_increasing_within_each_subproblem(self):
-        _, rep = solve(circle_problem(), np.array([2.0, 1.0]))
-        assert rep.merit_histories
-        for hist in rep.merit_histories:
+    def test_merit_non_increasing_within_each_subproblem(self, monkeypatch):
+        # the merit at each subproblem's start and at every accepted step
+        histories = {}
+        value_grad = _Merit.value_grad
+
+        def recorded(merit, y, scored=None):
+            out = value_grad(merit, y, scored)
+            histories.setdefault(merit, []).append(out[0])  # keeps each merit alive
+            return out
+
+        monkeypatch.setattr(_Merit, "value_grad", recorded)
+        solve(circle_problem(), np.array([2.0, 1.0]))
+        assert histories
+        for hist in histories.values():
             for a, b in zip(hist, hist[1:]):
                 assert b <= a + 1e-8 * max(1.0, abs(a))
+
+    def test_contradictory_rows_end_infeasible(self):
+        # w = 0 and w = 1: at the penalty cap the violation stays at 0.5,
+        # so the fourth penalty iteration without progress ends the solve
+        problem = NlpProblem(
+            n_vars=1,
+            objective=lambda w: w[..., 0] ** 2,
+            objective_gradient=lambda w: 2.0 * w,
+            n_eq=2,
+            equalities=lambda w: np.stack([w[..., 0], w[..., 0] - 1.0], axis=-1),
+            equalities_jacobian=lambda w: np.array([[1.0], [1.0]]),
+            lagrangian_hessian=constant_hessian([[2.0]]),
+        )
+        _, rep = solve(problem, np.array([3.0]),
+                       SolverOptions(initial_penalty=nlp_solver._PENALTY_MAX))
+        assert (rep.status, rep.message) == ("infeasible",
+                                             "feasibility stagnated at the penalty cap")
+        assert rep.outer_iterations == 4
+        assert rep.feasibility_error == pytest.approx(0.5, rel=1e-6)
 
     def test_feasibility_restoration_from_infeasible_start(self):
         w, rep = solve(circle_problem(), np.array([4.0, 4.0]))

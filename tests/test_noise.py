@@ -21,6 +21,7 @@ from noisedescent.noise import (
     Trajectory,
     _doppler_factor_cos,
     _level_terms,
+    _terms,
     breakdown_rows,
     convection_mach,
     density_exponent_w,
@@ -28,10 +29,11 @@ from noisedescent.noise import (
     effective_jet_speed,
     leq,
     leq_from_levels,
-    levels_along,
     levels_arrays,
     levels_at,
+    range_terms,
     slant_range_arrays,
+    speed_height_terms,
     total_consumption,
 )
 
@@ -196,10 +198,9 @@ class TestLevel:
         assert rows[0, header.index("altitude")] == pytest.approx(0.0, abs=1e-12)
 
     def test_doubling_distance_costs_six_db(self):
-        from noisedescent.noise import _primitive_terms
-        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=0.3, params=PARAMS, atm=ISA)
-        t1 = _primitive_terms(R=5000.0, **kw)
-        t2 = _primitive_terms(R=10000.0, **kw)
+        speed_height = speed_height_terms(120.0, 1.0, 330.0, PARAMS, ISA)
+        t1, t2 = (_terms(speed_height, range_terms(R)[1], 0.3, PARAMS)
+                  for R in (5000.0, 10000.0))
         for name in TERM_NAMES:
             if name == "spreading":
                 continue
@@ -208,10 +209,10 @@ class TestLevel:
         assert delta == pytest.approx(-20.0 * math.log10(2.0), rel=1e-12)
 
     def test_strictly_decreasing_in_distance(self):
-        from noisedescent.noise import _primitive_terms
-        kw = dict(V=120.0, rho=1.0, c=330.0, cos_theta=-0.2, params=PARAMS, atm=ISA)
+        speed_height = speed_height_terms(120.0, 1.0, 330.0, PARAMS, ISA)
         R = np.linspace(100.0, 50000.0, 200)
-        totals = sum(_primitive_terms(R=R, **kw)[n] for n in TERM_NAMES)
+        terms = _terms(speed_height, range_terms(R)[1], -0.2, PARAMS)
+        totals = sum(terms[n] for n in TERM_NAMES)
         assert np.all(np.diff(totals) < 0)
 
     def test_pinned_reference_evaluation(self):
@@ -231,7 +232,7 @@ class TestLevel:
         header, rows = breakdown_rows(traj, obs, PARAMS)
         assert header[1:-1] == TERM_NAMES
         assert rows[0, 1:-1].sum() == pytest.approx(rows[0, -1], abs=1e-10)
-        assert np.array_equal(rows[:, -1], levels_along(traj, obs, PARAMS))
+        assert np.array_equal(rows[:, -1], levels_at(traj, (obs,), PARAMS)[0])
 
     def test_track_axis_mode_ignores_attitude(self):
         params = EngineNoiseParams(directivity_mode="track_axis",
@@ -350,7 +351,7 @@ class TestObserverAxis:
         # the kernel on one Observer at a time, as the solver's objective calls it
         loop = [np.real(levels_arrays(*traj.states.T, obs, params)) for obs in observers]
         assert np.array_equal(matrix, np.array(loop))
-        assert np.array_equal(matrix, np.array([levels_along(traj, obs, params)
+        assert np.array_equal(matrix, np.array([levels_at(traj, (obs,), params)[0]
                                                 for obs in observers]))
 
     def test_observer_axis_names_the_node(self):
@@ -369,7 +370,7 @@ class TestLeq:
     def test_constant_level_gives_same_leq(self):
         traj = circular_trajectory()
         obs = Observer(0.0, 0.0)
-        levels = levels_along(traj, obs, PARAMS)
+        levels = levels_at(traj, (obs,), PARAMS)[0]
         assert np.ptp(levels) < 1e-9
         assert leq(traj, obs, PARAMS) == pytest.approx(levels[0], abs=1e-9)
 
@@ -473,7 +474,7 @@ class TestTrajectoryType:
         header, rows = breakdown_rows(traj, obs, PARAMS)
         assert header[0] == "t" and header[-1] == "total"
         totals = np.array([r[-1] for r in rows])
-        assert np.array_equal(totals, levels_along(traj, obs, PARAMS))
+        assert np.array_equal(totals, levels_at(traj, (obs,), PARAMS)[0])
         # node by node on scalars the log10 and powers may round differently
         for k, row in enumerate(rows):
             terms = _level_terms(*traj.states[k], obs, PARAMS, ISA)

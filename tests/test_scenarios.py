@@ -1,6 +1,7 @@
 """End-to-end solves of the reference scenario at N=12: certified optima,
 an independent KKT recheck on a freshly assembled problem, and byte-stable
-CLI output; and the wall time of a solve through the continuation ladder."""
+CLI output; the report of a solve through the continuation ladder; and
+the fuel cap of the capped variant."""
 
 import json
 import os
@@ -108,7 +109,7 @@ def test_solve_writes_byte_identical_trajectory(tmp_path):
 
 def test_ladder_wall_time_covers_every_rung(monkeypatch):
     # N=25 climbs the ladder 13 -> 25: two solves, and the report's wall
-    # time covers both
+    # time covers both, as do its counts and its iteration log
     reports = []
 
     def recorded(*args, **kwargs):
@@ -118,10 +119,38 @@ def test_ladder_wall_time_covers_every_rung(monkeypatch):
 
     solve = scenarios.solve
     monkeypatch.setattr(scenarios, "solve", recorded)
-    result = solve_variant(default_scenario(n_intervals=25), SolverOptions(max_outer=1))
+    result = solve_variant(default_scenario(n_intervals=25, variant="fuel"),
+                           SolverOptions(max_outer=1))
     assert len(reports) == 2
     assert result.report.wall_time >= sum(report.wall_time for report in reports)
     # and so do its iteration and trial counts
     for name in ("iterations", "outer_iterations", "trial_points", "trial_batches"):
         assert getattr(result.report, name) == sum(getattr(r, name) for r in reports)
     assert reports[0].iterations > 0
+    # the N=13 rung's records first
+    assert reports[0].iteration_log
+    assert result.report.iteration_log == reports[0].iteration_log + reports[1].iteration_log
+
+
+def test_capped_variant_caps_the_fuel_solve_consumption(monkeypatch):
+    # noise_fuel_capped first solves the fuel variant of its scenario; the
+    # cap it assembles with is fuel_cap_factor times that consumption
+    assembled, results = [], []
+    assemble_, solve_variant_ = scenarios.assemble, scenarios.solve_variant
+
+    def spied_assemble(scn, fuel_cap=None):
+        assembled.append((scn.variant, fuel_cap))
+        return assemble_(scn, fuel_cap=fuel_cap)
+
+    def spied_solve_variant(scn, opts=None):
+        results.append(solve_variant_(scn, opts))
+        return results[-1]
+
+    monkeypatch.setattr(scenarios, "assemble", spied_assemble)
+    monkeypatch.setattr(scenarios, "solve_variant", spied_solve_variant)
+    scn = reference_scenario("noise_fuel_capped")
+    capped = scenarios.solve_variant(scn, SolverOptions(max_outer=1))
+    fuel = results[0]
+    assert (fuel.variant, capped.variant) == ("fuel", "noise_fuel_capped")
+    assert assembled == [("fuel", None),
+                         ("noise_fuel_capped", scn.fuel_cap_factor * fuel.consumption_kg)]

@@ -285,9 +285,27 @@ class TestAssembly:
 
     def test_infeasible_boundary_rejected_before_solve(self):
         from noisedescent.errors import ScenarioError
-        scn = small_scenario(V0=50.0)  # below the speed floor
         with pytest.raises(ScenarioError):
-            assemble(scn)
+            small_scenario(V0=50.0)  # below the speed floor
+
+    @pytest.mark.parametrize("overrides, message, keys", [
+        ({"variant": "loudest"}, "unknown variant", ()),
+        ({"tf": 0.0}, "final time must be positive", ("tf",)),
+        ({"observers": ()}, "needs at least one observer", ()),
+        ({"fuel_cap_factor": 0.0}, "fuel cap factor must be positive", ("fuel_cap_factor",)),
+        ({"stall_speed": 80.0}, "below 1.3", ("V_min", "stall_speed")),
+        ({"V0": 200.0}, "outside bounds", ("V0", "V_min", "V_max")),
+        ({"h0": -1.0}, "outside the atmosphere", ("h0", "lapse")),
+        ({"hf": 1.0 / 22.6e-6}, "outside the atmosphere", ("hf", "lapse")),
+    ], ids=["variant", "tf", "observers", "fuel-cap", "speed-floor", "V0", "h0", "hf"])
+    def test_each_scenario_rule_is_checked_on_construction(self, overrides, message, keys):
+        from noisedescent.errors import ScenarioError
+        with pytest.raises(ScenarioError, match=message) as err:
+            small_scenario(**overrides)
+        assert err.value.keys == keys
+
+    def test_fuel_variant_needs_no_observer(self):
+        assert small_scenario(variant="fuel", observers=()).observers == ()
 
     @pytest.mark.parametrize("name, value", [
         *[(name, math.nan) for name in ("h0", "hf", "x0", "y0", "xf", "yf",
@@ -296,7 +314,7 @@ class TestAssembly:
     def test_non_finite_field_rejected_before_solve(self, name, value):
         from noisedescent.errors import ScenarioError
         with pytest.raises(ScenarioError, match=name):
-            small_scenario(**{name: value}).validate()
+            small_scenario(**{name: value})
 
     def test_guess_objective_matches_noise_module(self):
         import noisedescent.noise as noise
@@ -370,10 +388,8 @@ class TestDerivatives:
         rng = np.random.default_rng(1)
         w = random_feasible_point(prob, initial_guess(scn), rng)
         J = prob.equalities_jacobian(w)
-        lay = scn.layout()
         for k in range(6):
-            block = J[6 * k:6 * k + 6,
-                      lay.state_index(k + 1, 0):lay.state_index(k + 1, 0) + 6]
+            block = J[6 * k:6 * k + 6, 6 * (k + 1):6 * (k + 2)]
             assert np.array_equal(block, np.eye(6))
 
     def test_one_step_locality(self):
@@ -385,7 +401,7 @@ class TestDerivatives:
         lay = scn.layout()
         # defect row block k must not touch nodes beyond k+1
         k = 2
-        beyond = lay.state_index(k + 2, 0)
+        beyond = 6 * (k + 2)
         assert np.abs(J[6 * k:6 * k + 6, beyond:lay.n_state_vars]).max() == 0.0
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -565,7 +581,7 @@ class TestMemo:
         # a vector changed in place between two calls is a new point
         w = w1.copy()
         self.outputs(prob, w, eqm, inm)
-        w[scn.layout().state_index(3, IH)] += 1.0
+        w[6 * 3 + IH] += 1.0
         assert self.outputs(prob, w, eqm, inm) == fresh(w)
         w[:] = w2
         assert self.outputs(prob, w, eqm, inm, convex_first=True) == fresh(w2)
@@ -579,7 +595,7 @@ class TestMemo:
         rng = np.random.default_rng(12)
         w0 = initial_guess(scn)
         W = np.array([random_feasible_point(prob, w0, rng) for _ in range(4)])
-        zero = scn.layout().state_index(3, IY)
+        zero = 6 * 3 + IY
         W[1, zero] = 0.0
         stacked = prob.objective(W) if variant == "noise" else prob.inequalities(W)
         calls = count_kernel_calls(monkeypatch)
@@ -758,9 +774,9 @@ class TestFactorReuse:
         seen = []
 
         def counted(fn, calls):
-            def kernel(X, *groups):
+            def kernel(X, **factors):
                 calls.append(X.shape)
-                return fn(X, *groups)
+                return fn(X, **factors)
             return kernel
 
         def both(fn, X, scale, mult=None, along=None, groups=()):
