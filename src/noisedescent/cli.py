@@ -22,7 +22,7 @@ import numpy as np
 
 from . import noise
 from .config import _parse_pairs, parse_config, read_sections
-from .errors import ConfigError
+from .errors import ConfigError, SettingError
 from .flight_dynamics import CONTROL_NAMES, STATE_NAMES
 from .noise import Observer, Trajectory
 from .nlp_solver import SolverOptions
@@ -35,6 +35,10 @@ from .scenarios import (
 from .transcription import Grid, simulate
 
 TRAJECTORY_HEADER = ("t",) + STATE_NAMES + CONTROL_NAMES
+
+# the flag that sets each setting a SettingError names by its config key
+_SETTING_FLAGS = {"observers": "--observers", "N": "--N",
+                  "feasibility_tol": "--tol-feas", "optimality_tol": "--tol-opt"}
 
 # Table-style observer sweep used by the comparison experiments
 SWEEP_OBSERVERS = tuple(
@@ -151,7 +155,8 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
 
     A flag that the subcommand does not take reads as None.  Raises
     ValueError (ConfigError and ScenarioError included) for any rejected
-    input, before anything is written.
+    input, before anything is written; a value that a settings class
+    rejects is reported as a ConfigError naming the flag that set it.
     """
     def flag(name):
         return getattr(args, name, None)
@@ -163,20 +168,29 @@ def _load(args) -> tuple[Scenario, SolverOptions]:
     overrides = {}
     if flag("variant") is not None:
         overrides["variant"] = args.variant
-    if flag("observers") is not None:
-        overrides["observers"] = tuple(
-            Observer(x, y) for x, y in _parse_pairs(args.observers, "--observers", None))
     if flag("N") is not None:
         overrides["n_intervals"] = args.N
-    if overrides:
-        scn = dataclasses.replace(scn, **overrides)
     solver_overrides = {}
     if flag("tol_feas") is not None:
         solver_overrides["feasibility_tol"] = args.tol_feas
     if flag("tol_opt") is not None:
         solver_overrides["optimality_tol"] = args.tol_opt
-    if solver_overrides:
-        opts = dataclasses.replace(opts, **solver_overrides)
+    try:
+        if flag("observers") is not None:
+            overrides["observers"] = tuple(
+                Observer(x, y) for x, y in _parse_pairs(args.observers, "--observers", None))
+        if overrides:
+            scn = dataclasses.replace(scn, **overrides)
+        if solver_overrides:
+            opts = dataclasses.replace(opts, **solver_overrides)
+    except SettingError as exc:
+        # name the flag that set a key of the rejecting rule
+        given = {key: name for key, name in _SETTING_FLAGS.items()
+                 if flag(name[2:].replace("-", "_")) is not None}
+        name = next((given[key] for key in exc.keys if key in given), None)
+        if name is None:
+            raise
+        raise ConfigError(str(exc), key=name) from None
     if flag("jobs") is not None and args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if flag("controls") is not None and not args.controls.is_file():

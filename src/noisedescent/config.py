@@ -190,6 +190,7 @@ def _build(sections) -> tuple[Scenario, SolverOptions]:
         """The file's value of a Scenario field, else the field's default."""
         return sc.get(name, getattr(Scenario, name))
 
+    route_axis = engine_kwargs.get("directivity_mode") == "track_axis" and track is None
     if engine_kwargs.get("directivity_mode") == "track_axis":
         # default track axis: the straight route direction
         engine_kwargs["track_axis"] = (track if track is not None else
@@ -198,7 +199,14 @@ def _build(sections) -> tuple[Scenario, SolverOptions]:
     elif track is not None:
         raise ConfigError("track_axis is only meaningful with directivity = track_axis",
                           key="track_axis", line=sections["scenario"]["track_axis"][1])
-    engine = EngineNoiseParams(**engine_kwargs)
+    try:
+        engine = EngineNoiseParams(**engine_kwargs)
+    except SettingError as exc:
+        if route_axis and "track_axis" in exc.keys:
+            # a zero route direction, set by the mode and the end points
+            raise SettingError(str(exc), *exc.keys, "directivity",
+                               "x0", "y0", "xf", "yf") from None
+        raise
 
     b = _typed(sections, "bounds")
     lower, upper = PathBounds.default_limits(setting("stall_speed"))

@@ -38,31 +38,37 @@ function tests use to recheck solver output independently.  All error
 measures are computed on scaled rows and scaled variables, using the
 scaling vectors declared by the problem.
 
-SciPy loads on the first factorisation, not with this module.  The
-module-level `cho_factor` and `cho_solve` call LAPACK's `dpotrf` and
-`dpotrs` from `scipy.linalg.lapack`, imported when called, as
-`scipy.linalg.cho_factor(a, lower=True, check_finite=False)` and
-`cho_solve` call them, so they have those functions' bits without their
-per-call checks; `lu_factor` and `lu_solve`, made by `_scipy_linalg`,
-import `scipy.linalg` when called and pass their arguments on unchanged.
-Most uses of the package never factorise a matrix (`evaluate`, Leq
-scoring, model builds, `kkt_residuals`), and importing `scipy.linalg`
-costs 0.30 s on a 2-core host (`python -X importtime`): with it, a fresh
-`import noisedescent, noisedescent.cli` takes 0.45 s and leaves the
-process at 58 MB resident; without it, 0.15 s and 34 MB.  The solver
-looks the four up by name on every call, so a wrapper set on the module
-(as the benchmark's tracer sets one to count factorisations) sees each
-call.  `LinAlgError` is numpy's, the class `scipy.linalg` raises and
+The four factorisations (`cho_factor`, `cho_solve`, `lu_factor`,
+`lu_solve`) call LAPACK's `dpotrf`, `dpotrs`, `dgetrf` and `dgetrs` from
+SciPy's compiled LAPACK module, `scipy.linalg._flapack`, with the
+arguments that `scipy.linalg`'s functions of those names pass them with
+`check_finite=False`, so they have those functions' bits without their
+per-call checks.  The first factorisation loads that one extension
+module from its file (`_lapack`); neither this module nor a solve
+imports the `scipy.linalg` package, which loads 85 SciPy modules to
+reach the same routines.  Most uses of the package never factorise a
+matrix (`evaluate`, Leq scoring, model builds, `kkt_residuals`).  On a
+2-core host a fresh `import noisedescent, noisedescent.cli` takes
+0.10-0.16 s and leaves the process at 34 MB resident; the first
+factorisation then takes 3-8 ms and leaves it at 38 MB, where importing
+`scipy.linalg` took 0.14-0.19 s and left it at 57 MB.  The solver looks
+the four up by name on every call, so a wrapper set on the module (as
+the benchmark's tracer sets one to count factorisations) sees each call.
+`LinAlgError` is numpy's, the class `scipy.linalg` raises and
 `cho_factor` raises where its matrix is not positive definite.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,17 +95,30 @@ _POLISH_STEPS = 15    # Newton steps per detection
 _POLISH_REG = 1e-11   # diagonal regularisation of the polish's KKT matrix
 
 
-def _scipy_linalg(name: str) -> Callable:
-    """A function that imports `scipy.linalg` when called and passes its
-    arguments on to the function `name` there (see the module docstring)."""
-    def call(*args, **kwargs):
-        from scipy import linalg
-        return getattr(linalg, name)(*args, **kwargs)
-    call.__name__ = call.__qualname__ = name
-    return call
+_FLAPACK = "scipy.linalg._flapack"
 
 
-lu_factor, lu_solve = map(_scipy_linalg, ("lu_factor", "lu_solve"))
+def _lapack():
+    """SciPy's compiled LAPACK module, loaded from its file without
+    importing `scipy.linalg` (see the module docstring)."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("SciPy is not installed", name=_FLAPACK)
+    folder = Path(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension module in {folder}", name=_FLAPACK)
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
 
 
 def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -107,8 +126,7 @@ def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
     in the lower triangle of c, as `scipy.linalg.cho_factor(a, lower=True,
     check_finite=False)` returns it, from LAPACK `dpotrf`.  Raises
     LinAlgError where `a` is not positive definite."""
-    from scipy.linalg.lapack import dpotrf
-    c, info = dpotrf(a, lower=1, clean=0)
+    c, info = _lapack().dpotrf(a, lower=1, clean=0)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -117,11 +135,31 @@ def cho_factor(a: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def cho_solve(factor: tuple[np.ndarray, bool], b: np.ndarray) -> np.ndarray:
-    """x with a x = b, from `cho_factor(a)`, through LAPACK `dpotrs`."""
-    from scipy.linalg.lapack import dpotrs
-    x, info = dpotrs(factor[0], b, lower=int(factor[1]))
+    """x with a x = b, from `cho_factor(a)`, through LAPACK `dpotrs`, as
+    `scipy.linalg.cho_solve(factor, b, check_finite=False)` solves it."""
+    x, info = _lapack().dpotrs(factor[0], b, lower=int(factor[1]))
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return x
+
+
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lu, piv) of a square float64 matrix from LAPACK `dgetrf`, as
+    `scipy.linalg.lu_factor(a, check_finite=False)` returns them.  An
+    exactly singular `a` raises nothing (SciPy warns); `lu_solve` then
+    returns non-finite values."""
+    lu, piv, info = _lapack().dgetrf(a, overwrite_a=0)
+    if info < 0:
+        raise ValueError(f"dgetrf: illegal value in argument {-info}")
+    return lu, piv
+
+
+def lu_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """x with a x = b, from `lu_factor(a)`, through LAPACK `dgetrs`, as
+    `scipy.linalg.lu_solve(factor, b, check_finite=False)` solves it."""
+    x, info = _lapack().dgetrs(factor[0], factor[1], b, trans=0, overwrite_b=0)
+    if info != 0:
+        raise ValueError(f"dgetrs: illegal value in argument {-info}")
     return x
 
 
@@ -765,8 +803,7 @@ def _polish_round(problem: NlpProblem, rows: _Rows, y_lo, y_hi, opts: SolverOpti
         rhs = np.concatenate([-g_lagr[free_idx],
                               -(c[act_idx] - target[act_idx]) if na else np.zeros(0)])
         try:
-            sol = lu_solve(lu_factor(K, check_finite=False), rhs,
-                           check_finite=False)
+            sol = lu_solve(lu_factor(K), rhs)
         except (LinAlgError, ValueError):
             return None
         if not np.all(np.isfinite(sol)):

@@ -47,6 +47,17 @@ def test_single_interval_grid_exits_2(tmp_path, capsys):
     assert_exits_2(["solve", "--N", "1"], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--N", "1", "need at least 2 grid intervals"),
+    ("--tol-feas", "inf", "feasibility_tol must be finite"),
+    ("--tol-opt", "-1", "optimality_tol must be finite"),
+    ("--observers", "inf,0", "observer coordinates must be finite"),
+])
+def test_value_a_settings_class_rejects_names_its_flag(flag, value, message, tmp_path, capsys):
+    err = assert_exits_2(["solve", flag, value], tmp_path, capsys)
+    assert err.startswith(f"error: {message}") and f"(key '{flag}')" in err
+
+
 def must_not_run(*args, **kwargs):
     raise AssertionError("the input was accepted and a run started")
 

@@ -140,6 +140,19 @@ def test_track_axis_takes_exactly_one_pair(tmp_path):
     assert (err.value.key, err.value.line) == ("track_axis", 3)
 
 
+def test_zero_default_track_axis_names_the_last_route_key(tmp_path):
+    # without a track_axis key the axis is the route direction, here zero
+    path = tmp_path / "run.ini"
+    path.write_text("[scenario]\ndirectivity = track_axis\nxf = 0\nyf = 0\n")
+    with pytest.raises(ConfigError, match="track_axis must be") as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == ("yf", 4)
+    path.write_text("[scenario]\nxf = 0\nyf = 0\ndirectivity = track_axis\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert (err.value.key, err.value.line) == ("directivity", 4)
+
+
 def test_stall_speed_moves_the_default_speed_floor(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[scenario]\nstall_speed = 200\nV0 = 270\n[bounds]\nV_max = 300\n")

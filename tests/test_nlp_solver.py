@@ -656,6 +656,40 @@ class TestFactorisations:
                 x_ref = linalg.cho_solve((c_ref, lower_ref), b, check_finite=False)
                 assert x.tobytes() == x_ref.tobytes()
 
+    def test_lu_has_the_bits_of_scipys(self):
+        # lu_factor and lu_solve call LAPACK directly, as SciPy's do
+        from scipy import linalg
+        rng = np.random.default_rng(11)
+        for n in (1, 6, 40):
+            A = rng.normal(size=(n, n))
+            idx = np.sort(rng.choice(n, max(1, n // 2), replace=False))
+            for K in (A, A[np.ix_(idx, idx)]):
+                b = rng.normal(size=K.shape[0])
+                lu, piv = nlp_solver.lu_factor(K)
+                lu_ref, piv_ref = linalg.lu_factor(K, check_finite=False)
+                assert (lu.shape, lu.strides) == (lu_ref.shape, lu_ref.strides)
+                assert lu.tobytes() == lu_ref.tobytes()
+                assert piv.dtype == piv_ref.dtype and piv.tobytes() == piv_ref.tobytes()
+                x = nlp_solver.lu_solve((lu, piv), b)
+                x_ref = linalg.lu_solve((lu_ref, piv_ref), b, check_finite=False)
+                assert x.tobytes() == x_ref.tobytes()
+
+    def test_singular_lu_solve_is_rejected_by_the_polish(self, monkeypatch):
+        # an exactly singular matrix factorises without an error, and its
+        # solution is not finite; the polish round then gives up
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        x = nlp_solver.lu_solve(nlp_solver.lu_factor(singular), np.array([1.0, 1.0]))
+        assert not np.all(np.isfinite(x))
+
+        prob = circle_problem()
+        rows = _Rows(prob)
+        start = (prob, rows, prob.lower, prob.upper, SolverOptions(),
+                 np.array([-0.8, -0.6]), np.array([0.7]))
+        assert nlp_solver._polish_round(*start) is not None
+        factor = nlp_solver.lu_factor
+        monkeypatch.setattr(nlp_solver, "lu_factor", lambda K: factor(np.zeros_like(K)))
+        assert nlp_solver._polish_round(*start) is None
+
     def test_cholesky_of_an_indefinite_matrix_raises_numpys_error(self):
         # the error the solver catches, and the benchmark's tracer counts
         with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
@@ -685,25 +719,25 @@ problem = NlpProblem(
     lagrangian_hessian=lambda w, s, e, i, convexify=False: np.array([[2.0 * s]]))
 w, report = solve(problem, np.array([0.5]))
 threads.append(threading.active_count())
-print(json.dumps([loaded, report.status, "scipy.linalg" in sys.modules, threads,
-                  futures_after_hessian]))
+print(json.dumps([loaded, report.status, "scipy.linalg" in sys.modules,
+                  "scipy.linalg._flapack" in sys.modules, threads, futures_after_hessian]))
 """
 
 
 def test_importing_the_package_loads_no_scipy():
-    # SciPy loads on the first factorisation, not with the package; and
-    # concurrent.futures, which loads logging, on a sweep's first worker
-    # pool (scipy.linalg imports it too, so it is checked before the
-    # solve).  No thread runs after import, after an N=100 exact Hessian,
-    # or after a solve.
+    # SciPy's LAPACK module loads on the first factorisation, not with the
+    # package, and the scipy.linalg package never loads; concurrent.futures,
+    # which loads logging, loads on a sweep's first worker pool.  No thread
+    # runs after import, after an N=100 exact Hessian, or after a solve.
     src = str(Path(nlp_solver.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
-    loaded, status, linalg_after_solve, threads, futures_after_hessian = json.loads(
-        out.stdout.splitlines()[-1])
+    loaded, status, linalg_after_solve, lapack_after_solve, threads, futures_after_hessian = (
+        json.loads(out.stdout.splitlines()[-1]))
     assert loaded == []
     assert status == "optimal"
-    assert linalg_after_solve
+    assert not linalg_after_solve
+    assert lapack_after_solve
     assert threads == [1, 1, 1]
     assert not futures_after_hessian
